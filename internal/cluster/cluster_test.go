@@ -6,12 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"usersignals/internal/conference"
 	"usersignals/internal/newswire"
+	"usersignals/internal/simrand"
 	"usersignals/internal/social"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
@@ -182,6 +184,50 @@ func ingestBoth(t *testing.T, tc *testCluster, recs []telemetry.SessionRecord, p
 	}
 }
 
+// ingestPostsArrival makes post arrival order an axis of the identity
+// matrix: the coordinator receives the corpus as ragged batches in a seeded
+// shuffled order — plus a straggler landing in an already-populated earlier
+// day and one post ID replayed under a batch ID of its own — while the
+// reference node receives the same posts as one batch in corpus order.
+func ingestPostsArrival(t *testing.T, tc *testCluster, posts []social.Post, perm uint64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	cc := usaas.NewClientWithOptions(tc.coordTS.URL, usaas.ClientOptions{})
+	sc := usaas.NewClientWithOptions(tc.single.URL, usaas.ClientOptions{})
+
+	hold := len(posts) / 3
+	rest := append(append([]social.Post(nil), posts[:hold]...), posts[hold+1:]...)
+	var batches [][]social.Post
+	for i, n := 0, 0; i < len(rest); n++ {
+		hi := min(i+900+(n*613)%1700, len(rest))
+		batches = append(batches, rest[i:hi])
+		i = hi
+	}
+	batches = append(batches, posts[hold:hold+1], posts[2*hold:2*hold+1])
+	for _, j := range simrand.Root(perm).Derive("cluster/arrival-order").RNG().Perm(len(batches)) {
+		if _, err := cc.IngestPostsBatch(ctx, fmt.Sprintf("arrive-%d", j), batches[j]); err != nil {
+			t.Fatalf("coordinator post ingest: %v", err)
+		}
+	}
+
+	var inOrder []social.Post
+	for _, b := range batches {
+		inOrder = append(inOrder, b...)
+	}
+	sort.SliceStable(inOrder, func(i, j int) bool { return inOrder[i].Before(&inOrder[j]) })
+	if _, err := sc.IngestPostsBatch(ctx, "in-order", inOrder); err != nil {
+		t.Fatalf("single post ingest: %v", err)
+	}
+	cs, err := cc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Posts != len(inOrder) {
+		t.Fatalf("cluster holds %d posts, delivered %d", cs.Posts, len(inOrder))
+	}
+}
+
 // get fetches a path and returns (status, body bytes as string).
 func get(t *testing.T, base, path string) (int, string) {
 	t.Helper()
@@ -253,28 +299,37 @@ func assertByteIdentical(t *testing.T, tc *testCluster, isp string) {
 // all three shard counts).
 func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 	c, _, _ := studyCorpus(t)
+	// arrival 0 delivers the corpus in generator order to both sides; any
+	// other value is the seed of a shuffled delivery to the cluster, checked
+	// against a reference node fed in corpus order (ingestPostsArrival).
 	configs := []struct {
 		seed    uint64
 		nShards int
 		workers int
+		arrival uint64
 	}{
-		{5, 1, 0},
-		{5, 2, 4},
-		{5, 4, 1},
-		{6, 2, 0},
-		{6, 4, 4},
-		{7, 1, 4},
-		{7, 2, 1},
-		{7, 4, 0},
+		{5, 1, 0, 1},
+		{5, 2, 4, 2},
+		{5, 4, 1, 3},
+		{6, 2, 0, 0},
+		{6, 4, 4, 1},
+		{7, 1, 4, 0},
+		{7, 2, 1, 3},
+		{7, 4, 0, 0},
 	}
 	if testing.Short() {
 		configs = configs[:3]
 	}
 	for _, tc := range configs {
-		t.Run(fmt.Sprintf("seed%d_shards%d_workers%d", tc.seed, tc.nShards, tc.workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed%d_shards%d_workers%d_arrival%d", tc.seed, tc.nShards, tc.workers, tc.arrival), func(t *testing.T) {
 			recs := sessionData(t, tc.seed)
 			cl := buildCluster(t, tc.nShards, tc.workers, usaas.RetryPolicy{})
-			ingestBoth(t, cl, recs, c.Posts)
+			if tc.arrival == 0 {
+				ingestBoth(t, cl, recs, c.Posts)
+			} else {
+				ingestBoth(t, cl, recs, nil)
+				ingestPostsArrival(t, cl, c.Posts, tc.arrival)
+			}
 			assertByteIdentical(t, cl, recs[0].ISP)
 		})
 	}

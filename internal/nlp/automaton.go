@@ -9,14 +9,34 @@ package nlp
 // fuzz_test.go checks against Dictionary.Count on arbitrary input.
 //
 // Patterns containing a token absent from the interner can never occur in
-// any interned stream, so they are dropped at compile time rather than
-// forcing the interner to grow; a Matcher never mutates its interner.
-// Immutable and safe for concurrent use.
+// any stream interned so far, so they are dropped at compile time rather
+// than forcing the interner to grow; a Matcher never mutates its interner.
+// An interner that keeps growing after the compile (a store's, fed by
+// ingest) calls Dictionary.InternInto first: then no pattern is dropped,
+// and because matching resolves stems through the live interner the
+// automaton stays exact for every token interned later. Immutable and safe
+// for concurrent use (beside interner growth only under the caller's lock).
 type Matcher struct {
 	in   *Interner
 	next []map[TokenID]int32 // trie edges per state, keyed by stem ID
 	fail []int32             // failure links
 	out  []int32             // patterns ending at state (suffix-aggregated)
+	// root has a bit set (by stem ID mod 256) for every stem some pattern
+	// starts with: most tokens start none, and skip the root's map.
+	root [4]uint64
+}
+
+// InternInto interns every token of d's entries, so that a matcher compiled
+// against in afterwards keeps all its patterns however in grows.
+func (d *Dictionary) InternInto(in *Interner) {
+	for w := range d.words {
+		in.Intern(w)
+	}
+	for _, ph := range d.phrases {
+		for _, t := range ph {
+			in.Intern(t)
+		}
+	}
 }
 
 // CompileMatcher builds the automaton for d's entries over in's current
@@ -70,8 +90,9 @@ func (d *Dictionary) CompileMatcher(in *Interner) *Matcher {
 	// carries every pattern ending at any suffix of its path (a phrase hit
 	// and a word hit at the same position both count, as in the naive scan).
 	queue := make([]int32, 0, len(m.next))
-	for _, nx := range m.next[0] {
+	for id, nx := range m.next[0] {
 		queue = append(queue, nx)
+		m.root[id>>6&3] |= 1 << (id & 63)
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		s := queue[qi]
@@ -96,6 +117,9 @@ func (d *Dictionary) CompileMatcher(in *Interner) *Matcher {
 // step advances the automaton from state s on the stem of token id.
 func (m *Matcher) step(s int32, id TokenID) int32 {
 	sid := m.in.stems[id]
+	if s == 0 && m.root[sid>>6&3]&(1<<(sid&63)) == 0 {
+		return 0
+	}
 	for {
 		if t, ok := m.next[s][sid]; ok {
 			return t

@@ -40,16 +40,44 @@ func Top(counts map[string]int, k int) []WordCount {
 	for w, c := range counts {
 		out = append(out, WordCount{Word: w, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	return Rank(out, k)
+}
+
+// Rank returns the first k of words in word-cloud order — count descending,
+// ties broken alphabetically. It works in place: the result aliases words,
+// whose remainder is left in no particular state.
+func Rank(words []WordCount, k int) []WordCount {
+	before := func(a, b *WordCount) bool {
+		if a.Count != b.Count {
+			return a.Count > b.Count
 		}
-		return out[i].Word < out[j].Word
-	})
-	if k < len(out) {
-		out = out[:k]
+		return a.Word < b.Word
 	}
-	return out
+	if k <= 0 {
+		return words[:0]
+	}
+	if k >= len(words) || k > 32 {
+		sort.Slice(words, func(i, j int) bool { return before(&words[i], &words[j]) })
+		return words[:min(k, len(words))]
+	}
+	// A short head of a long list (a day's cloud keeps 12 of a few hundred
+	// stems): keep words[:m] ranked and insert only what beats its tail.
+	m := 0
+	for i := range words {
+		w := words[i]
+		if m == k && !before(&w, &words[m-1]) {
+			continue
+		}
+		if m < k {
+			m++
+		}
+		j := m - 1
+		for ; j > 0 && before(&w, &words[j-1]); j-- {
+			words[j] = words[j-1]
+		}
+		words[j] = w
+	}
+	return words[:m]
 }
 
 // WordCloud is the ranked unigram table for a set of texts: what the paper

@@ -1,7 +1,9 @@
 package nlp
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,5 +274,21 @@ func TestDictionaryPhraseBoundaries(t *testing.T) {
 	empty := NewDictionary()
 	if empty.Matches("anything") {
 		t.Fatal("empty dictionary matched")
+	}
+}
+
+// TestRankShortHeadMatchesFullSort: picking a short head out of a long list
+// takes the insertion path; it must agree with sorting everything.
+func TestRankShortHeadMatchesFullSort(t *testing.T) {
+	var words []WordCount
+	for i := 0; i < 300; i++ {
+		words = append(words, WordCount{Word: fmt.Sprintf("w%03d", (i*131)%300), Count: (i * 7919) % 23})
+	}
+	full := Rank(append([]WordCount(nil), words...), len(words))
+	for _, k := range []int{0, 1, 12, 32, 33, 299, 300, 400} {
+		got := Rank(append([]WordCount(nil), words...), k)
+		if want := full[:min(k, len(full))]; !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Errorf("k=%d: head differs from the full sort's", k)
+		}
 	}
 }

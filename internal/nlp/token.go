@@ -1,7 +1,6 @@
 package nlp
 
 import (
-	"sort"
 	"unicode"
 	"unicode/utf8"
 )
@@ -39,9 +38,20 @@ func (t *Tokenizer) Next() ([]byte, bool) {
 	buf := t.buf[:0]
 	s := t.s
 	for t.i < len(s) {
-		r, size := utf8.DecodeRuneInString(s[t.i:])
+		r, size := rune(s[t.i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[t.i:])
+		}
 		t.i += size
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+		// ASCII, nearly all of a post, skips the Unicode tables.
+		switch {
+		case 'a' <= r && r <= 'z', '0' <= r && r <= '9':
+			buf = append(buf, byte(r))
+			continue
+		case 'A' <= r && r <= 'Z':
+			buf = append(buf, byte(r)+('a'-'A'))
+			continue
+		case r >= utf8.RuneSelf && (unicode.IsLetter(r) || unicode.IsDigit(r)):
 			buf = utf8.AppendRune(buf, unicode.ToLower(r))
 			continue
 		}
@@ -75,6 +85,7 @@ type Interner struct {
 	stems   []TokenID // id → id of Stem(token)
 	stop    []bool    // id → IsStopword(token)
 	content []bool    // id → len(token) > 1 && !stopword (ContentTokens filter)
+	tz      Tokenizer // AppendTokens' lexer, kept for its buffer
 }
 
 // NewInterner returns an empty interner.
@@ -140,7 +151,7 @@ func (in *Interner) IsContent(id TokenID) bool { return in.content[id] }
 // dst, returning the extended slice. It is the ID-space equivalent of
 // Tokenize: in.Token of each appended ID reproduces Tokenize(s).
 func (in *Interner) AppendTokens(dst []TokenID, s string) []TokenID {
-	var tz Tokenizer
+	tz := &in.tz
 	tz.Reset(s)
 	for tok, ok := tz.Next(); ok; tok, ok = tz.Next() {
 		dst = append(dst, in.InternBytes(tok))
@@ -156,14 +167,5 @@ func TopIDs(in *Interner, counts map[TokenID]int, k int) []WordCount {
 	for id, c := range counts {
 		out = append(out, WordCount{Word: in.Token(id), Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Word < out[j].Word
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+	return Rank(out, k)
 }

@@ -7,9 +7,13 @@ package nlp
 // and no maps, and produces bit-identical Sentiment values to
 // Analyzer.Score on the corresponding text.
 //
-// A scorer is valid for the interner state it was compiled against; compile
-// after the interner is fully built. Immutable and safe for concurrent use.
+// A scorer covers the tokens interned when it was compiled or last
+// extended: a corpus compiles once after its interner is fully built, a
+// store whose vocabulary grows with ingest calls Extend before scoring
+// streams that may hold new tokens. Score is safe for concurrent use; Extend
+// must not run beside it.
 type TokenScorer struct {
+	a        *Analyzer
 	neg      []bool
 	hasBoost []bool
 	boost    []float64
@@ -21,28 +25,29 @@ type TokenScorer struct {
 // CompileScorer builds the dense scoring tables for every token currently
 // interned in in.
 func (a *Analyzer) CompileScorer(in *Interner) *TokenScorer {
-	n := in.Len()
-	ts := &TokenScorer{
-		neg:      make([]bool, n),
-		hasBoost: make([]bool, n),
-		boost:    make([]float64, n),
-		hasVal:   make([]bool, n),
-		val:      make([]float64, n),
-		plain:    make([]bool, n),
-	}
-	for id := 0; id < n; id++ {
+	ts := &TokenScorer{a: a}
+	ts.Extend(in)
+	return ts
+}
+
+// Extend compiles table entries for every token interned in in since the
+// scorer was compiled or last extended. in must be the interner the scorer
+// was compiled against.
+func (ts *TokenScorer) Extend(in *Interner) {
+	a := ts.a
+	for id := len(ts.neg); id < in.Len(); id++ {
 		tok := in.Token(TokenID(id))
 		stem := in.Token(in.StemID(TokenID(id)))
-		ts.neg[id] = a.negations[tok]
-		ts.boost[id], ts.hasBoost[id] = a.intensifiers[tok]
+		boost, hasBoost := a.intensifiers[tok]
 		v, ok := a.lexicon[stem]
 		if !ok {
 			v, ok = a.lexicon[tok]
 		}
-		ts.val[id], ts.hasVal[id] = v, ok
-		ts.plain[id] = !stopwords[tok]
+		ts.neg = append(ts.neg, a.negations[tok])
+		ts.boost, ts.hasBoost = append(ts.boost, boost), append(ts.hasBoost, hasBoost)
+		ts.val, ts.hasVal = append(ts.val, v), append(ts.hasVal, ok)
+		ts.plain = append(ts.plain, !stopwords[tok])
 	}
-	return ts
 }
 
 // Score replays Analyzer.Score over an interned token stream. The control

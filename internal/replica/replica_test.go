@@ -287,14 +287,20 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	sessions, posts := testDataset(t, 4)
 	client := usaas.NewClient(leader.server.URL, nil)
 	ingestBatches(t, client, sessions, posts, "boot")
-	// Wait for the background snapshotter to cover some prefix.
+	// Wait for the background snapshotter to settle: the batch count is a
+	// multiple of SnapshotEvery, so its last snapshot covers the whole log.
+	// Bootstrapping from an earlier one races the compaction that follows
+	// the next, and the follower ends up behind the leader's horizon.
 	deadline := time.Now().Add(10 * time.Second)
-	for leader.store.LastSnapshotSeq() == 0 {
+	for leader.store.LastSnapshotSeq() != leader.store.WALSeq() {
 		if time.Now().After(deadline) {
 			t.Fatal("leader never snapshotted")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// Two more batches (fewer than SnapshotEvery) leave a tail past the
+	// snapshot for the follower to fetch.
+	ingestBatches(t, client, sessions[:120], nil, "tail")
 
 	dir := t.TempDir()
 	installed, err := Bootstrap(context.Background(), dir, leader.server.URL, "", nil)

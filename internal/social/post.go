@@ -120,15 +120,24 @@ type Corpus struct {
 	tokens  *TokenCache
 }
 
-// NewCorpus builds a corpus over the window from posts (re-sorted and
-// indexed).
+// Before reports whether p sorts ahead of q in corpus order: by day, then
+// by ID.
+func (p *Post) Before(q *Post) bool {
+	if p.Day != q.Day {
+		return p.Day < q.Day
+	}
+	return p.ID < q.ID
+}
+
+// NewCorpus builds a corpus over the window from posts, indexed by day. The
+// caller's slice is never reordered: posts already in corpus order are used
+// as they are, anything else is sorted in a private copy.
 func NewCorpus(window timeline.Range, posts []Post) *Corpus {
-	sort.Slice(posts, func(i, j int) bool {
-		if posts[i].Day != posts[j].Day {
-			return posts[i].Day < posts[j].Day
-		}
-		return posts[i].ID < posts[j].ID
-	})
+	before := func(i, j int) bool { return posts[i].Before(&posts[j]) }
+	if !sort.SliceIsSorted(posts, before) {
+		posts = append([]Post(nil), posts...)
+		sort.SliceStable(posts, before)
+	}
 	c := &Corpus{Window: window, Posts: posts, byDay: make(map[timeline.Day][]int)}
 	for i := range posts {
 		c.byDay[posts[i].Day] = append(c.byDay[posts[i].Day], i)

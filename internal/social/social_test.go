@@ -94,6 +94,31 @@ func TestCorpusIndex(t *testing.T) {
 	}
 }
 
+// TestNewCorpusLeavesCallerSliceAlone: a corpus built over unsorted posts is
+// in corpus order, and the caller's slice is exactly as it was — callers
+// (a store, in particular) keep indices and order of their own.
+func TestNewCorpusLeavesCallerSliceAlone(t *testing.T) {
+	posts := []Post{
+		{ID: 9, Day: 3}, {ID: 2, Day: 3}, {ID: 5, Day: 1}, {ID: 2, Day: 3, Title: "second"}, {ID: 1, Day: 2},
+	}
+	given := append([]Post(nil), posts...)
+	c := NewCorpus(timeline.Range{From: 1, To: 3}, posts)
+	if !reflect.DeepEqual(posts, given) {
+		t.Fatalf("NewCorpus reordered its caller's slice: %v", posts)
+	}
+	want := []Post{given[2], given[4], given[1], given[3], given[0]} // (day, id), ties in the order given
+	if !reflect.DeepEqual(c.Posts, want) {
+		t.Fatalf("corpus order = %v, want %v", c.Posts, want)
+	}
+	if lo, hi := c.PostIndexRange(3); lo != 2 || hi != 5 {
+		t.Fatalf("day 3 indexed as [%d, %d)", lo, hi)
+	}
+	// Already in corpus order: used as given, no copy.
+	if c2 := NewCorpus(c.Window, c.Posts); &c2.Posts[0] != &c.Posts[0] {
+		t.Fatal("NewCorpus copied posts that were already in corpus order")
+	}
+}
+
 func TestAnchorEventBursts(t *testing.T) {
 	c := testCorpus(t, 4)
 	an := nlp.NewAnalyzer()

@@ -56,6 +56,20 @@ func (c *Corpus) BuildTokens(workers int) *TokenCache {
 	return c.tokens
 }
 
+// AppendPostTokens lexes one post into in and appends its thread-ordered
+// token run to dst: Title and Body first (textLen tokens, the sequence of
+// Post.Text), then each retained reply (the rest of Post.ThreadText).
+func AppendPostTokens(in *nlp.Interner, dst []nlp.TokenID, p *Post) (out []nlp.TokenID, textLen int) {
+	off := len(dst)
+	dst = in.AppendTokens(dst, p.Title)
+	dst = in.AppendTokens(dst, p.Body)
+	textLen = len(dst) - off
+	for k := range p.Replies {
+		dst = in.AppendTokens(dst, p.Replies[k].Text)
+	}
+	return dst, textLen
+}
+
 // buildTokenCache shards posts into canonical chunks (parallel.ChunkSize,
 // boundaries depending only on post count): each worker lexes its chunk
 // into a chunk-local interner, and a serial merge in chunk order re-interns
@@ -79,15 +93,10 @@ func buildTokenCache(c *Corpus, workers int) *TokenCache {
 		lo, hi := parallel.ChunkBounds(i, n)
 		ct := chunkTokens{local: nlp.NewInterner(), spans: make([]tokenSpan, 0, hi-lo)}
 		for j := lo; j < hi; j++ {
-			p := &c.Posts[j]
 			off := int32(len(ct.arena))
-			ct.arena = ct.local.AppendTokens(ct.arena, p.Title)
-			ct.arena = ct.local.AppendTokens(ct.arena, p.Body)
-			textLen := int32(len(ct.arena)) - off
-			for k := range p.Replies {
-				ct.arena = ct.local.AppendTokens(ct.arena, p.Replies[k].Text)
-			}
-			ct.spans = append(ct.spans, tokenSpan{off: off, textLen: textLen, threadLen: int32(len(ct.arena)) - off})
+			var textLen int
+			ct.arena, textLen = AppendPostTokens(ct.local, ct.arena, &c.Posts[j])
+			ct.spans = append(ct.spans, tokenSpan{off: off, textLen: int32(textLen), threadLen: int32(len(ct.arena)) - off})
 		}
 		return ct, nil
 	})

@@ -1,0 +1,400 @@
+package usaas
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"testing"
+
+	"usersignals/internal/durable"
+	"usersignals/internal/nlp"
+	"usersignals/internal/simrand"
+	"usersignals/internal/social"
+)
+
+// This file makes post ARRIVAL ORDER an input of the identity tests. Every
+// identity matrix used to feed posts in generator (corpus) order, which is
+// how a store whose answers depended on arrival order went unnoticed. The
+// helpers below produce one multiset of post batches in several delivery
+// orders; the matrices (views, pipeline, recovery, cluster) take them as one
+// more axis, and the tests in this file pin the post fold itself.
+
+// arrivalPermutations is K: how many seeded delivery orders each matrix
+// checks beside corpus order.
+const arrivalPermutations = 3
+
+// arrivalBatches cuts corpus-ordered posts into ragged batches and adds the
+// two deliveries generator order never produces: a straggler — a post held
+// back from the middle of its day, delivered on its own at the end, so it
+// lands in an already-populated earlier day — and one post ID replayed under
+// a batch ID of its own (a second, identical post: dedup is per batch).
+func arrivalBatches(posts []social.Post, prefix string) []ingestBatch {
+	hold := len(posts) / 3
+	rest := append(append([]social.Post(nil), posts[:hold]...), posts[hold+1:]...)
+	var out []ingestBatch
+	for i, n := 0, 0; i < len(rest); n++ {
+		hi := min(i+17+(n*29)%41, len(rest))
+		out = append(out, ingestBatch{id: fmt.Sprintf("%s-%d", prefix, n), posts: rest[i:hi]})
+		i = hi
+	}
+	return append(out,
+		ingestBatch{id: prefix + "-straggler", posts: posts[hold : hold+1]},
+		ingestBatch{id: prefix + "-replayed-id", posts: posts[2*hold : 2*hold+1]},
+	)
+}
+
+// permuteBatches returns the batches in a seeded shuffled order; perm 0 is
+// the order given.
+func permuteBatches(batches []ingestBatch, perm uint64) []ingestBatch {
+	if perm == 0 {
+		return batches
+	}
+	out := make([]ingestBatch, len(batches))
+	for i, j := range simrand.Root(perm).Derive("usaas/arrival-order").RNG().Perm(len(batches)) {
+		out[i] = batches[j]
+	}
+	return out
+}
+
+// inOrderPosts is the in-order reference delivery of a batch multiset: every
+// post of every batch, in corpus order.
+func inOrderPosts(batches []ingestBatch) []social.Post {
+	var all []social.Post
+	for _, b := range batches {
+		all = append(all, b.posts...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Before(&all[j]) })
+	return all
+}
+
+// identityPaths is every read endpoint whose bytes the identity matrices
+// compare (the cluster tests compare the same 19 through a coordinator).
+func identityPaths(isp string) []string {
+	return []string{
+		"/v1/report",
+		"/v1/report?format=text",
+		"/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&lo=0&hi=300&bins=8",
+		"/v1/insights/engagement?metric=loss-mean-pct&engagement=cam_on&lo=0&hi=4&bins=10",
+		"/v1/insights/mos",
+		"/v1/insights/mos?bins=6",
+		"/v1/insights/sentiment",
+		"/v1/insights/peaks",
+		"/v1/insights/peaks?k=5",
+		"/v1/insights/outages",
+		"/v1/insights/outages?threshold=3",
+		"/v1/insights/speeds",
+		"/v1/insights/trends",
+		"/v1/insights/confounders?engagement=presence",
+		"/v1/advice/traffic-engineering",
+		"/v1/advice/deployment",
+		"/v1/insights/incidents?engagement=presence",
+		"/v1/insights/incidents?engagement=cam_on&min_drop=0.05",
+		"/v1/query/experience?isp=" + isp,
+	}
+}
+
+// endpointBodies serves every identity path from a fresh uncached server
+// over the store and returns status and body per path. Thin data answers
+// some paths with an error status; those bytes must be identical too.
+func endpointBodies(t testing.TB, store *Store, opts ServerOptions, isp string) []string {
+	t.Helper()
+	opts.ResultCacheSize = -1
+	h := NewServer(store, opts).Handler()
+	paths := identityPaths(isp)
+	out := make([]string, len(paths))
+	for i, p := range paths {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		out[i] = fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+	}
+	return out
+}
+
+// assertSameBodies compares two endpointBodies results path by path.
+func assertSameBodies(t testing.TB, label string, got, want []string, isp string) {
+	t.Helper()
+	for i, p := range identityPaths(isp) {
+		if got[i] != want[i] {
+			t.Errorf("%s: %s differs\n got: %.300s\nwant: %.300s", label, p, got[i], want[i])
+		}
+	}
+}
+
+// speedHeavyPosts thins the study corpus to every screenshot post plus one
+// in twelve of the rest: small enough to journal quickly, with enough speed
+// reports that attributing sentiment to the wrong posts moves Fig. 7.
+func speedHeavyPosts(t *testing.T) []social.Post {
+	t.Helper()
+	c, _, _ := studyCorpus(t)
+	var out []social.Post
+	for i := range c.Posts {
+		if c.Posts[i].Screenshot != nil || i%12 == 0 {
+			out = append(out, c.Posts[i])
+		}
+	}
+	return out
+}
+
+// TestOutOfOrderPostsLiveEqualsRecovered is the regression test for the
+// defect the benchmark found: once post batches arrive out of (day, id)
+// order, a live node's /v1/insights/speeds and the report's
+// speed_pos_correlation must equal both the in-order reference and the same
+// node after recovery. (The parent commit re-sorted its own post array in
+// place under indices the speed view kept, and fails all three.)
+func TestOutOfOrderPostsLiveEqualsRecovered(t *testing.T) {
+	_, news, cfg := studyCorpus(t)
+	opts := ServerOptions{News: news, Model: cfg.Model, ResultCacheSize: -1}
+	posts := speedHeavyPosts(t)
+	batches := arrivalBatches(posts, "ooo")
+
+	answers := func(store *Store) (speeds string, corr float64) {
+		h := NewServer(store, opts).Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/insights/speeds", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("speeds: status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.String(), BuildReport(store, nil, opts).SpeedPosCorr
+	}
+
+	ref := &Store{}
+	if err := ref.AddPosts(inOrderPosts(batches)); err != nil {
+		t.Fatal(err)
+	}
+	wantSpeeds, wantCorr := answers(ref)
+	if wantCorr == 0 {
+		t.Fatal("reference has no speed/sentiment correlation; the dataset cannot show the defect")
+	}
+
+	for perm := uint64(1); perm <= arrivalPermutations; perm++ {
+		dir := t.TempDir()
+		dopts := DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff}
+		d, err := OpenDurableStore(dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range permuteBatches(batches, perm) {
+			applyBatch(t, d.Store, b)
+		}
+		liveSpeeds, liveCorr := answers(d.Store)
+		if liveSpeeds != wantSpeeds || liveCorr != wantCorr {
+			t.Errorf("perm %d: live answers differ from the in-order reference (corr %v, want %v)", perm, liveCorr, wantCorr)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := OpenDurableStore(dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recSpeeds, recCorr := answers(d2.Store)
+		if recSpeeds != liveSpeeds || recCorr != liveCorr {
+			t.Errorf("perm %d: recovered answers differ from the live node's (corr %v, live %v)", perm, recCorr, liveCorr)
+		}
+		d2.Close()
+	}
+}
+
+// TestColdSocialReadsScoreNothing pins "no read-path sweep": after one small
+// post batch lands in a preloaded store, the cold report, the five social
+// endpoints and the social partials are served without tokenising or
+// scoring a single post; an in-order batch folds no existing day again, and
+// an out-of-order one folds again exactly the days it touches.
+func TestColdSocialReadsScoreNothing(t *testing.T) {
+	c, news, cfg := studyCorpus(t)
+	store := &Store{}
+	recs := viewSessions(t, 6, 600)
+	store.AddSessions(recs)
+	experience := "/v1/query/experience?isp=" + recs[0].ISP
+	n := len(c.Posts) - 60
+	if err := store.AddPosts(c.Posts[:n]); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(store, ServerOptions{News: news, Model: cfg.Model}).Handler()
+	refolds := func() int {
+		store.postMu.RLock()
+		defer store.postMu.RUnlock()
+		return store.refolds
+	}
+
+	before := postsAnalyzed.Load()
+	if err := store.AddPosts(c.Posts[n : n+20]); err != nil { // continues the newest day, in ID order
+		t.Fatal(err)
+	}
+	if got := postsAnalyzed.Load() - before; got != 20 {
+		t.Fatalf("ingesting 20 posts analysed %d", got)
+	}
+	if got := refolds(); got != 0 {
+		t.Fatalf("in-order ingest folded %d existing day(s) again", got)
+	}
+
+	before = postsAnalyzed.Load()
+	for _, p := range []string{
+		"/v1/report",
+		"/v1/insights/sentiment",
+		"/v1/insights/peaks",
+		"/v1/insights/outages",
+		"/v1/insights/speeds",
+		"/v1/insights/trends",
+		experience,
+		"/v1/partials?sections=social,speeds",
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %.200s", p, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if got := postsAnalyzed.Load() - before; got != 0 {
+		t.Errorf("cold social reads analysed %d post(s); the read path must analyse none", got)
+	}
+
+	// Two posts that sort ahead of posts their days already hold: exactly
+	// those two days fold again, from cached facts.
+	early, mid := c.Posts[0], c.Posts[n/2]
+	early.ID, mid.ID = 0, 0
+	before = postsAnalyzed.Load()
+	if err := store.AddPosts([]social.Post{mid, early}); err != nil {
+		t.Fatal(err)
+	}
+	if got := refolds(); got != 2 {
+		t.Errorf("out-of-order ingest into two days folded %d day(s) again, want 2", got)
+	}
+	if got := postsAnalyzed.Load() - before; got != 2 {
+		t.Errorf("out-of-order ingest of 2 posts analysed %d", got)
+	}
+}
+
+// TestTrafficEngineeringAdviceComputedOncePerGeneration: the report and the
+// advice endpoint share one computation per session generation.
+func TestTrafficEngineeringAdviceComputedOncePerGeneration(t *testing.T) {
+	recs := viewSessions(t, 6, 2000)
+	store := &Store{}
+	store.AddSessions(recs[:1500])
+	first, err := store.teAdvice()
+	if err != nil || len(first) == 0 {
+		t.Fatalf("advice: %v %v", first, err)
+	}
+	rep := BuildReport(store, nil, ServerOptions{})
+	if &rep.TEAdvice[0] != &first[0] {
+		t.Error("the report computed its own advice within one session generation")
+	}
+	store.AddSessions(recs[1500:])
+	next, err := store.teAdvice()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AdviseTrafficEngineering(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &next[0] == &first[0] || marshal(t, next) != marshal(t, want) {
+		t.Error("advice not recomputed for the new session generation")
+	}
+}
+
+// foldReference folds a corpus from scratch with the offline sweep and its
+// companions: what a store holding the same posts must serve, whatever
+// order they arrived in.
+type foldReference struct {
+	Sweep          *Sweep
+	Clouds         []DayCloud
+	Speeds         []MonthSpeed
+	Pos, Neg       int
+	OutageMentions int
+}
+
+func referenceFold(c *social.Corpus) foldReference {
+	an, dict := nlp.NewAnalyzer(), nlp.OutageDictionary()
+	ref := foldReference{
+		Sweep:  SweepCorpus(c, an, SweepOptions{Sentiment: true, Dict: dict, Gate: true, Trends: &TrendOptions{}}),
+		Speeds: MonthlySpeeds(c, an, nil, 1),
+	}
+	for _, ds := range ref.Sweep.Sentiment {
+		ref.Pos += ds.StrongPos
+		ref.Neg += ds.StrongNeg
+		if ds.Posts > 0 {
+			ref.Clouds = append(ref.Clouds, DayCloud{Day: ds.Day, Words: dayWordCloud(c, ds.Day, cloudWords)})
+		}
+	}
+	for i := range c.Posts {
+		p := &c.Posts[i]
+		if s := an.Score(p.Text()); s.Negative > s.Positive && dict.Matches(p.ThreadText()) {
+			ref.OutageMentions++
+		}
+	}
+	return ref
+}
+
+func storeFold(s *Store) foldReference {
+	v := s.social()
+	got := foldReference{
+		Sweep:  &Sweep{Sentiment: v.sentiment(), Keywords: v.keywords(), Trends: v.trends(TrendOptions{})},
+		Clouds: v.clouds(),
+		Speeds: v.monthlySpeeds(nil),
+	}
+	got.Pos, got.Neg, got.OutageMentions = v.experienceCounts()
+	return got
+}
+
+// FuzzPostFoldEquivalence: for random batch cuts, delivery orders and
+// duplicate deliveries of a post pool, the store's incremental per-day
+// accumulators serve exactly what the offline sweep computes over the
+// sorted corpus of the same posts.
+func FuzzPostFoldEquivalence(f *testing.F) {
+	_, pool := crashDataset(f, 31)
+	pool = pool[:120]
+	f.Add([]byte{0})
+	f.Add([]byte{7, 3, 250, 1, 9, 9, 40, 200, 13})
+	f.Add([]byte{255, 254, 253, 0, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Fuzz(func(t *testing.T, plan []byte) {
+		if len(plan) > 64 {
+			plan = plan[:64]
+		}
+		// Each plan byte delivers one batch: a start in the pool and a
+		// length. Starts wander, so batches overlap (duplicate posts under
+		// new batch IDs), interleave days and arrive out of order.
+		store := &Store{}
+		var all []social.Post
+		for i, b := range plan {
+			lo := (int(b) * 7) % len(pool)
+			hi := min(lo+1+int(b)%23, len(pool))
+			batch := pool[lo:hi]
+			if i%5 == 4 { // and now and then a batch that is itself unsorted
+				batch = append([]social.Post(nil), batch...)
+				batch[0], batch[len(batch)-1] = batch[len(batch)-1], batch[0]
+			}
+			if _, _, err := store.AddPostsBatch(fmt.Sprintf("fz-%d", i), batch); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+		}
+		if len(all) == 0 {
+			if store.social() != nil {
+				t.Fatal("empty store has a social view")
+			}
+			return
+		}
+		sorted := inOrderPosts([]ingestBatch{{posts: all}})
+		c := store.Corpus()
+		if !sameJSON(c.Posts, sorted) {
+			t.Fatal("Corpus() is not the sorted multiset of delivered posts")
+		}
+		if got, want := storeFold(store), referenceFold(c); !sameJSON(got, want) {
+			t.Errorf("incremental fold differs from the offline sweep\n got: %.600s\nwant: %.600s", mustJSON(got), mustJSON(want))
+		}
+	})
+}
+
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+func sameJSON(a, b any) bool { return bytes.Equal(mustJSON(a), mustJSON(b)) }

@@ -485,7 +485,7 @@ func (d *DurableStore) captureState() (snapState, uint64) {
 	s.sessMu.RUnlock()
 	st.sessions = snap.AppendTo(make([]telemetry.SessionRecord, 0, snap.Len()))
 	s.postMu.RLock()
-	st.posts = append([]social.Post(nil), s.posts...)
+	st.posts = s.postsLocked()
 	s.postMu.RUnlock()
 	s.dedupMu.RLock()
 	st.batches = make(map[string]IngestResponse, len(s.batches))
@@ -630,7 +630,11 @@ func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int,
 // big fold of the restored prefix equals the original batch-by-batch
 // folds bit for bit.
 func (s *Store) restoreSnapshot(sessions []telemetry.SessionRecord, posts []social.Post, batches map[string]IngestResponse) {
-	staged := extractSpeeds(posts)
+	// Reading the posts is the one per-record cost a restore pays that a
+	// snapshot does not carry; it needs no store lock, so it runs beside
+	// the session folds.
+	staged := make(chan stagedPosts, 1)
+	go func() { staged <- s.stagePosts(posts) }()
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	// Seed the sequence-time predicted totals: the next accepted batch's
@@ -645,13 +649,7 @@ func (s *Store) restoreSnapshot(sessions []telemetry.SessionRecord, posts []soci
 		s.appendColumnar(sessions)
 	}
 	s.sessMu.Unlock()
-	s.postMu.Lock()
-	s.posts = posts
-	if len(posts) > 0 {
-		s.postGen++
-		s.views.foldPosts(posts, staged, 0)
-	}
-	s.postMu.Unlock()
+	s.applyPosts(posts, <-staged)
 	if len(batches) > 0 {
 		s.dedupMu.Lock()
 		s.batches = batches

@@ -319,6 +319,49 @@ func TestRecoverySnapshotAndTail(t *testing.T) {
 		t.Fatal("snapshot-only recovery diverged from reference")
 	}
 	d3.Close()
+
+	// Arrival order as an input: post batches in K delivery orders, a
+	// snapshot taken mid-way. All 19 paths must be identical live, after
+	// snapshot+tail recovery, and on a plain store fed the same posts as
+	// one corpus-ordered batch.
+	isp := recs[0].ISP
+	postBatches := arrivalBatches(posts, "arrive")
+	inOrder := &Store{}
+	inOrder.AddSessions(recs)
+	inOrder.AddPosts(inOrderPosts(postBatches))
+	want := endpointBodies(t, inOrder, ServerOptions{}, isp)
+	for perm := uint64(1); perm <= arrivalPermutations; perm++ {
+		dopts := DurabilityOptions{Dir: t.TempDir(), Fsync: durable.FsyncOff}
+		live, err := OpenDurableStore(dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delivered := permuteBatches(postBatches, perm)
+		applyBatch(t, live.Store, ingestBatch{id: "sessions", sessions: recs})
+		for i, b := range delivered {
+			if i == len(delivered)/2 {
+				if err := live.snapshotNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			applyBatch(t, live.Store, b)
+		}
+		label := fmt.Sprintf("arrival permutation %d", perm)
+		assertSameBodies(t, label+", live", endpointBodies(t, live.Store, ServerOptions{}, isp), want, isp)
+		if err := live.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := OpenDurableStore(dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !recovered.Recovery.SnapshotFound || recovered.Recovery.ReplayedBatches == 0 {
+			t.Fatalf("%s: recovery did not take the snapshot+tail path: %+v", label, recovered.Recovery)
+		}
+		assertSameBodies(t, label+", recovered", endpointBodies(t, recovered.Store, ServerOptions{}, isp), want, isp)
+		recovered.Close()
+		live.Close()
+	}
 }
 
 // TestSnapshotCompaction verifies the snapshotter truncates history: a

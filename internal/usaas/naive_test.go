@@ -61,6 +61,11 @@ func outageKeywordSeriesNaive(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dict
 
 func mineTrendsNaive(c *social.Corpus, an *nlp.Analyzer, opts TrendOptions) []Trend {
 	opts = opts.withDefaults()
+	// termDay is the naive accumulator: a map from day to summed weight.
+	type termDay struct {
+		weight     map[timeline.Day]float64
+		pos, total int
+	}
 	terms := map[string]*termDay{}
 	c.Window.Days(func(d timeline.Day) {
 		for _, p := range c.OnDay(d) {
@@ -95,7 +100,15 @@ func mineTrendsNaive(c *social.Corpus, an *nlp.Analyzer, opts TrendOptions) []Tr
 			}
 		}
 	})
-	return scanTrends(c.Window, terms, opts)
+	var flat []TermPartial
+	for term, td := range terms {
+		tp := TermPartial{Term: term, Pos: td.pos, Total: td.total}
+		for d, w := range td.weight {
+			tp.Days = append(tp.Days, DayWeight{Day: d, Weight: w})
+		}
+		flat = append(flat, tp)
+	}
+	return scanTrends(c.Window, flat, opts)
 }
 
 func annotatePeaksNaive(c *social.Corpus, an *nlp.Analyzer, news *newswire.Index, k int) []AnnotatedPeak {

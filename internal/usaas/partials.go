@@ -8,7 +8,6 @@ import (
 	"usersignals/internal/leo"
 	"usersignals/internal/newswire"
 	"usersignals/internal/nlp"
-	"usersignals/internal/social"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
@@ -200,77 +199,6 @@ func (s *Store) dropPartials() [][]DoseDayPartial {
 	return out
 }
 
-// sweepPartials runs the fused sweep accumulation and exports its products
-// in wire form: day rows that carry data (the coordinator zero-fills the
-// rest of the global window), per-day word clouds for days with posts, and
-// the term-weight union.
-func sweepPartials(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dictionary) (sent []DaySentiment, kw []DayKeywords, clouds []DayCloud, termsOut []TermPartial) {
-	topts := TrendOptions{}
-	sentAll, kwAll, terms := sweepAccumulate(c, an, SweepOptions{
-		Sentiment: true, Dict: dict, Gate: true, Trends: &topts,
-	})
-	for _, ds := range sentAll {
-		if ds.Posts > 0 {
-			sent = append(sent, ds)
-			clouds = append(clouds, DayCloud{Day: ds.Day, Words: dayWordCloud(c, ds.Day, 12)})
-		}
-	}
-	for _, dk := range kwAll {
-		if dk.Count > 0 {
-			kw = append(kw, dk)
-		}
-	}
-	names := make([]string, 0, len(terms))
-	for term := range terms {
-		names = append(names, term)
-	}
-	sort.Strings(names)
-	for _, term := range names {
-		td := terms[term]
-		tp := TermPartial{Term: term, Pos: td.pos, Total: td.total}
-		days := make([]timeline.Day, 0, len(td.weight))
-		for d := range td.weight {
-			days = append(days, d)
-		}
-		sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-		for _, d := range days {
-			tp.Days = append(tp.Days, DayWeight{Day: d, Weight: td.weight[d]})
-		}
-		termsOut = append(termsOut, tp)
-	}
-	return sent, kw, clouds, termsOut
-}
-
-// speedPartials exports the per-month speed observations in corpus order
-// with their strong-sentiment counts. Returns nil when no posts exist.
-func (s *Store) speedPartials(an *nlp.Analyzer) []SpeedMonthPartial {
-	mo, ok := s.speedObsByMonth()
-	if !ok {
-		return nil
-	}
-	months := make([]timeline.Month, 0, len(mo.months))
-	for m := range mo.months {
-		months = append(months, m)
-	}
-	sort.Slice(months, func(i, j int) bool { return months[i] < months[j] })
-	out := make([]SpeedMonthPartial, 0, len(months))
-	for _, m := range months {
-		obs := mo.months[m]
-		if len(obs) == 0 {
-			continue
-		}
-		_, pos, neg := scoreMonthObs(an, mo.posts, obs)
-		sp := SpeedMonthPartial{Month: m, StrongPos: pos, StrongNeg: neg}
-		for _, ob := range obs {
-			sp.Days = append(sp.Days, ob.day)
-			sp.IDs = append(sp.IDs, ob.id)
-			sp.Downs = append(sp.Downs, ob.down)
-		}
-		out = append(out, sp)
-	}
-	return out
-}
-
 // experienceDayPartials folds the rows with the given ISP into per-day
 // engagement accumulators (arrival order within each day), sorted ascending.
 func experienceDayPartials(rows Rows, isp string) (int, []ExperienceDayPartial) {
@@ -316,34 +244,12 @@ func experienceDayPartials(rows Rows, isp string) (int, []ExperienceDayPartial) 
 	return sessions, out
 }
 
-// experienceSocial scans a corpus for the experience query's social counts:
-// strong-sentiment balance and negative-gated outage mentions. All integers,
-// so shard sums are exact.
-func experienceSocial(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dictionary) (pos, neg, outage int) {
-	tc := c.Tokens()
-	scorer := an.CompileScorer(tc.Interner())
-	matcher := dict.CompileMatcher(tc.Interner())
-	for i := range c.Posts {
-		sc := scorer.Score(tc.Text(i))
-		if sc.StrongPositive() {
-			pos++
-		}
-		if sc.StrongNegative() {
-			neg++
-		}
-		if sc.Negative > sc.Positive && matcher.Matches(tc.Thread(i)) {
-			outage++
-		}
-	}
-	return pos, neg, outage
-}
-
 // experiencePartial builds one shard's experience contribution.
 func (s *Server) experiencePartial(isp string) *ExperiencePartial {
 	sessions, days := experienceDayPartials(s.store.Rows(), isp)
 	p := &ExperiencePartial{Sessions: sessions, Days: days}
-	if c := s.store.Corpus(); c != nil {
-		p.SocialPos, p.SocialNeg, p.OutageMentions = experienceSocial(c, s.opts.Analyzer, s.opts.OutageDict)
+	if v := s.store.social(); v != nil {
+		p.SocialPos, p.SocialNeg, p.OutageMentions = v.experienceCounts()
 	}
 	return p
 }
@@ -383,6 +289,7 @@ func predictedDayPartials(p *MOSPredictor, rows Rows, isp string) []DayOnlinePar
 func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string) (*ShardPartials, error) {
 	out := &ShardPartials{}
 	_, out.Sessions = s.store.RatedSessions()
+	var view *socialView
 	for _, section := range sections {
 		switch section {
 		case SectionSessions:
@@ -398,20 +305,28 @@ func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng
 			out.Drops = s.store.dropPartials()
 		case SectionConfounders:
 			out.Confounders = confounderDayPartials(s.store.Rows(), confEng)
-		case SectionSocial:
-			if c := s.store.Corpus(); c != nil {
-				out.HavePosts = true
-				out.Posts = c.Len()
-				out.WindowFrom, out.WindowTo = c.Window.From, c.Window.To
-				out.Sentiment, out.Keywords, out.Clouds, out.Terms = sweepPartials(c, s.opts.Analyzer, s.opts.OutageDict)
+		case SectionSocial, SectionSpeeds:
+			if view == nil {
+				view = s.store.social() // one snapshot for both sections
 			}
-		case SectionSpeeds:
-			if c := s.store.Corpus(); c != nil {
-				out.HavePosts = true
-				out.Posts = c.Len()
-				out.WindowFrom, out.WindowTo = c.Window.From, c.Window.To
+			v := view
+			if v == nil {
+				break
 			}
-			out.Speeds = s.store.speedPartials(s.opts.Analyzer)
+			out.HavePosts = true
+			out.Posts = v.posts
+			out.WindowFrom, out.WindowTo = v.window.From, v.window.To
+			if section == SectionSpeeds {
+				out.Speeds = v.speedPartials()
+				break
+			}
+			// Day rows that carry data (the coordinator zero-fills the rest
+			// of the global window), every such day's word cloud, and the
+			// term weights regrouped by term.
+			out.Sentiment = sentimentRows(v.days)
+			out.Keywords = keywordRows(v.days, true)
+			out.Clouds = v.clouds()
+			out.Terms = v.terms()
 		case SectionExperience:
 			if isp == "" {
 				return nil, fmt.Errorf("section %q requires the isp parameter", SectionExperience)
@@ -587,26 +502,29 @@ func MergeKeywords(window timeline.Range, parts [][]DayKeywords) []DayKeywords {
 	return out
 }
 
-// MergeTerms unions shards' term partials back into the sweep's accumulator
-// form. Day weights never collide across shards (each day's posts live on
-// one shard), so addition here only reassembles disjoint day rows.
-func mergeTerms(parts [][]TermPartial) map[string]*termDay {
-	terms := map[string]*termDay{}
+// mergeTerms unions shards' term partials into one entry per term. Day
+// weights never collide across shards (each day's posts live on one shard),
+// so this only reassembles disjoint day rows; the counts are integers.
+func mergeTerms(parts [][]TermPartial) []TermPartial {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	index := map[string]int{}
+	var out []TermPartial
 	for _, part := range parts {
 		for _, tp := range part {
-			td := terms[tp.Term]
-			if td == nil {
-				td = &termDay{weight: map[timeline.Day]float64{}}
-				terms[tp.Term] = td
+			i, ok := index[tp.Term]
+			if !ok {
+				index[tp.Term] = len(out)
+				out = append(out, TermPartial{Term: tp.Term, Days: append([]DayWeight(nil), tp.Days...), Pos: tp.Pos, Total: tp.Total})
+				continue
 			}
-			for _, dw := range tp.Days {
-				td.weight[dw.Day] += dw.Weight
-			}
-			td.pos += tp.Pos
-			td.total += tp.Total
+			out[i].Days = append(out[i].Days, tp.Days...)
+			out[i].Pos += tp.Pos
+			out[i].Total += tp.Total
 		}
 	}
-	return terms
+	return out
 }
 
 // MergeTrends runs the trend surge scan over the union of shards' term

@@ -31,10 +31,9 @@ import (
 // / seqPosts) and therefore match what a fully serial apply would have
 // acked, byte for byte.
 type applyJob struct {
-	kind   byte // recSessions or recPosts
-	recs   []telemetry.SessionRecord
-	posts  []social.Post
-	staged []pendingObs // OCR extractions staged before sequencing
+	kind  byte // recSessions or recPosts
+	recs  []telemetry.SessionRecord
+	posts []social.Post
 	// prev is the done channel of the previously sequenced job of the same
 	// kind (nil for the first): the per-kind turn chain.
 	prev <-chan struct{}
@@ -107,6 +106,14 @@ func (s *Store) StopApplyPipeline() {
 // store under that kind's shard lock, recycles pooled buffers, and releases
 // the jobs (and fences) waiting behind it. Called exactly once per job.
 func (s *Store) runJob(job *applyJob) {
+	// Reading the posts (OCR, tokenising, scoring) is the expensive part of
+	// post ingest and needs neither the shard lock nor the job's turn: do
+	// it first, while the batch's fsync and the jobs ahead are in flight.
+	// Only accepted batches become jobs, so a duplicate costs none of it.
+	var staged stagedPosts
+	if job.kind == recPosts {
+		staged = s.stagePosts(job.posts)
+	}
 	if job.prev != nil {
 		<-job.prev
 	}
@@ -120,7 +127,7 @@ func (s *Store) runJob(job *applyJob) {
 			putSessionSlice(job.recs)
 		}
 	case recPosts:
-		s.applyPosts(job.posts, job.staged)
+		s.applyPosts(job.posts, staged)
 		if job.pooled {
 			putPostSlice(job.posts)
 		}
@@ -144,20 +151,6 @@ func (s *Store) applySessions(recs []telemetry.SessionRecord) {
 	}
 }
 
-// applyPosts is applySessions for the post shard. The fold base (the post
-// count before this batch) is read here rather than at sequence time: post
-// applies run in sequence order, so it equals the serial value.
-func (s *Store) applyPosts(posts []social.Post, staged []pendingObs) {
-	s.postMu.Lock()
-	defer s.postMu.Unlock()
-	base := len(s.posts)
-	s.posts = appendGrown(s.posts, posts)
-	if len(posts) > 0 {
-		s.postGen++
-		s.views.foldPosts(posts, staged, base)
-	}
-}
-
 // fenceSessions blocks until every session batch sequenced before the call
 // has been applied. Read accessors fence before taking the shard lock so
 // the store keeps read-your-acked-writes semantics with the apply queue in
@@ -177,8 +170,8 @@ func (s *Store) fencePosts() {
 	}
 }
 
-// appendGrown is append with explicit doubling, used for the post slice
-// (sessions moved to chunked blocks in rows.go). For slices past a few
+// appendGrown is append with explicit doubling, used for the post shard's
+// stem arena (sessions moved to chunked blocks in rows.go). For slices past a few
 // hundred elements Go's builtin grows by only ~1.25x, which on a
 // multi-gigabyte ingest run reallocates, zeroes, and copies the backing
 // array far more often than doubling does (alloc+zero+copy traffic is

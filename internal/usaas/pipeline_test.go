@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"usersignals/internal/durable"
-	"usersignals/internal/social"
 )
 
 // inflightBatch pairs one async delivery's commit ticket with its apply job.
@@ -105,6 +105,37 @@ func TestApplyPipelineReportByteIdentity(t *testing.T) {
 				t.Fatalf("report bytes diverge from serial apply at %d workers", workers)
 			}
 		})
+	}
+
+	// Arrival order as an input: the same sessions in generator order, the
+	// same multiset of post batches in K delivery orders, through the
+	// pipeline at every width — all 19 paths must equal a plain store fed
+	// the posts as one corpus-ordered batch.
+	isp := recs[0].ISP
+	postBatches := arrivalBatches(posts, "arrive")
+	inOrder := &Store{}
+	inOrder.AddSessions(recs)
+	inOrder.AddPosts(inOrderPosts(postBatches))
+	wantBodies := endpointBodies(t, inOrder, ServerOptions{}, isp)
+	for perm := uint64(1); perm <= arrivalPermutations; perm++ {
+		workers := []int{0, 1, 4, 16}[perm]
+		d, err := OpenDurableStore(pipelineOptions(t.TempDir(), workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inflight := []inflightBatch{ingestAsyncJob(t, d.Store, ingestBatch{id: "sessions", sessions: recs})}
+		for _, b := range permuteBatches(postBatches, perm) {
+			inflight = append(inflight, ingestAsyncJob(t, d.Store, b))
+		}
+		for _, f := range inflight {
+			<-f.job.done
+			if err := d.Store.finishIngest(f.id, f.tk); err != nil {
+				t.Fatalf("batch %s: %v", f.id, err)
+			}
+		}
+		label := fmt.Sprintf("arrival permutation %d at %d workers", perm, workers)
+		assertSameBodies(t, label, endpointBodies(t, d.Store, ServerOptions{}, isp), wantBodies, isp)
+		d.Close()
 	}
 }
 
@@ -258,11 +289,12 @@ func TestConcurrentDuplicateDeliveries(t *testing.T) {
 	}
 }
 
-// TestCorpusDuringSustainedIngest: Corpus() must terminate (and return a
-// corpus at least as fresh as its call start) while post batches land
-// continuously. The old promote-if-unchanged loop would discard every
-// rebuild and spin; the singleflight promotes monotonically instead.
-func TestCorpusDuringSustainedIngest(t *testing.T) {
+// TestPostReadsDuringSustainedIngest: reads of the post shard — the social view
+// the handlers serve from, and the Corpus() materialisation — neither block
+// nor livelock while post batches land continuously, and each covers every
+// post acknowledged before it began. (A read is one shard-lock copy; the
+// rebuild loop and singleflight this test was written against are gone.)
+func TestPostReadsDuringSustainedIngest(t *testing.T) {
 	_, posts := crashDataset(t, 24)
 	if len(posts) < 40 {
 		t.Fatalf("dataset too small: %d posts", len(posts))
@@ -273,41 +305,46 @@ func TestCorpusDuringSustainedIngest(t *testing.T) {
 	}
 
 	stop := make(chan struct{})
+	var acked atomic.Int64
+	acked.Store(10)
 	var ingestErr error
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Continuous small-batch post ingest: every batch bumps postGen.
-		// The trickle is paced so the corpus readers get CPU time too (the
-		// livelock under test reproduces whenever postGen moves during a
-		// rebuild, which milliseconds-long rebuilds guarantee regardless).
+		// Continuous small-batch post ingest, out of order as often as not:
+		// every batch bumps postGen and many fold a day again.
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			b := posts[10+(i%(len(posts)-20)):][:2]
+			b := posts[10+(i*7)%(len(posts)-20):][:2]
 			if err := s.AddPosts(b); err != nil {
 				ingestErr = err
 				return
 			}
+			acked.Add(2)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 
 	deadline := time.After(60 * time.Second)
 	for i := 0; i < 12; i++ {
-		got := make(chan *social.Corpus, 1)
-		go func() { got <- s.Corpus() }()
+		floor := int(acked.Load())
+		got := make(chan [2]int, 1)
+		go func() {
+			v, c := s.social(), s.Corpus()
+			got <- [2]int{v.posts, c.Len()}
+		}()
 		select {
-		case c := <-got:
-			if c == nil {
-				t.Fatal("Corpus returned nil with posts ingested")
+		case n := <-got:
+			if n[0] < floor || n[1] < n[0] {
+				t.Fatalf("reads cover %d (view) and %d (corpus) posts; %d were acknowledged before they began", n[0], n[1], floor)
 			}
 		case <-deadline:
-			t.Fatal("Corpus() failed to terminate under sustained post ingest")
+			t.Fatal("post-shard reads failed to terminate under sustained post ingest")
 		}
 	}
 	close(stop)
@@ -317,9 +354,10 @@ func TestCorpusDuringSustainedIngest(t *testing.T) {
 	}
 }
 
-// TestCorpusSingleflightConcurrent: concurrent Corpus() callers during
-// ingest share rebuilds instead of racing them, and all terminate.
-func TestCorpusSingleflightConcurrent(t *testing.T) {
+// TestPostReadsConcurrentWithIngest: concurrent readers of the post shard
+// beside ingest all terminate, see a consistent shard (the view's post count
+// is the sum of its days'), and never see it shrink.
+func TestPostReadsConcurrentWithIngest(t *testing.T) {
 	_, posts := crashDataset(t, 25)
 	s := &Store{}
 	if err := s.AddPosts(posts[:20]); err != nil {
@@ -330,6 +368,7 @@ func TestCorpusSingleflightConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			seen := 0
 			for i := 0; i < 10; i++ {
 				if g == 0 && 20+2*i < len(posts) {
 					if err := s.AddPosts(posts[20+2*i:][:1]); err != nil {
@@ -337,8 +376,18 @@ func TestCorpusSingleflightConcurrent(t *testing.T) {
 						return
 					}
 				}
-				if c := s.Corpus(); c == nil {
-					t.Error("nil corpus")
+				v := s.social()
+				sum := 0
+				for _, a := range v.days {
+					sum += a.Posts
+				}
+				if sum != v.posts || v.posts < seen {
+					t.Errorf("view holds %d posts, its days %d, an earlier view %d", v.posts, sum, seen)
+					return
+				}
+				seen = v.posts
+				if c := s.Corpus(); c.Len() < seen {
+					t.Errorf("corpus holds %d posts after a view of %d", c.Len(), seen)
 					return
 				}
 			}
@@ -349,7 +398,7 @@ func TestCorpusSingleflightConcurrent(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent Corpus callers failed to terminate")
+		t.Fatal("concurrent post-shard readers failed to terminate")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"usersignals/internal/leo"
 	"usersignals/internal/telemetry"
@@ -162,16 +163,54 @@ func assembleTE(total int, parts []TEDayPartial) []TERecommendation {
 // fold assembleTE describes — the same one the cluster coordinator runs
 // over shard partials under a single shipped model.
 func AdviseTrafficEngineering(records []telemetry.SessionRecord) ([]TERecommendation, error) {
-	if len(records) == 0 {
+	var rs rowStore
+	rs.append(records)
+	return adviseTE(rs.snapshot(), ratedOnly(records))
+}
+
+// adviseTE is AdviseTrafficEngineering over a row snapshot and its
+// day-major rated subsequence.
+func adviseTE(rows Rows, rated []telemetry.SessionRecord) ([]TERecommendation, error) {
+	if rows.Len() == 0 {
 		return nil, errors.New("usaas: no sessions to advise on")
 	}
-	p, err := TrainMOSPredictor(ratedOnly(records), 1.0)
+	p, err := TrainMOSPredictor(rated, 1.0)
 	if err != nil {
 		return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
 	}
-	var rs rowStore
-	rs.append(records)
-	return assembleTE(len(records), teDayPartials(p, rs.snapshot())), nil
+	return assembleTE(rows.Len(), teDayPartials(p, rows)), nil
+}
+
+// teMemo holds the traffic-engineering advice of one session generation.
+// /v1/report and /v1/advice/traffic-engineering both want it on every cold
+// refresh and the fold behind it visits every row, so whichever asks first
+// computes it — holding mu, so a concurrent asker waits instead of
+// computing it again — and the other reuses it.
+type teMemo struct {
+	mu     sync.Mutex
+	gen    uint64 // session generation advice and err were computed at
+	valid  bool
+	advice []TERecommendation
+	err    error
+}
+
+// teAdvice answers AdviseTrafficEngineering over the store's sessions,
+// covering at least every batch applied before the call, computing it at
+// most once per session generation. The result is shared: read-only.
+func (s *Store) teAdvice() ([]TERecommendation, error) {
+	s.fenceSessions()
+	s.sessMu.RLock()
+	rows, rated, gen := s.sessions.snapshot(), s.views.rated, s.sessGen
+	s.sessMu.RUnlock()
+
+	m := &s.te
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.valid || m.gen < gen {
+		m.advice, m.err = adviseTE(rows, rated)
+		m.gen, m.valid = gen, true
+	}
+	return m.advice, m.err
 }
 
 // DeploymentScenario is one candidate launch plan evaluated by the

@@ -1,7 +1,6 @@
 package usaas
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -199,14 +198,15 @@ func buildReportFrom(src reportSource) OperatorReport {
 	return rep
 }
 
-// BuildReport assembles the report from a store's contents. Session
-// analyses read the store's materialized views (views.go): dose-response
-// curves come from incrementally maintained per-day accumulators, and the
-// MOS paths scan only the day-major rated subsequence.
+// BuildReport assembles the report from a store's contents. Every section
+// reads state the store folded at ingest (views.go, posts.go): dose-response
+// curves come from per-day accumulators, the MOS paths scan only the
+// day-major rated subsequence, and the social sections assemble the per-day
+// post accumulators — read with the analyzer and dictionary the store was
+// bound to (ServerOptions), so an and opts.OutageDict no longer take part.
+// The traffic-engineering advice is the store's one computation per session
+// generation, shared with /v1/advice/traffic-engineering.
 func BuildReport(store *Store, an *nlp.Analyzer, opts ServerOptions) OperatorReport {
-	if an == nil {
-		an = nlp.NewAnalyzer()
-	}
 	rated, total := store.RatedSessions()
 	src := reportSource{
 		rated: rated,
@@ -214,47 +214,24 @@ func BuildReport(store *Store, an *nlp.Analyzer, opts ServerOptions) OperatorRep
 		dose: func(metric telemetry.Metric, b stats.Binner) stats.BinnedSeries {
 			return store.DoseResponseSeries(metric, telemetry.Presence, b, "")
 		},
-		te: func() ([]TERecommendation, error) {
-			// The day-partial fold AdviseTrafficEngineering describes, over
-			// the row snapshot (no flat copy of the store).
-			rows := store.Rows()
-			if rows.Len() == 0 {
-				return nil, errors.New("usaas: no sessions to advise on")
-			}
-			p, err := TrainMOSPredictor(rated, 1.0)
-			if err != nil {
-				return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
-			}
-			return assembleTE(rows.Len(), teDayPartials(p, rows)), nil
-		},
+		te: store.teAdvice,
 	}
-	if c := store.Corpus(); c != nil {
+	if v := store.social(); v != nil {
 		src.havePosts = true
-		src.posts = c.Len()
-		src.weekly, _, _ = c.WeeklyAverages()
-		// The three text sections share one fused sweep over the corpus's
-		// cached token streams (sweep.go): daily sentiment, the gated
-		// outage-keyword series, and trend mining all come out of a single
-		// scan instead of three independent re-lexing passes.
+		src.posts = v.posts
+		src.weekly = v.weeklyPosts()
 		src.sweep = func() (*Sweep, error) {
-			dict := opts.OutageDict
-			if dict == nil {
-				dict = nlp.OutageDictionary()
-			}
-			topts := TrendOptions{MaxTerms: 10}
-			return SweepCorpus(c, an, SweepOptions{
-				Sentiment: true, Dict: dict, Gate: true, Trends: &topts,
-			}), nil
+			return &Sweep{
+				Sentiment: v.sentiment(),
+				Keywords:  v.keywords(),
+				Trends:    v.trends(TrendOptions{MaxTerms: 10}),
+			}, nil
 		}
 		src.peaks = func(sent []DaySentiment) ([]AnnotatedPeak, error) {
-			return annotatePeaks(c, sent, opts.News, 3), nil
+			return annotatePeaksWith(sent, opts.News, 3, v.cloud), nil
 		}
 		src.speeds = func() ([]MonthSpeed, error) {
-			months, ok := store.monthlySpeedsView(an, opts.Model, 1)
-			if !ok {
-				months = MonthlySpeeds(c, an, opts.Model, 1)
-			}
-			return months, nil
+			return v.monthlySpeeds(opts.Model), nil
 		}
 	}
 	return buildReportFrom(src)

@@ -21,10 +21,11 @@ type DaySentiment struct {
 // peaks the paper annotates.
 func (d DaySentiment) Strong() int { return d.StrongPos + d.StrongNeg }
 
-// DailySentiment scores every post and aggregates by day over the corpus
-// window. It runs on the fused sweep (sweep.go) over the corpus's cached
-// token streams; the output is byte-identical to scoring each post's text
-// directly (golden-tested against the naive path in sweep_test.go).
+// DailySentiment scores every post of an offline corpus and aggregates by
+// day over its window. It runs on the fused sweep (sweep.go) over the
+// corpus's cached token streams; the output is byte-identical to scoring
+// each post's text directly (golden-tested against the naive path in
+// sweep_test.go).
 func DailySentiment(c *social.Corpus, an *nlp.Analyzer) []DaySentiment {
 	return SweepCorpus(c, an, SweepOptions{Sentiment: true}).Sentiment
 }
@@ -58,15 +59,15 @@ func AnnotatePeaks(c *social.Corpus, an *nlp.Analyzer, news *newswire.Index, k i
 // again.
 func annotatePeaks(c *social.Corpus, daily []DaySentiment, news *newswire.Index, k int) []AnnotatedPeak {
 	return annotatePeaksWith(daily, news, k, func(d timeline.Day) []nlp.WordCount {
-		return dayWordCloud(c, d, 12)
+		return dayWordCloud(c, d, cloudWords)
 	})
 }
 
-// annotatePeaksWith is annotatePeaks with the day word cloud abstracted: a
-// single store builds each cloud from its corpus, while the cluster
-// coordinator looks up clouds its shards shipped (each day's posts live
-// wholly on one shard, so the shipped cloud is the same one the corpus
-// would yield).
+// annotatePeaksWith is annotatePeaks with the day word cloud abstracted: an
+// offline corpus counts each peak day's cloud, a store reads the one it
+// ranked when the day was last folded, and the cluster coordinator looks up
+// clouds its shards shipped (each day's posts live wholly on one shard, so
+// the shipped cloud is the same one the corpus would yield).
 func annotatePeaksWith(daily []DaySentiment, news *newswire.Index, k int, cloud func(timeline.Day) []nlp.WordCount) []AnnotatedPeak {
 	series := make([]float64, len(daily))
 	for i, d := range daily {
@@ -108,21 +109,20 @@ func annotatePeaksWith(daily []DaySentiment, news *newswire.Index, k int, cloud 
 }
 
 // dayWordCloud is nlp.WordCloud over one day's post texts, counted from the
-// corpus's cached token streams: stems resolve through the interner's memo
-// tables and no post text is re-lexed.
+// corpus's cached token streams through the same day fold the store keeps
+// per day: stems resolve through the interner's memo tables and no post
+// text is re-lexed.
 func dayWordCloud(c *social.Corpus, d timeline.Day, k int) []nlp.WordCount {
 	tc := c.Tokens()
-	in := tc.Interner()
-	counts := map[nlp.TokenID]int{}
+	e := textEngine{in: tc.Interner()}
+	var a socialDay
+	var stems []nlp.TokenID
 	lo, hi := c.PostIndexRange(d)
 	for j := lo; j < hi; j++ {
-		for _, id := range tc.Text(j) {
-			if in.IsContent(id) {
-				counts[in.StemID(id)]++
-			}
-		}
+		stems = e.contentStems(stems[:0], tc.Text(j))
+		a.addStems(postFacts{}, stems, false)
 	}
-	return nlp.TopIDs(in, counts, k)
+	return a.topWords(e.in, k)
 }
 
 // DayKeywords is one day of the Fig. 6 series: outage-keyword occurrences
@@ -147,19 +147,13 @@ func OutageKeywordSeries(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dictionar
 // ~190 US reports despite having no press coverage.
 func OutageGeography(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dictionary, d timeline.Day) map[string]int {
 	tc := c.Tokens()
-	scorer := an.CompileScorer(tc.Interner())
-	matcher := dict.CompileMatcher(tc.Interner())
+	e := newTextEngine(an, dict, tc.Interner())
 	out := map[string]int{}
 	lo, hi := c.PostIndexRange(d)
 	for j := lo; j < hi; j++ {
-		if !matcher.Matches(tc.Thread(j)) {
-			continue
+		if f := e.analyze(&c.Posts[j], tc.Text(j), tc.Thread(j)); f.gated && f.hits > 0 {
+			out[c.Posts[j].Country]++
 		}
-		s := scorer.Score(tc.Text(j))
-		if s.Negative <= s.Positive || s.Negative < 0.3 {
-			continue
-		}
-		out[c.Posts[j].Country]++
 	}
 	return out
 }

@@ -47,13 +47,17 @@ import (
 //     order == apply order (per kind) == ack order.
 //   - sessMu — the session shard: sessions, sessGen, session views
 //     (rated/daily/eng), and the columnar mirror.
-//   - postMu — the post shard: posts, postGen, corpus, post views
-//     (speeds/day-hull).
+//   - postMu — the post shard: day buckets, their accumulators, the stem
+//     arena, postGen (posts.go).
+//   - textMu — the text engine posts are read with (interner, scorer
+//     tables, matcher). Staging takes it alone; folds and reads take it
+//     shared.
 //   - dedupMu — the dedup shard: batches (acks) and pending (unresolved
 //     commit tickets). A leaf lock.
 //
-// Lock order: ingestMu ≻ sessMu ≻ postMu ≻ dedupMu (acquire left to
-// right, release any way; skipping levels is fine). Apply workers take
+// Lock order: ingestMu ≻ sessMu ≻ postMu ≻ textMu ≻ dedupMu (acquire left
+// to right, release any way; skipping levels is fine). te.mu (the
+// traffic-engineering memo) is taken with no store lock held. Apply workers take
 // only their shard lock; readers take one shard RLock after an apply
 // fence (pipeline.go); nothing acquires ingestMu while holding any other
 // store lock.
@@ -84,12 +88,18 @@ type Store struct {
 	sessions rowStore // chunked row blocks (rows.go)
 	sessGen  uint64   // bumped on every session apply
 
-	postMu         sync.RWMutex
-	posts          []social.Post
-	postGen        uint64         // bumped on every post apply
-	corpus         *social.Corpus // newest built corpus (may lag postGen)
-	corpusGen      uint64         // postGen the corpus was built at
-	corpusInFlight chan struct{}  // non-nil while one rebuild runs (singleflight)
+	postMu  sync.RWMutex
+	days    []*dayBucket  // ascending by day (posts.go)
+	nPosts  int           // posts held across all buckets
+	arena   []nlp.TokenID // append-only content stems the buckets' records index
+	postGen uint64        // bumped on every post apply
+	refolds int           // days folded again because a post arrived out of ID order
+
+	// textMu guards the text engine every post is read with at ingest: the
+	// interner and the tables compiled against it grow with the vocabulary.
+	textMu     sync.RWMutex
+	text       *textEngine
+	tokScratch []nlp.TokenID // a staged batch's raw tokens, reused
 
 	dedupMu sync.RWMutex
 	batches map[string]IngestResponse // batch ID → first acknowledgement
@@ -115,6 +125,10 @@ type Store struct {
 	// (rated, daily, eng) are guarded by sessMu; post-backed fields
 	// (speeds, day hull) by postMu.
 	views viewState
+
+	// te memoises the traffic-engineering advice per session generation
+	// (planning.go).
+	te teMemo
 
 	// cols is the columnar mirror of sessions (internal/colstore),
 	// maintained under the same sessMu fold as the views so it is
@@ -336,10 +350,6 @@ func (s *Store) addPostsBatch(batchID string, posts []social.Post, wire []byte) 
 // addPostsBatchAsync mirrors addSessionsBatchAsync: wire, when non-nil, is
 // the received JSONL body and is journaled verbatim.
 func (s *Store) addPostsBatchAsync(batchID string, posts []social.Post, wire []byte, pooled bool) (resp IngestResponse, dup bool, t *durable.Ticket, job *applyJob, err error) {
-	// OCR extraction is the expensive part of post ingest; stage it before
-	// sequencing. On a duplicate replay the staged work is simply
-	// discarded — replays are rare, a stalled sequencer is not.
-	staged := extractSpeeds(posts)
 	s.ingestMu.Lock()
 	if batchID != "" {
 		s.dedupMu.RLock()
@@ -366,7 +376,7 @@ func (s *Store) addPostsBatchAsync(batchID string, posts []social.Post, wire []b
 		TotalPosts:    s.seqPosts,
 		BatchID:       batchID,
 	}
-	job = &applyJob{kind: recPosts, posts: posts, staged: staged, prev: s.postTail, done: make(chan struct{}), pooled: pooled}
+	job = &applyJob{kind: recPosts, posts: posts, prev: s.postTail, done: make(chan struct{}), pooled: pooled}
 	s.postTail = job.done
 	s.postFence.Store(job.done)
 	if batchID != "" {
@@ -446,79 +456,6 @@ func (s *Store) Sessions() []telemetry.SessionRecord {
 	return rows.AppendTo(make([]telemetry.SessionRecord, 0, rows.Len()))
 }
 
-// Corpus returns the posts as a day-indexed corpus (nil when no posts have
-// been ingested). The contract is freshness-as-of-call-start: the returned
-// corpus covers at least every post applied before the call began. Rebuilds
-// are singleflighted — one builder snapshots the posts (an append-only
-// slice header copy, not a data copy), indexes OUTSIDE the lock, and
-// promotes the result; concurrent callers wait that builder instead of
-// racing it. Under sustained post ingest this terminates in at most two
-// waits (the in-flight build plus one covering our start generation),
-// where the old promote-if-unchanged loop would rebuild forever without
-// ever publishing.
-func (s *Store) Corpus() *social.Corpus {
-	s.fencePosts()
-	s.postMu.RLock()
-	startGen := s.postGen
-	s.postMu.RUnlock()
-	for {
-		s.postMu.Lock()
-		if s.corpus != nil && s.corpusGen >= startGen {
-			c := s.corpus
-			s.postMu.Unlock()
-			return c
-		}
-		if len(s.posts) == 0 {
-			s.postMu.Unlock()
-			return nil
-		}
-		if ch := s.corpusInFlight; ch != nil {
-			// Someone is already building; wait them out and re-check —
-			// their build may or may not cover startGen.
-			s.postMu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		s.corpusInFlight = ch
-		snapshot := s.posts[:len(s.posts):len(s.posts)] // append-only: header copy is safe
-		gen := s.postGen
-		s.postMu.Unlock()
-
-		built := buildCorpus(snapshot)
-
-		s.postMu.Lock()
-		if gen > s.corpusGen {
-			s.corpus = built
-			s.corpusGen = gen
-		}
-		s.corpusInFlight = nil
-		s.postMu.Unlock()
-		close(ch)
-		// gen >= startGen always holds here (we read startGen first), so
-		// our own build satisfies the freshness contract directly.
-		return built
-	}
-}
-
-// buildCorpus indexes a post snapshot by day and pre-builds its tokenize-once
-// index, so the (parallel) lexing cost is paid during the rebuild — which
-// already runs outside the store lock — rather than inside the first query.
-func buildCorpus(posts []social.Post) *social.Corpus {
-	lo, hi := posts[0].Day, posts[0].Day
-	for _, p := range posts {
-		if p.Day < lo {
-			lo = p.Day
-		}
-		if p.Day > hi {
-			hi = p.Day
-		}
-	}
-	c := social.NewCorpus(timeline.Range{From: lo, To: hi}, posts)
-	c.Tokens()
-	return c
-}
-
 // Counts returns the store sizes.
 func (s *Store) Counts() (sessions, posts int) {
 	s.fenceSessions()
@@ -527,16 +464,19 @@ func (s *Store) Counts() (sessions, posts int) {
 	sessions = s.sessions.n
 	s.sessMu.RUnlock()
 	s.postMu.RLock()
-	posts = len(s.posts)
+	posts = s.nPosts
 	s.postMu.RUnlock()
 	return sessions, posts
 }
 
 // ServerOptions configures the USaaS HTTP service.
 type ServerOptions struct {
-	// Analyzer defaults to nlp.NewAnalyzer().
-	Analyzer *nlp.Analyzer
-	// OutageDict defaults to nlp.OutageDictionary().
+	// Analyzer and OutageDict are what the store reads posts with at
+	// ingest; they default to nlp.NewAnalyzer() and nlp.OutageDictionary().
+	// NewServer binds them to the store, and the first binding wins: a
+	// store that already holds posts, or already serves another Server,
+	// keeps the instances it has.
+	Analyzer   *nlp.Analyzer
 	OutageDict *nlp.Dictionary
 	// News enables peak annotation (optional).
 	News *newswire.Index
@@ -588,6 +528,7 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	if opts.OutageDict == nil {
 		opts.OutageDict = nlp.OutageDictionary()
 	}
+	store.bindText(opts.Analyzer, opts.OutageDict)
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
@@ -1294,24 +1235,22 @@ func (s *Server) handleMOS(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) corpusOr404(w http.ResponseWriter) *social.Corpus {
-	c := s.store.Corpus()
-	if c == nil {
+// socialOr404 snapshots the post shard, answering 404 when it is empty.
+func (s *Server) socialOr404(w http.ResponseWriter) *socialView {
+	v := s.store.social()
+	if v == nil {
 		writeErr(w, http.StatusNotFound, "no posts ingested")
-		return nil
 	}
-	return c
+	return v
 }
 
 func (s *Server) handleSentiment(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	c := s.corpusOr404(w)
-	if c == nil {
-		return
+	if v := s.socialOr404(w); v != nil {
+		writeJSON(w, http.StatusOK, v.sentiment())
 	}
-	writeJSON(w, http.StatusOK, DailySentiment(c, s.opts.Analyzer))
 }
 
 func (s *Server) handlePeaks(w http.ResponseWriter, r *http.Request) {
@@ -1327,11 +1266,9 @@ func (s *Server) handlePeaks(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "k out of range")
 		return
 	}
-	c := s.corpusOr404(w)
-	if c == nil {
-		return
+	if v := s.socialOr404(w); v != nil {
+		writeJSON(w, http.StatusOK, annotatePeaksWith(v.sentiment(), s.opts.News, k, v.cloud))
 	}
-	writeJSON(w, http.StatusOK, AnnotatePeaks(c, s.opts.Analyzer, s.opts.News, k))
 }
 
 func (s *Server) handleOutages(w http.ResponseWriter, r *http.Request) {
@@ -1343,11 +1280,11 @@ func (s *Server) handleOutages(w http.ResponseWriter, r *http.Request) {
 	if f.reject(w) {
 		return
 	}
-	c := s.corpusOr404(w)
-	if c == nil {
+	v := s.socialOr404(w)
+	if v == nil {
 		return
 	}
-	series := OutageKeywordSeries(c, s.opts.Analyzer, s.opts.OutageDict, true)
+	series := v.keywords()
 	if threshold > 0 {
 		writeJSON(w, http.StatusOK, AlertsFromSeries(series, threshold))
 		return
@@ -1359,23 +1296,18 @@ func (s *Server) handleSpeeds(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	months, ok := s.store.monthlySpeedsView(s.opts.Analyzer, s.opts.Model, 1)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no posts ingested")
-		return
+	if v := s.socialOr404(w); v != nil {
+		writeJSON(w, http.StatusOK, v.monthlySpeeds(s.opts.Model))
 	}
-	writeJSON(w, http.StatusOK, months)
 }
 
 func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	c := s.corpusOr404(w)
-	if c == nil {
-		return
+	if v := s.socialOr404(w); v != nil {
+		writeJSON(w, http.StatusOK, v.trends(TrendOptions{}))
 	}
-	writeJSON(w, http.StatusOK, MineTrends(c, s.opts.Analyzer, TrendOptions{}))
 }
 
 func (s *Server) handleConfounders(w http.ResponseWriter, r *http.Request) {
@@ -1401,18 +1333,12 @@ func (s *Server) handleTEAdvice(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	rows := s.store.Rows()
-	if rows.Len() == 0 {
-		writeErr(w, http.StatusUnprocessableEntity, "usaas: no sessions to advise on")
-		return
-	}
-	rated, _ := s.store.RatedSessions()
-	p, err := TrainMOSPredictor(rated, 1.0)
+	advice, err := s.store.teAdvice()
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "usaas: traffic-engineering advisor: %v", err)
+		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, assembleTE(rows.Len(), teDayPartials(p, rows)))
+	writeJSON(w, http.StatusOK, advice)
 }
 
 func (s *Server) handleDeploymentAdvice(w http.ResponseWriter, r *http.Request) {

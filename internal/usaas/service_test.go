@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -433,9 +434,16 @@ func TestStoreCorpusRebuild(t *testing.T) {
 	if first == nil || first.Len() != 10 {
 		t.Fatalf("corpus = %v", first)
 	}
+	// The corpus is the caller's own copy: scribbling over it must not
+	// reach the store.
+	first.Posts[0], first.Posts[9] = first.Posts[9], first.Posts[0]
+	first.Posts[3].Title = "scribbled"
 	store.AddPosts(c.Posts[10:20])
 	second := store.Corpus()
 	if second.Len() != 20 {
 		t.Fatalf("corpus after second ingest = %d", second.Len())
+	}
+	if !reflect.DeepEqual(second.Posts, c.Posts[:20]) {
+		t.Fatal("corpus differs from the ingested posts in corpus order")
 	}
 }

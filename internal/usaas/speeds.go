@@ -52,7 +52,8 @@ type speedShard struct {
 }
 
 // assembleMonthSpeeds is the final stage of the Fig. 7 pipeline, shared by
-// the batch scan (MonthlySpeedsN) and the store's materialized view: given
+// the batch scan (MonthlySpeedsN) and MergeSpeeds, which serves a store's or
+// a cluster's per-day observations: given
 // per-month extracted speeds (in corpus order) and strong-sentiment counts,
 // produce the monthly series with subsample stability checks and public
 // annotations. The subsample RNG is one stream consumed across months in
@@ -93,7 +94,7 @@ func assembleMonthSpeeds(months []timeline.Month, speeds map[timeline.Month][]fl
 // so the output is byte-identical at any worker count.
 func MonthlySpeedsN(c *social.Corpus, an *nlp.Analyzer, model *leo.Model, seed uint64, workers int) []MonthSpeed {
 	tc := c.Tokens()
-	scorer := an.CompileScorer(tc.Interner())
+	e := newTextEngine(an, nil, tc.Interner())
 	months := c.Window.Months()
 	inWindow := make(map[timeline.Month]bool, len(months))
 	speeds := make(map[timeline.Month][]float64, len(months))
@@ -123,12 +124,12 @@ func MonthlySpeedsN(c *social.Corpus, an *nlp.Analyzer, model *leo.Model, seed u
 				continue // unreadable screenshot: the pipeline moves on
 			}
 			sh.speeds[m] = append(sh.speeds[m], ex.DownMbps)
-			s := scorer.Score(tc.Text(j))
+			f := e.analyze(p, tc.Text(j), nil)
 			cnt := sh.strong[m]
-			if s.StrongPositive() {
+			if f.strongPos {
 				cnt[0]++
 			}
-			if s.StrongNegative() {
+			if f.strongNeg {
 				cnt[1]++
 			}
 			sh.strong[m] = cnt

@@ -2,6 +2,8 @@ package usaas
 
 import (
 	"math"
+	"sort"
+	"sync/atomic"
 
 	"usersignals/internal/nlp"
 	"usersignals/internal/parallel"
@@ -9,26 +11,237 @@ import (
 	"usersignals/internal/timeline"
 )
 
-// This file is the fused single-pass text sweep: every §4 explicit-signal
-// analysis (daily sentiment, outage-keyword series, trend mining, and the
-// per-post scores feeding all three) computed in ONE scan over the corpus's
-// cached token-ID streams. Before this engine, a /v1/report re-lexed the
-// two-year corpus four-plus times — DailySentiment, AnnotatePeaks (which
-// recomputed DailySentiment), OutageKeywordSeries, and MineTrends each
-// called Tokenize+Stem on every post and scored overlapping sentiment.
-// The sweep tokenizes nothing (social.TokenCache did that once at corpus
-// build), scores each post exactly once, and matches the outage dictionary
-// with a compiled Aho-Corasick automaton.
+// This file is the text engine behind every §4 explicit-signal analysis,
+// in three layers that the daemon and the offline library share:
 //
-// Sharding is by day, not by post: the window's days split into canonical
-// fixed-size chunks (boundaries depend only on window length), each chunk
-// accumulates its own days, and chunks merge in day order. Because every
-// float accumulation (trend term weights) is confined to a single day —
-// and therefore a single chunk — the merged result is bit-identical to the
-// naive sequential scan at any worker count.
+//   - analyze reads one post's token streams ONCE and keeps the few facts
+//     every analysis needs of it (sentiment classes, dictionary hits, trend
+//     weight). Scoring and gating rules exist only there.
+//   - socialDay folds the facts and content stems of one calendar day's posts,
+//     in corpus (ID) order, into mergeable per-day state: sentiment counts,
+//     keyword hits, word-cloud counts, trend term weights. The term rules
+//     exist only there.
+//   - the assembly steps (sentimentRows, keywordRows, groupTerms,
+//     scanTrends, annotatePeaksWith) turn day accumulators into served
+//     series. They cost milliseconds and run at read time.
+//
+// The store (posts.go) analyses each post at ingest and keeps one socialDay per
+// day up to date, so a query only assembles. SweepCorpus is the same fold
+// run in one pass over an offline social.Corpus — the library entry point
+// (cmd/figures, examples) and the reference the store's incremental folds
+// are tested against.
+//
+// A day is the unit of float accumulation: a term's weight on a day is the
+// sum of that day's post weights in ID order, and nothing is ever summed
+// across days. Sharding by day (workers here, shards in a cluster) and
+// folding days at different times (ingest) therefore cannot change a bit of
+// the output.
 
 // sweepDayChunk is the canonical day-sharding granularity.
 const sweepDayChunk = 32
+
+// postsAnalyzed counts analyze calls process-wide. It only ever grows;
+// tests read it before and after a request to prove that the read path
+// scores nothing.
+var postsAnalyzed atomic.Int64
+
+// textEngine is an analyzer and an optional dictionary compiled against one
+// interner. Not safe for use beside interner growth; the store serialises
+// both under its text lock.
+type textEngine struct {
+	in      *nlp.Interner
+	scorer  *nlp.TokenScorer
+	matcher *nlp.Matcher // nil: dictionary hits not wanted
+}
+
+func newTextEngine(an *nlp.Analyzer, dict *nlp.Dictionary, in *nlp.Interner) *textEngine {
+	e := &textEngine{in: in, scorer: an.CompileScorer(in)}
+	if dict != nil {
+		e.matcher = dict.CompileMatcher(in)
+	}
+	return e
+}
+
+// postFacts is what the analyses keep of one post once its text has been
+// read.
+type postFacts struct {
+	// weight is the trend popularity weight, 1 + log1p(upvotes+comments).
+	weight float64
+	// hits counts outage-dictionary occurrences over the whole thread,
+	// before any gate.
+	hits                 int32
+	strongPos, strongNeg bool
+	// positive posts count toward a term's positive share; negative ones
+	// pass the experience query's outage gate; gated ones (negative and
+	// clearly so) pass the Fig. 6 keyword gate.
+	positive, negative, gated bool
+}
+
+// analyze scores a post's own text, matches the dictionary over its thread
+// and applies the gates.
+func (e *textEngine) analyze(p *social.Post, text, thread []nlp.TokenID) postFacts {
+	postsAnalyzed.Add(1)
+	s := e.scorer.Score(text)
+	f := postFacts{
+		weight:    1 + math.Log1p(float64(p.Upvotes+p.Comments)),
+		strongPos: s.StrongPositive(),
+		strongNeg: s.StrongNegative(),
+		positive:  s.Positive > s.Negative,
+		negative:  s.Negative > s.Positive,
+	}
+	f.gated = f.negative && s.Negative >= 0.3
+	if e.matcher != nil {
+		f.hits = int32(e.matcher.Count(thread))
+	}
+	return f
+}
+
+// contentStems appends the stem of every content token of a post's text:
+// the vocabulary its word cloud and its trend terms are counted over.
+func (e *textEngine) contentStems(dst, text []nlp.TokenID) []nlp.TokenID {
+	for _, id := range text {
+		if e.in.IsContent(id) {
+			dst = append(dst, e.in.StemID(id))
+		}
+	}
+	return dst
+}
+
+// termKey packs a unigram stem ID or a bigram stem-ID pair into one map
+// key. The +1 bias keeps unigrams (low word zero) disjoint from bigrams.
+func unigramKey(a nlp.TokenID) uint64 { return (uint64(a) + 1) << 32 }
+func bigramKey(a, b nlp.TokenID) uint64 {
+	return (uint64(a)+1)<<32 | (uint64(b) + 1)
+}
+
+// termString decodes a packed term key back to the term's spelling ("stem"
+// or "stem stem").
+func termString(in *nlp.Interner, key uint64) string {
+	a := nlp.TokenID(key>>32 - 1)
+	if low := uint32(key); low != 0 {
+		return in.Token(a) + " " + in.Token(nlp.TokenID(low-1))
+	}
+	return in.Token(a)
+}
+
+// dayTerm is one term's state on one day.
+type dayTerm struct {
+	key    uint64
+	weight float64 // summed weight of the day's posts that use the term
+	pos    int32   // of those posts, the positive ones
+	total  int32
+	count  int32 // occurrences among content tokens (unigrams): the cloud count
+	last   int32 // socialDay.Posts when a post last counted the term
+}
+
+// speedPoint is one OCR-extracted speed report and the strong-sentiment
+// class of the post that carried it.
+type speedPoint struct {
+	id                   uint64
+	down                 float64
+	strongPos, strongNeg bool
+}
+
+// socialDay is the fold of one day's posts in ID order.
+type socialDay struct {
+	DaySentiment
+	hits           int       // dictionary occurrences, ungated
+	gatedHits      int       // ... in posts that pass the keyword gate
+	outageMentions int       // negative posts with at least one hit
+	terms          []dayTerm // sorted by key
+	speeds         []speedPoint
+	// cloud is the day's top word-cloud unigrams, set by finish.
+	cloud []nlp.WordCount
+}
+
+// cloudWords is how many unigrams a day's word cloud keeps: the peak
+// annotations show twelve and search the news for the first three.
+const cloudWords = 12
+
+// addFacts counts one post's sentiment classes and dictionary hits.
+func (a *socialDay) addFacts(f postFacts) {
+	a.Posts++
+	if f.strongPos {
+		a.StrongPos++
+	}
+	if f.strongNeg {
+		a.StrongNeg++
+	}
+	a.hits += int(f.hits)
+	if f.gated {
+		a.gatedHits += int(f.hits)
+	}
+	if f.negative && f.hits > 0 {
+		a.outageMentions++
+	}
+}
+
+// term returns the position of key's entry in terms, adding it if absent.
+func (a *socialDay) term(key uint64) int {
+	lo, hi := 0, len(a.terms)
+	for lo < hi {
+		if mid := (lo + hi) / 2; a.terms[mid].key < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(a.terms) || a.terms[lo].key != key {
+		a.terms = append(a.terms, dayTerm{})
+		copy(a.terms[lo+1:], a.terms[lo:])
+		a.terms[lo] = dayTerm{key: key}
+	}
+	return lo
+}
+
+// addStems counts one post's content stems: every occurrence toward the
+// word cloud, and each distinct unigram (and adjacent pair, with bigrams)
+// once toward the trend terms. Call after addFacts for the same post.
+func (a *socialDay) addStems(f postFacts, stems []nlp.TokenID, bigrams bool) {
+	use := func(t *dayTerm) {
+		if t.last == int32(a.Posts) {
+			return // this post already counted the term
+		}
+		t.last = int32(a.Posts)
+		t.weight += f.weight
+		t.total++
+		if f.positive {
+			t.pos++
+		}
+	}
+	for i, stem := range stems {
+		t := &a.terms[a.term(unigramKey(stem))]
+		t.count++
+		use(t)
+		if bigrams && i > 0 {
+			use(&a.terms[a.term(bigramKey(stems[i-1], stem))])
+		}
+	}
+}
+
+// topWords ranks the day's word cloud and returns its first k unigrams.
+func (a *socialDay) topWords(in *nlp.Interner, k int) []nlp.WordCount {
+	words := make([]nlp.WordCount, 0, len(a.terms))
+	for i := range a.terms {
+		if t := &a.terms[i]; t.count > 0 {
+			words = append(words, nlp.WordCount{Word: termString(in, t.key), Count: int(t.count)})
+		}
+	}
+	top := nlp.Rank(words, k)
+	return append(make([]nlp.WordCount, 0, len(top)), top...)
+}
+
+// finish sets the day's served word cloud. Call once its posts are folded.
+func (a *socialDay) finish(in *nlp.Interner) { a.cloud = a.topWords(in, cloudWords) }
+
+// clone copies the accumulator so that posts can be added to the copy while
+// readers keep the original.
+func (a *socialDay) clone() *socialDay {
+	c := *a
+	c.terms = append([]dayTerm(nil), a.terms...)
+	c.speeds = append([]speedPoint(nil), a.speeds...)
+	return &c
+}
 
 // SweepOptions selects which fused products to compute.
 type SweepOptions struct {
@@ -53,258 +266,178 @@ type Sweep struct {
 	Trends    []Trend
 }
 
-// termDay accumulates one mined term: popularity-weighted volume per day
-// plus positive/total post counts (shared by the fused sweep and the naive
-// reference miner).
-type termDay struct {
-	weight map[timeline.Day]float64
-	pos    int
-	total  int
-}
-
-// termKey packs a unigram stem ID or a bigram stem-ID pair into one map
-// key. The +1 bias keeps unigrams (low word zero) disjoint from bigrams.
-func unigramKey(a nlp.TokenID) uint64 { return (uint64(a) + 1) << 32 }
-func bigramKey(a, b nlp.TokenID) uint64 {
-	return (uint64(a)+1)<<32 | (uint64(b) + 1)
-}
-
-// SweepCorpus runs the fused single-pass sweep. Output is byte-identical
-// to running the string-based reference analyses separately (golden-tested
-// in sweep_test.go) at any worker count.
+// SweepCorpus runs the single-pass sweep over an offline corpus: every
+// window day folded into a socialDay from the corpus's cached token streams,
+// then assembled. Output is byte-identical to running the string-based
+// reference analyses separately (golden-tested in sweep_test.go) at any
+// worker count.
 func SweepCorpus(c *social.Corpus, an *nlp.Analyzer, opts SweepOptions) *Sweep {
-	sent, kw, terms := sweepAccumulate(c, an, opts)
-	out := &Sweep{Sentiment: sent, Keywords: kw}
+	tc := c.Tokens()
+	e := newTextEngine(an, opts.Dict, tc.Interner())
+	bigrams := opts.Trends != nil && opts.Trends.withDefaults().Bigrams
+
+	n := c.Window.Len()
+	chunks, _ := parallel.Map(opts.Workers, (n+sweepDayChunk-1)/sweepDayChunk, func(ci int) ([]*socialDay, error) {
+		lo, hi := ci*sweepDayChunk, min((ci+1)*sweepDayChunk, n)
+		days := make([]*socialDay, 0, hi-lo)
+		var stems []nlp.TokenID
+		for di := lo; di < hi; di++ {
+			a := &socialDay{DaySentiment: DaySentiment{Day: c.Window.From + timeline.Day(di)}}
+			plo, phi := c.PostIndexRange(a.Day)
+			for j := plo; j < phi; j++ {
+				f := e.analyze(&c.Posts[j], tc.Text(j), tc.Thread(j))
+				a.addFacts(f)
+				if opts.Trends != nil {
+					stems = e.contentStems(stems[:0], tc.Text(j))
+					a.addStems(f, stems, bigrams)
+				}
+			}
+			days = append(days, a)
+		}
+		return days, nil
+	})
+	days := make([]*socialDay, 0, n)
+	for _, ch := range chunks {
+		days = append(days, ch...)
+	}
+
+	out := &Sweep{}
+	if opts.Sentiment {
+		out.Sentiment = MergeSentiment(c.Window, [][]DaySentiment{sentimentRows(days)})
+	}
+	if opts.Dict != nil {
+		out.Keywords = MergeKeywords(c.Window, [][]DayKeywords{keywordRows(days, opts.Gate)})
+	}
 	if opts.Trends != nil {
-		out.Trends = scanTrends(c.Window, terms, opts.Trends.withDefaults())
+		terms, keys := groupTerms(days)
+		out.Trends = scanTrends(c.Window, nameTerms(e.in, terms, keys), opts.Trends.withDefaults())
 	}
 	return out
 }
 
-// sweepAccumulate is the scan half of SweepCorpus: the fused day-sharded
-// accumulation, stopping short of the trend surge scan. The cluster's
-// shard partials are built from exactly these products — day rows are
-// confined to one shard (days are the partition unit) and term day-weights
-// never sum across shards, so a coordinator that concatenates day rows
-// ascending and unions term maps reproduces a single corpus's accumulation
-// bit for bit, then runs the same scanTrends over the global window.
-func sweepAccumulate(c *social.Corpus, an *nlp.Analyzer, opts SweepOptions) (sent []DaySentiment, kw []DayKeywords, terms map[string]*termDay) {
-	tc := c.Tokens()
-	in := tc.Interner()
-	scorer := an.CompileScorer(in)
-	var matcher *nlp.Matcher
-	if opts.Dict != nil {
-		matcher = opts.Dict.CompileMatcher(in)
-	}
-	var topts TrendOptions
-	if opts.Trends != nil {
-		topts = opts.Trends.withDefaults()
-	}
-
-	days := c.Window.Len()
-	chunks := (days + sweepDayChunk - 1) / sweepDayChunk
-	type shard struct {
-		sent  []DaySentiment
-		kw    []DayKeywords
-		terms map[uint64]*termDay
-	}
-	shards, _ := parallel.Map(opts.Workers, chunks, func(ci int) (shard, error) {
-		lo := ci * sweepDayChunk
-		hi := lo + sweepDayChunk
-		if hi > days {
-			hi = days
-		}
-		sh := shard{}
-		if opts.Sentiment {
-			sh.sent = make([]DaySentiment, 0, hi-lo)
-		}
-		if matcher != nil {
-			sh.kw = make([]DayKeywords, 0, hi-lo)
-		}
-		if opts.Trends != nil {
-			sh.terms = map[uint64]*termDay{}
-		}
-		for di := lo; di < hi; di++ {
-			d := c.Window.From + timeline.Day(di)
-			ds := DaySentiment{Day: d}
-			dk := DayKeywords{Day: d}
-			plo, phi := c.PostIndexRange(d)
-			for j := plo; j < phi; j++ {
-				p := &c.Posts[j]
-				ids := tc.Text(j)
-				// Each post is scored at most once, lazily: the keyword
-				// gate only needs a score when the thread actually hits
-				// the dictionary.
-				var sc nlp.Sentiment
-				scored := false
-				score := func() nlp.Sentiment {
-					if !scored {
-						sc, scored = scorer.Score(ids), true
-					}
-					return sc
-				}
-				if opts.Sentiment {
-					ds.Posts++
-					s := score()
-					if s.StrongPositive() {
-						ds.StrongPos++
-					}
-					if s.StrongNegative() {
-						ds.StrongNeg++
-					}
-				}
-				if matcher != nil {
-					if n := matcher.Count(tc.Thread(j)); n > 0 {
-						s := score()
-						if !opts.Gate || (s.Negative > s.Positive && s.Negative >= 0.3) {
-							dk.Count += n
-						}
-					}
-				}
-				if opts.Trends != nil {
-					w := 1 + math.Log1p(float64(p.Upvotes+p.Comments))
-					s := score()
-					positive := s.Positive > s.Negative
-					seen := map[uint64]bool{}
-					record := func(key uint64) {
-						if seen[key] {
-							return
-						}
-						seen[key] = true
-						td := sh.terms[key]
-						if td == nil {
-							td = &termDay{weight: map[timeline.Day]float64{}}
-							sh.terms[key] = td
-						}
-						td.weight[d] += w
-						td.total++
-						if positive {
-							td.pos++
-						}
-					}
-					var prev nlp.TokenID
-					havePrev := false
-					for _, id := range ids {
-						if !in.IsContent(id) {
-							continue
-						}
-						stem := in.StemID(id)
-						record(unigramKey(stem))
-						if topts.Bigrams && havePrev {
-							record(bigramKey(prev, stem))
-						}
-						prev, havePrev = stem, true
-					}
-				}
-			}
-			if opts.Sentiment {
-				sh.sent = append(sh.sent, ds)
-			}
-			if matcher != nil {
-				sh.kw = append(sh.kw, dk)
-			}
-		}
-		return sh, nil
-	})
-
-	if opts.Sentiment {
-		sent = make([]DaySentiment, 0, days)
-	}
-	if matcher != nil {
-		kw = make([]DayKeywords, 0, days)
-	}
-	if opts.Trends != nil {
-		terms = map[string]*termDay{}
-	}
-	// Merge in chunk order. Day rows concatenate; term accumulators add —
-	// each (term, day) weight lives in exactly one chunk, so no float is
-	// ever summed across shards and map-iteration order cannot matter.
-	for _, sh := range shards {
-		sent = append(sent, sh.sent...)
-		kw = append(kw, sh.kw...)
-		for key, td := range sh.terms {
-			term := termString(in, key)
-			dst := terms[term]
-			if dst == nil {
-				terms[term] = td
-				continue
-			}
-			for d, w := range td.weight {
-				dst.weight[d] += w
-			}
-			dst.pos += td.pos
-			dst.total += td.total
+// sentimentRows exports the sentiment rows of the days that hold posts.
+func sentimentRows(days []*socialDay) []DaySentiment {
+	var out []DaySentiment
+	for _, a := range days {
+		if a.Posts > 0 {
+			out = append(out, a.DaySentiment)
 		}
 	}
-	return sent, kw, terms
+	return out
 }
 
-// termString decodes a packed term key back to the naive miner's term
-// spelling ("stem" or "stem stem").
-func termString(in *nlp.Interner, key uint64) string {
-	a := nlp.TokenID(key>>32 - 1)
-	if low := uint32(key); low != 0 {
-		return in.Token(a) + " " + in.Token(nlp.TokenID(low-1))
+// keywordRows exports the keyword rows of the days that have hits, with or
+// without the negative-sentiment gate.
+func keywordRows(days []*socialDay, gate bool) []DayKeywords {
+	var out []DayKeywords
+	for _, a := range days {
+		n := a.hits
+		if gate {
+			n = a.gatedHits
+		}
+		if n > 0 {
+			out = append(out, DayKeywords{Day: a.Day, Count: n})
+		}
 	}
-	return in.Token(a)
+	return out
 }
 
-// scanTrends runs the surge scan over accumulated term weights — the
-// second half of MineTrends, shared by the fused sweep and the naive
-// reference path.
-func scanTrends(window timeline.Range, terms map[string]*termDay, opts TrendOptions) []Trend {
+// groupTerms regroups per-day term state by term. days must ascend, so each
+// term's day rows come out ascending too. The terms are still nameless:
+// keys[i] is the packed key of out[i], for nameTerms to spell.
+func groupTerms(days []*socialDay) (out []TermPartial, keys []uint64) {
+	index := map[uint64]int{}
+	for _, a := range days {
+		for i := range a.terms {
+			t := &a.terms[i]
+			j, ok := index[t.key]
+			if !ok {
+				j = len(out)
+				index[t.key] = j
+				out = append(out, TermPartial{})
+				keys = append(keys, t.key)
+			}
+			tp := &out[j]
+			tp.Days = append(tp.Days, DayWeight{Day: a.Day, Weight: t.weight})
+			tp.Pos += int(t.pos)
+			tp.Total += int(t.total)
+		}
+	}
+	return out, keys
+}
+
+// nameTerms spells grouped terms through the interner their keys were
+// packed from and sorts them by spelling.
+func nameTerms(in *nlp.Interner, terms []TermPartial, keys []uint64) []TermPartial {
+	for i, key := range keys {
+		terms[i].Term = termString(in, key)
+	}
+	sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
+	return terms
+}
+
+// scanTrends runs the surge scan over accumulated term weights (one entry
+// per term) — the second half of trend mining, shared by the store, the
+// cluster coordinator, the offline sweep and the naive reference path.
+func scanTrends(window timeline.Range, terms []TermPartial, opts TrendOptions) []Trend {
 	days := window.Len()
+	// weight is the term's per-day weight over the window, zero where the
+	// term is silent; the tail lets the surge window run past the last day.
+	weight := make([]float64, days+opts.WindowDays)
 	var out []Trend
-	for term, td := range terms {
+	for _, tp := range terms {
+		for _, dw := range tp.Days {
+			if i := int(dw.Day - window.From); i >= 0 && i < days {
+				weight[i] += dw.Weight
+			}
+		}
 		// Scan for the first window whose weight crosses MinWeight with a
 		// quiet 30-day baseline before it. Windows in the first 30 days
 		// have no baseline to judge against, so they cannot qualify —
 		// otherwise the corpus's ordinary vocabulary would all "emerge"
 		// on day one.
 		for i := 30; i+opts.WindowDays <= days; i++ {
-			start := window.From + timeline.Day(i)
 			var windowW float64
 			for j := 0; j < opts.WindowDays; j++ {
-				windowW += td.weight[start+timeline.Day(j)]
+				windowW += weight[i+j]
 			}
 			if windowW < opts.MinWeight {
 				continue
 			}
 			var baseW float64
-			baseDays := 0
 			for j := 1; j <= 30; j++ {
-				d := start - timeline.Day(j)
-				if d < window.From {
-					break
-				}
-				baseW += td.weight[d]
-				baseDays++
+				baseW += weight[i-j]
 			}
-			if baseDays > 0 && baseW/float64(baseDays) > opts.BaselineMax {
+			if baseW/30 > opts.BaselineMax {
 				break // established topic, not emerging
 			}
 			// Anchor the trend at the first day inside the window that
 			// actually carries weight (not the window's leading edge),
 			// and measure the surge weight from there so a surge that
 			// starts mid-window is not under-weighted.
-			first := start
+			first := i
 			for j := 0; j < opts.WindowDays; j++ {
-				if td.weight[start+timeline.Day(j)] > 0 {
-					first = start + timeline.Day(j)
+				if weight[i+j] > 0 {
+					first = i + j
 					break
 				}
 			}
 			surgeW := 0.0
 			for j := 0; j < opts.WindowDays; j++ {
-				surgeW += td.weight[first+timeline.Day(j)]
+				surgeW += weight[first+j]
 			}
 			out = append(out, Trend{
-				Term:          term,
-				FirstDay:      first,
+				Term:          tp.Term,
+				FirstDay:      window.From + timeline.Day(first),
 				Weight:        surgeW,
-				PositiveShare: float64(td.pos) / float64(td.total),
+				PositiveShare: float64(tp.Pos) / float64(tp.Total),
 			})
 			break
+		}
+		for _, dw := range tp.Days {
+			if i := int(dw.Day - window.From); i >= 0 && i < days {
+				weight[i] = 0
+			}
 		}
 	}
 	sortTrends(out)

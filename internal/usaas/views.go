@@ -1,20 +1,14 @@
 package usaas
 
 import (
-	"sort"
-
-	"usersignals/internal/leo"
-	"usersignals/internal/nlp"
-	"usersignals/internal/ocr"
-	"usersignals/internal/social"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
 )
 
-// This file holds the store's materialized views: mergeable accumulators
-// maintained incrementally at ingest time so the query handlers read
-// precomputed state instead of re-scanning every session. Views accumulate
+// This file holds the store's materialized session views: mergeable
+// accumulators maintained incrementally at ingest time so the query handlers
+// read precomputed state instead of re-scanning every session. Views accumulate
 // per calendar day — the cluster's partition unit — and serve queries by
 // folding the days together strictly ascending, so a view-served series is
 // bit-identical to recomputing over a snapshot AND to merging the same days
@@ -104,22 +98,10 @@ func (v *engView) series() stats.BinnedSeries {
 	return foldDayBins(v.key.b, v.days).Series()
 }
 
-// speedObs is one successfully OCR-extracted speed report, recorded at post
-// ingest so the Fig. 7 query never re-runs extraction. post indexes the
-// store's append-only posts slice (sentiment is scored at query time — the
-// store stays analyzer-free).
-type speedObs struct {
-	day  timeline.Day
-	id   uint64
-	down float64
-	post int
-}
-
-// viewState is everything the store maintains incrementally. Session-backed
-// fields (rated, daily, eng) are guarded by the store's sessMu; post-backed
-// fields (speeds, minDay/maxDay/havePosts) by postMu — the same shard locks
-// as the data they are folded from, so view state is always
-// generation-consistent with its source shard.
+// viewState is everything the store maintains incrementally over sessions,
+// guarded by the store's sessMu — the same shard lock as the rows it is
+// folded from, so view state is always generation-consistent with them.
+// (Posts fold into per-day accumulators of their own; see posts.go.)
 type viewState struct {
 	// rated is the rated-session subsequence in day-major order (ascending
 	// start day, arrival order within a day — the cluster's canonical
@@ -131,11 +113,6 @@ type viewState struct {
 	daily map[timeline.Day]*dayAcc
 	// eng holds the materialized dose-response accumulators.
 	eng map[engViewKey]*engView
-	// speeds groups extracted speed observations by month; minDay/maxDay
-	// track the post hull (the corpus window).
-	speeds         map[timeline.Month][]speedObs
-	minDay, maxDay timeline.Day
-	havePosts      bool
 }
 
 // foldSessions absorbs an accepted (non-duplicate) session batch into every
@@ -170,66 +147,6 @@ func (vs *viewState) foldSessions(recs []telemetry.SessionRecord) {
 	}
 	for _, v := range vs.eng {
 		v.fold(recs)
-	}
-}
-
-// pendingObs is an extraction result staged outside the lock: rel is the
-// offset within the incoming batch (the final post index is rel + the
-// store's pre-append length).
-type pendingObs struct {
-	rel  int
-	day  timeline.Day
-	id   uint64
-	down float64
-}
-
-// extractSpeeds runs the OCR sweep over an incoming post batch. It holds no
-// locks — extraction is the expensive part of post ingest and must not
-// stall readers — so the caller folds the staged results in under the write
-// lock (discarding them if the batch turns out to be a duplicate).
-func extractSpeeds(posts []social.Post) []pendingObs {
-	var out []pendingObs
-	for i := range posts {
-		p := &posts[i]
-		if p.Screenshot == nil {
-			continue
-		}
-		ex, err := ocr.Extract(*p.Screenshot)
-		if err != nil {
-			continue // unreadable screenshot: the pipeline moves on
-		}
-		out = append(out, pendingObs{rel: i, day: p.Day, id: p.ID, down: ex.DownMbps})
-	}
-	return out
-}
-
-// foldPosts absorbs an accepted post batch (with its staged extractions)
-// into the speed views. base is the store's post count before this batch
-// was appended. Caller holds postMu.
-func (vs *viewState) foldPosts(posts []social.Post, staged []pendingObs, base int) {
-	if len(posts) == 0 {
-		return
-	}
-	if vs.speeds == nil {
-		vs.speeds = map[timeline.Month][]speedObs{}
-	}
-	for i := range posts {
-		d := posts[i].Day
-		if !vs.havePosts {
-			vs.minDay, vs.maxDay = d, d
-			vs.havePosts = true
-			continue
-		}
-		if d < vs.minDay {
-			vs.minDay = d
-		}
-		if d > vs.maxDay {
-			vs.maxDay = d
-		}
-	}
-	for _, ob := range staged {
-		m := timeline.MonthOf(ob.day)
-		vs.speeds[m] = append(vs.speeds[m], speedObs{day: ob.day, id: ob.id, down: ob.down, post: base + ob.rel})
 	}
 }
 
@@ -317,86 +234,4 @@ func (s *Store) DoseResponseSeries(metric telemetry.Metric, eng telemetry.Engage
 		out = v.series()
 	})
 	return out
-}
-
-// speedMonthObs is the snapshot the speed paths read: the post hull window,
-// the shared append-only post slice, and each month's observations restored
-// to corpus order — the batch pipeline scans the corpus, which sorts posts
-// by (Day, ID); ingest order differs. Ties can only be identical duplicate
-// posts, so sort stability is irrelevant to the values produced.
-type speedMonthObs struct {
-	window timeline.Range
-	posts  []social.Post
-	months map[timeline.Month][]speedObs
-}
-
-// speedObsByMonth snapshots the speed views. Returns ok=false when no posts
-// have been ingested.
-func (s *Store) speedObsByMonth() (speedMonthObs, bool) {
-	s.fencePosts()
-	s.postMu.RLock()
-	if !s.views.havePosts {
-		s.postMu.RUnlock()
-		return speedMonthObs{}, false
-	}
-	mo := speedMonthObs{
-		window: timeline.Range{From: s.views.minDay, To: s.views.maxDay},
-		posts:  s.posts, // append-only: safe to index after unlock
-		months: make(map[timeline.Month][]speedObs, len(s.views.speeds)),
-	}
-	for m, obs := range s.views.speeds {
-		mo.months[m] = append([]speedObs(nil), obs...)
-	}
-	s.postMu.RUnlock()
-
-	for _, obs := range mo.months {
-		sort.Slice(obs, func(i, j int) bool {
-			if obs[i].day != obs[j].day {
-				return obs[i].day < obs[j].day
-			}
-			return obs[i].id < obs[j].id
-		})
-	}
-	return mo, true
-}
-
-// scoreMonthObs reads one month's corpus-ordered observations: the speed
-// samples plus the strong-sentiment counts of the posts that carried them.
-func scoreMonthObs(an *nlp.Analyzer, posts []social.Post, obs []speedObs) (xs []float64, strongPos, strongNeg int) {
-	xs = make([]float64, len(obs))
-	for i, ob := range obs {
-		xs[i] = ob.down
-		sc := an.Score(posts[ob.post].Text())
-		if sc.StrongPositive() {
-			strongPos++
-		}
-		if sc.StrongNegative() {
-			strongNeg++
-		}
-	}
-	return xs, strongPos, strongNeg
-}
-
-// monthlySpeedsView serves MonthlySpeeds(corpus, ...) from the extraction
-// view: OCR ran at ingest, so the query only sorts each month's
-// observations into corpus order, scores sentiment, and assembles the
-// series. Returns ok=false when no posts have been ingested.
-func (s *Store) monthlySpeedsView(an *nlp.Analyzer, model *leo.Model, seed uint64) ([]MonthSpeed, bool) {
-	mo, ok := s.speedObsByMonth()
-	if !ok {
-		return nil, false
-	}
-	months := mo.window.Months()
-	speeds := make(map[timeline.Month][]float64, len(months))
-	strong := make(map[timeline.Month][2]int, len(months))
-	for _, m := range months {
-		obs := mo.months[m]
-		if len(obs) == 0 {
-			continue
-		}
-		xs, pos, neg := scoreMonthObs(an, mo.posts, obs)
-		speeds[m] = xs
-		strong[m] = [2]int{pos, neg}
-	}
-	return assembleMonthSpeeds(months, speeds, strong, model, seed), true
 }

@@ -162,12 +162,12 @@ func TestSpeedsViewByteIdenticalToRecompute(t *testing.T) {
 	}
 
 	want := MonthlySpeeds(store.Corpus(), analyzer, cfg.Model, 1)
-	got, ok := store.monthlySpeedsView(analyzer, cfg.Model, 1)
-	if !ok {
-		t.Fatal("monthlySpeedsView reported no posts")
+	v := store.social()
+	if v == nil {
+		t.Fatal("social view reported no posts")
 	}
-	if marshal(t, got) != marshal(t, want) {
-		t.Error("monthlySpeedsView diverges from MonthlySpeeds over corpus")
+	if marshal(t, v.monthlySpeeds(cfg.Model)) != marshal(t, want) {
+		t.Error("monthly speeds from the day accumulators diverge from MonthlySpeeds over corpus")
 	}
 }
 
@@ -251,5 +251,24 @@ func TestServedResponsesIdenticalAcrossIngestShapes(t *testing.T) {
 		if warm := fetchBody(t, ctx, tsB.URL+p); warm != coldB {
 			t.Errorf("%s: warm response differs from cold", p)
 		}
+	}
+
+	// Arrival order as an ingest shape: one multiset of post batches — a
+	// straggler into an earlier day and a replayed post ID included — must
+	// serve the same bytes on all 19 paths in any delivery order as when
+	// delivered as one batch in corpus order.
+	isp := recs[0].ISP
+	postBatches := arrivalBatches(c.Posts, "arrive")
+	ref := &Store{}
+	ref.AddSessions(recs)
+	ref.AddPosts(inOrderPosts(postBatches))
+	want := endpointBodies(t, ref, opts, isp)
+	for perm := uint64(1); perm <= arrivalPermutations; perm++ {
+		store := &Store{}
+		ingestUnevenly(t, store, recs)
+		for _, b := range permuteBatches(postBatches, perm) {
+			applyBatch(t, store, b)
+		}
+		assertSameBodies(t, fmt.Sprintf("arrival permutation %d", perm), endpointBodies(t, store, opts, isp), want, isp)
 	}
 }
