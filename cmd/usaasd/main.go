@@ -121,7 +121,7 @@ func main() {
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrently handled requests (429 past it); 0 disables")
 	flag.Float64Var(&cfg.admitRate, "admit-rate", 0, "per-tenant ingest admission rate in batches/sec (429 + Retry-After past it, keyed by "+usaas.TenantHeader+"); 0 disables")
 	flag.Float64Var(&cfg.admitBurst, "admit-burst", 0, "per-tenant ingest admission burst (defaults to -admit-rate)")
-	flag.IntVar(&cfg.resultCache, "result-cache", 0, "generation-keyed result cache entries (0 = default 256; <0 disables)")
+	flag.IntVar(&cfg.resultCache, "result-cache", 0, "result cache entries; under -role=coordinator also the decoded partials held per shard (0 = default 256; <0 disables)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durable data directory (write-ahead log + snapshots); empty = in-memory only")
 	flag.StringVar(&cfg.fsync, "fsync", "batch", "WAL fsync policy: batch (sync every batch), interval (background cadence), or off")
 	flag.DurationVar(&cfg.fsyncInterval, "fsync-interval", time.Second, "background sync cadence under -fsync=interval")
@@ -362,9 +362,10 @@ func runCoordinator(cfg serverConfig, sessionsPath, postsPath string) error {
 	}
 	model := leo.NewModel()
 	coord := cluster.New(pmap, cluster.Options{
-		Token: cfg.token,
-		Model: model,
-		News:  newswire.Build(model.Launches(), leo.MajorOutages(), leo.DefaultMilestones()),
+		Token:           cfg.token,
+		Model:           model,
+		News:            newswire.Build(model.Launches(), leo.MajorOutages(), leo.DefaultMilestones()),
+		ResultCacheSize: cfg.resultCache,
 	})
 
 	httpSrv := &http.Server{

@@ -49,12 +49,19 @@ func fetchReport(t *testing.T, base string) (usaas.OperatorReport, []byte) {
 // cluster and asserts the degradation contract: /v1/report still lands,
 // with every section explicitly annotated with the dead shard's name; any
 // other endpoint refuses with a 503 naming the shard; and the coordinator
-// gauges record the outage. Nothing is ever silently missing.
+// gauges record the outage. Nothing is ever silently missing — and nothing
+// the coordinator cached while the shard was alive papers over its death:
+// every path is warm (sections held, answers stored) before the kill. When
+// the shard returns, so do the clean answers: no refusal and no degraded
+// report was stored.
 func TestClusterShardDeathDegradesPerSection(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	recs := sessionData(t, 5)
-	cl := buildCluster(t, 2, 0, fastRetry)
+	// The breaker is off so the shard's return is visible at once.
+	cl := buildCluster(t, 2, 0, Options{Retry: fastRetry, Breaker: usaas.BreakerPolicy{FailureThreshold: -1}})
 	ingestBoth(t, cl, recs, c.Posts)
+	assertByteIdentical(t, cl, recs[0].ISP)
+	assertByteIdentical(t, cl, recs[0].ISP)
 
 	// Healthy first: clean report, no degradation.
 	rep, clean := fetchReport(t, cl.coordTS.URL)
@@ -67,7 +74,7 @@ func TestClusterShardDeathDegradesPerSection(t *testing.T) {
 	}
 
 	// Kill shard s1.
-	cl.shards[1].Close()
+	cl.probes[1].down.Store(true)
 
 	rep, _ = fetchReport(t, cl.coordTS.URL)
 	if !rep.Degraded {
@@ -127,6 +134,15 @@ func TestClusterShardDeathDegradesPerSection(t *testing.T) {
 	if cs.PartialMerges == 0 {
 		t.Error("partial-merge counter never moved")
 	}
+
+	// The shard returns, the same process in the same state: every answer
+	// is the healthy one again.
+	cl.probes[1].down.Store(false)
+	rep, back := fetchReport(t, cl.coordTS.URL)
+	if rep.Degraded || !bytes.Equal(back, clean) {
+		t.Errorf("report after the shard returned: degraded=%v, %d bytes vs %d healthy", rep.Degraded, len(back), len(clean))
+	}
+	assertByteIdentical(t, cl, recs[0].ISP)
 }
 
 // TestClusterKillMidQuery fires reports continuously while a shard dies,
@@ -137,8 +153,11 @@ func TestClusterShardDeathDegradesPerSection(t *testing.T) {
 func TestClusterKillMidQuery(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	recs := sessionData(t, 6)
-	cl := buildCluster(t, 2, 0, fastRetry)
+	cl := buildCluster(t, 2, 0, Options{Retry: fastRetry})
 	ingestBoth(t, cl, recs, c.Posts)
+	// Warm every path first: held sections and stored answers must not mask
+	// the kill.
+	assertByteIdentical(t, cl, recs[0].ISP)
 	_, clean := fetchReport(t, cl.coordTS.URL)
 
 	var stop atomic.Bool

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,9 +48,15 @@ func studyCorpus(t *testing.T) (*social.Corpus, social.Config, *newswire.Index) 
 
 // sessionData generates enough sessions to cross the single node's 4096-row
 // chunk boundary, so byte-identity against the coordinator also pins the
-// chunked row store's merged/tail split.
+// chunked row store's merged/tail split. Generated once per seed and shared:
+// tests only read the records.
 func sessionData(t *testing.T, seed uint64) []telemetry.SessionRecord {
 	t.Helper()
+	sessionMu.Lock()
+	defer sessionMu.Unlock()
+	if recs, ok := sessionSets[seed]; ok {
+		return recs
+	}
 	opts := conference.Defaults(seed, 5000)
 	opts.SurveyRate = 0.08
 	g, err := conference.New(opts)
@@ -58,8 +67,14 @@ func sessionData(t *testing.T, seed uint64) []telemetry.SessionRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sessionSets[seed] = recs
 	return recs
 }
+
+var (
+	sessionMu   sync.Mutex
+	sessionSets = map[uint64][]telemetry.SessionRecord{}
+)
 
 // testCluster is one coordinator over n single-node shard servers, plus a
 // reference single node fed the identical batches.
@@ -67,34 +82,124 @@ type testCluster struct {
 	coord   *Coordinator
 	coordTS *httptest.Server
 	shards  []*httptest.Server
+	probes  []*shardProbe // one per shard, same order
 	single  *httptest.Server
 }
 
-func newShardServer(t *testing.T, workers int) *httptest.Server {
+// shardProbe sits in front of one shard's handler: it counts what the
+// coordinator asked of the shard, and can play dead (every connection
+// dropped without an answer, like a process that crashed) and come back.
+type shardProbe struct {
+	next http.Handler
+	down atomic.Bool
+
+	mu          sync.Mutex
+	fetched     map[string]int // GET /v1/partials answered 200, per section
+	revalidated int            // GET /v1/partials answered 304
+	modelPhases map[string]int // POST /v1/partials/model answered 200, per model section
+}
+
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(status int) {
+	w.status = status
+	w.ResponseWriter.WriteHeader(status)
+}
+
+func (p *shardProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p.down.Load() {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+		return
+	}
+	var modelSections []string
+	if r.URL.Path == "/v1/partials/model" {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var req usaas.ModelPartialsRequest
+		_ = json.Unmarshal(body, &req)
+		modelSections = req.Sections
+	}
+	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	p.next.ServeHTTP(sw, r)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case r.URL.Path == "/v1/partials" && sw.status == http.StatusNotModified:
+		p.revalidated++
+	case r.URL.Path == "/v1/partials" && sw.status == http.StatusOK:
+		for _, sec := range usaas.ParseSections(r.URL.Query().Get("sections")) {
+			p.fetched[sec]++
+		}
+	case modelSections != nil && sw.status == http.StatusOK:
+		for _, sec := range modelSections {
+			p.modelPhases[sec]++
+		}
+	}
+}
+
+// reset zeroes the probe's counters.
+func (p *shardProbe) reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.fetched, p.modelPhases, p.revalidated = map[string]int{}, map[string]int{}, 0
+}
+
+// counts snapshots the probe's counters.
+func (p *shardProbe) counts() (fetched, modelPhases map[string]int, revalidated int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fetched, modelPhases = map[string]int{}, map[string]int{}
+	for k, v := range p.fetched {
+		fetched[k] = v
+	}
+	for k, v := range p.modelPhases {
+		modelPhases[k] = v
+	}
+	return fetched, modelPhases, p.revalidated
+}
+
+// newShardHandler builds one shard process: a fresh store behind a fresh
+// server (its own boot nonce).
+func newShardHandler(t *testing.T, workers int) http.Handler {
 	t.Helper()
 	_, cfg, news := studyCorpus(t)
 	store := &usaas.Store{}
 	store.StartApplyPipeline(workers)
-	ts := httptest.NewServer(usaas.NewServer(store, usaas.ServerOptions{Model: cfg.Model, News: news}).Handler())
+	return usaas.NewServer(store, usaas.ServerOptions{Model: cfg.Model, News: news}).Handler()
+}
+
+func newShardServer(t *testing.T, workers int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(newShardHandler(t, workers))
 	t.Cleanup(ts.Close)
 	return ts
 }
 
 // buildCluster stands up n shards, a coordinator, and the reference single
 // node. workers sets the shards' apply-pipeline width (the reference node
-// applies inline; bytes must match regardless). retry tunes the
-// coordinator's fan-out clients (zero = defaults).
-func buildCluster(t *testing.T, n, workers int, retry usaas.RetryPolicy) *testCluster {
+// applies inline; bytes must match regardless). opts tunes the coordinator
+// (retry, breaker, caches); the annotation sources are filled in here.
+func buildCluster(t *testing.T, n, workers int, opts Options) *testCluster {
 	t.Helper()
 	_, cfg, news := studyCorpus(t)
 	tc := &testCluster{single: newShardServer(t, 0)}
 	m := Map{Version: 1}
 	for i := 0; i < n; i++ {
-		ts := newShardServer(t, workers)
+		probe := &shardProbe{next: newShardHandler(t, workers)}
+		probe.reset()
+		ts := httptest.NewServer(probe)
+		t.Cleanup(ts.Close)
 		tc.shards = append(tc.shards, ts)
+		tc.probes = append(tc.probes, probe)
 		m.Shards = append(m.Shards, Shard{Name: fmt.Sprintf("s%d", i), Endpoints: []string{ts.URL}})
 	}
-	tc.coord = New(m, Options{Model: cfg.Model, News: news, Retry: retry})
+	opts.Model, opts.News = cfg.Model, news
+	tc.coord = New(m, opts)
 	tc.coordTS = httptest.NewServer(tc.coord.Handler())
 	t.Cleanup(tc.coordTS.Close)
 	return tc
@@ -256,7 +361,7 @@ func queryPaths(isp string) []string {
 		"/v1/report",
 		"/v1/report?format=text",
 		"/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&lo=0&hi=300&bins=8",
-		"/v1/insights/engagement?metric=loss-mean-pct&engagement=cam_on&lo=0&hi=4&bins=10",
+		"/v1/insights/engagement?metric=loss-mean-pct&engagement=cam-on&lo=0&hi=4&bins=10",
 		"/v1/insights/mos",
 		"/v1/insights/mos?bins=6",
 		"/v1/insights/sentiment",
@@ -270,7 +375,7 @@ func queryPaths(isp string) []string {
 		"/v1/advice/traffic-engineering",
 		"/v1/advice/deployment",
 		"/v1/insights/incidents?engagement=presence",
-		"/v1/insights/incidents?engagement=cam_on&min_drop=0.05",
+		"/v1/insights/incidents?engagement=cam-on&min_drop=0.05",
 		"/v1/query/experience?isp=" + isp,
 	}
 }
@@ -292,45 +397,103 @@ func assertByteIdentical(t *testing.T, tc *testCluster, isp string) {
 	}
 }
 
+// ingestDirect sends one more session batch and one more post batch straight
+// to the shards through the client-side splitter — past the coordinator,
+// which must notice anyway — and to the reference node.
+func ingestDirect(t *testing.T, tc *testCluster, recs []telemetry.SessionRecord, posts []social.Post) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	split := NewClient(tc.coord.pmap, ClientConfig{})
+	sc := usaas.NewClientWithOptions(tc.single.URL, usaas.ClientOptions{})
+	ca, err := split.IngestSessionsBatch(ctx, "direct-sessions", recs)
+	if err != nil {
+		t.Fatalf("direct session ingest: %v", err)
+	}
+	sa, err := sc.IngestSessionsBatch(ctx, "direct-sessions", recs)
+	if err != nil {
+		t.Fatalf("single session ingest: %v", err)
+	}
+	if ca != sa {
+		t.Fatalf("direct session ack diverges: client %+v vs single %+v", ca, sa)
+	}
+	if _, err := split.IngestPostsBatch(ctx, "direct-posts", posts); err != nil {
+		t.Fatalf("direct post ingest: %v", err)
+	}
+	if _, err := sc.IngestPostsBatch(ctx, "direct-posts", posts); err != nil {
+		t.Fatalf("single post ingest: %v", err)
+	}
+}
+
+// mergingPaths is how many of queryPaths merge shard state (all but
+// /v1/advice/deployment, which consults only the constellation model).
+const mergingPaths = 18
+
 // TestClusterByteIdenticalToSingleNode is the tentpole property: for every
 // read endpoint, a coordinator over 1, 2, or 4 shards answers
 // byte-identically to one node fed the same batches — across seeds and
-// shard apply-pipeline widths. Short mode keeps one seed (still covering
-// all three shard counts).
+// shard apply-pipeline widths, cold, warm (a second pass, replayed from the
+// coordinator's caches where they are on) and after a further ingest the
+// coordinator never saw. Short mode keeps one seed (still covering all
+// three shard counts and both cache settings).
 func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	// arrival 0 delivers the corpus in generator order to both sides; any
 	// other value is the seed of a shuffled delivery to the cluster, checked
 	// against a reference node fed in corpus order (ingestPostsArrival).
+	// cacheSize is the coordinator's ResultCacheSize: 0 the default, < 0 off.
 	configs := []struct {
-		seed    uint64
-		nShards int
-		workers int
-		arrival uint64
+		seed      uint64
+		nShards   int
+		workers   int
+		arrival   uint64
+		cacheSize int
 	}{
-		{5, 1, 0, 1},
-		{5, 2, 4, 2},
-		{5, 4, 1, 3},
-		{6, 2, 0, 0},
-		{6, 4, 4, 1},
-		{7, 1, 4, 0},
-		{7, 2, 1, 3},
-		{7, 4, 0, 0},
+		{5, 1, 0, 1, 0},
+		{5, 2, 4, 2, -1},
+		{5, 4, 1, 3, 0},
+		{6, 2, 0, 0, 0},
+		{6, 4, 4, 1, -1},
+		{7, 1, 4, 0, 0},
+		{7, 2, 1, 3, 0},
+		{7, 4, 0, 0, 3},
 	}
 	if testing.Short() {
 		configs = configs[:3]
 	}
 	for _, tc := range configs {
 		t.Run(fmt.Sprintf("seed%d_shards%d_workers%d_arrival%d", tc.seed, tc.nShards, tc.workers, tc.arrival), func(t *testing.T) {
-			recs := sessionData(t, tc.seed)
-			cl := buildCluster(t, tc.nShards, tc.workers, usaas.RetryPolicy{})
+			all := sessionData(t, tc.seed)
+			recs, lateRecs := all[:len(all)-300], all[len(all)-300:]
+			posts, latePosts := c.Posts[:len(c.Posts)-200], c.Posts[len(c.Posts)-200:]
+			cl := buildCluster(t, tc.nShards, tc.workers, Options{ResultCacheSize: tc.cacheSize})
 			if tc.arrival == 0 {
-				ingestBoth(t, cl, recs, c.Posts)
+				ingestBoth(t, cl, recs, posts)
 			} else {
 				ingestBoth(t, cl, recs, nil)
-				ingestPostsArrival(t, cl, c.Posts, tc.arrival)
+				ingestPostsArrival(t, cl, posts, tc.arrival)
 			}
-			assertByteIdentical(t, cl, recs[0].ISP)
+			isp := all[0].ISP
+			assertByteIdentical(t, cl, isp)
+			cold := cl.coord.clusterStats()
+			assertByteIdentical(t, cl, isp)
+			warm := cl.coord.clusterStats()
+			// Warm merges: none with the default cache (every answer replayed),
+			// all without one, and with a 3-entry cache some but never more.
+			lo, hi := uint64(mergingPaths), uint64(mergingPaths)
+			if tc.cacheSize == 0 {
+				lo, hi = 0, 0
+			} else if tc.cacheSize > 0 {
+				lo = 1
+			}
+			if got := warm.PartialMerges - cold.PartialMerges; got < lo || got > hi || cold.PartialMerges != mergingPaths {
+				t.Errorf("merges: %d cold, %d warm; want %d and %d..%d", cold.PartialMerges, got, mergingPaths, lo, hi)
+			}
+			if on := warm.Cache != nil; on != (tc.cacheSize >= 0) {
+				t.Errorf("cache block present = %v with ResultCacheSize %d", on, tc.cacheSize)
+			}
+			ingestDirect(t, cl, lateRecs, latePosts)
+			assertByteIdentical(t, cl, isp)
 		})
 	}
 }
@@ -343,7 +506,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 func TestClientSideSplitMatchesCoordinator(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	recs := sessionData(t, 6)
-	cl := buildCluster(t, 2, 0, usaas.RetryPolicy{})
+	cl := buildCluster(t, 2, 0, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	split := NewClient(cl.coord.pmap, ClientConfig{})
@@ -411,7 +574,7 @@ func TestClientSideSplitMatchesCoordinator(t *testing.T) {
 // the single node's: same status, same bytes, no fan-out needed to agree.
 func TestCoordinatorErrorPaths(t *testing.T) {
 	studyCorpus(t)
-	cl := buildCluster(t, 2, 0, usaas.RetryPolicy{})
+	cl := buildCluster(t, 2, 0, Options{})
 	recs := sessionData(t, 5)
 	ingestBoth(t, cl, recs[:600], nil)
 	for _, p := range []string{

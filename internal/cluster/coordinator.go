@@ -38,26 +38,39 @@ type Options struct {
 	Breaker usaas.BreakerPolicy
 	// MaxBodyBytes caps ingest request bodies (default 64 MiB).
 	MaxBodyBytes int64
+	// ResultCacheSize mirrors usaas.ServerOptions.ResultCacheSize: it caps
+	// the rendered-response cache and, per shard, the decoded partials held
+	// for revalidation (held.go). 0 means the default of 256 entries,
+	// negative disables both.
+	ResultCacheSize int
 }
 
-// shardConn is one shard's client plus its fan-out gauges.
+// shardConn is one shard's client, what the coordinator holds of its state,
+// and its fan-out gauges.
 type shardConn struct {
-	name    string
-	client  *usaas.Client
+	name   string
+	client *usaas.Client
+	held   *held // nil when the coordinator caches are off or the shard is replicated
+
 	up      atomic.Bool
 	fanouts atomic.Uint64
 	errs    atomic.Uint64
+	// Partials exchanges: answered 304, answered with a body, body bytes.
+	revalidated, fetched, bytes atomic.Uint64
 
 	mu  sync.Mutex
-	lat *stats.Hist // fan-out latency, ms
+	lat *stats.GeoHist // fan-out latency, ms
 }
 
-// latencyBins is the fan-out latency histogram shape: 0-1000 ms in 20 ms
-// buckets (observations past the top bucket are dropped by Hist.Add).
-var latencyBins = stats.Binner{Lo: 0, Hi: 1000, NBins: 50}
+// newLatencyHist is the fan-out latency histogram: 17 buckets doubling from
+// 0.125 ms to 8.2 s, so a sub-millisecond revalidation, a 70 ms fetch and a
+// multi-second stall each land in a bucket of their own.
+func newLatencyHist() *stats.GeoHist { return stats.NewGeoHist(0.125, 2, 17) }
 
-// observe records one fan-out RPC against the shard's gauges.
-func (sc *shardConn) observe(start time.Time, err error) {
+// call runs one fan-out RPC and records it against the shard's gauges.
+func (sc *shardConn) call(rpc func() error) error {
+	start := time.Now()
+	err := rpc()
 	sc.fanouts.Add(1)
 	sc.up.Store(err == nil)
 	if err != nil {
@@ -67,6 +80,17 @@ func (sc *shardConn) observe(start time.Time, err error) {
 	sc.mu.Lock()
 	sc.lat.Add(ms)
 	sc.mu.Unlock()
+	return err
+}
+
+// count records one answered partials exchange.
+func (sc *shardConn) count(v usaas.Validation) {
+	if v.NotModified {
+		sc.revalidated.Add(1)
+	} else {
+		sc.fetched.Add(1)
+	}
+	sc.bytes.Add(uint64(v.Bytes))
 }
 
 // Coordinator is the scatter-gather query front end: it owns no store,
@@ -79,8 +103,9 @@ type Coordinator struct {
 	opts   Options
 	shards []*shardConn
 	mux    *http.ServeMux
+	cache  *usaas.ResultCache // rendered answers by tag vector; nil when off
 
-	merges   atomic.Uint64 // queries answered from merged partials
+	merges   atomic.Uint64 // merges performed (a replayed answer does not merge)
 	degraded atomic.Uint64 // degradation annotations + shard-failure refusals
 }
 
@@ -89,9 +114,13 @@ func New(m Map, opts Options) *Coordinator {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 64 << 20
 	}
-	c := &Coordinator{pmap: m, opts: opts, mux: http.NewServeMux()}
+	size := opts.ResultCacheSize
+	if size == 0 {
+		size = usaas.DefaultResultCacheSize
+	}
+	c := &Coordinator{pmap: m, opts: opts, mux: http.NewServeMux(), cache: usaas.NewResultCache(size)}
 	for _, sh := range m.Shards {
-		c.shards = append(c.shards, &shardConn{
+		sc := &shardConn{
 			name: sh.Name,
 			client: usaas.NewClientWithOptions("", usaas.ClientOptions{
 				HTTPClient: opts.HTTPClient,
@@ -100,25 +129,32 @@ func New(m Map, opts Options) *Coordinator {
 				Retry:      opts.Retry,
 				Breaker:    opts.Breaker,
 			}),
-			lat: stats.NewHist(latencyBins),
-		})
+			lat: newLatencyHist(),
+		}
+		// A replicated shard's reads rotate over processes whose tags never
+		// match, so holding one's partials would only add refetches: it is
+		// asked plainly, at the uncached cost.
+		if c.cache != nil && len(sh.Endpoints) == 1 {
+			sc.held = newHeld(size)
+		}
+		c.shards = append(c.shards, sc)
 	}
 	c.mux.HandleFunc("/v1/sessions", c.handleSessions)
 	c.mux.HandleFunc("/v1/posts", c.handlePosts)
 	c.mux.HandleFunc("/v1/stats", c.handleStats)
-	c.mux.HandleFunc("/v1/insights/engagement", c.handleEngagement)
-	c.mux.HandleFunc("/v1/insights/mos", c.handleMOS)
-	c.mux.HandleFunc("/v1/insights/sentiment", c.handleSentiment)
-	c.mux.HandleFunc("/v1/insights/peaks", c.handlePeaks)
-	c.mux.HandleFunc("/v1/insights/outages", c.handleOutages)
-	c.mux.HandleFunc("/v1/insights/speeds", c.handleSpeeds)
-	c.mux.HandleFunc("/v1/insights/trends", c.handleTrends)
-	c.mux.HandleFunc("/v1/query/experience", c.handleExperience)
-	c.mux.HandleFunc("/v1/insights/confounders", c.handleConfounders)
-	c.mux.HandleFunc("/v1/advice/traffic-engineering", c.handleTEAdvice)
+	c.mux.HandleFunc("/v1/insights/engagement", c.serve(c.engagement))
+	c.mux.HandleFunc("/v1/insights/mos", c.serve(c.mos))
+	c.mux.HandleFunc("/v1/insights/sentiment", c.serve(c.sentiment))
+	c.mux.HandleFunc("/v1/insights/peaks", c.serve(c.peaks))
+	c.mux.HandleFunc("/v1/insights/outages", c.serve(c.outages))
+	c.mux.HandleFunc("/v1/insights/speeds", c.serve(c.speeds))
+	c.mux.HandleFunc("/v1/insights/trends", c.serve(c.trends))
+	c.mux.HandleFunc("/v1/query/experience", c.serve(c.experience))
+	c.mux.HandleFunc("/v1/insights/confounders", c.serve(c.confounders))
+	c.mux.HandleFunc("/v1/advice/traffic-engineering", c.serve(c.teAdvice))
 	c.mux.HandleFunc("/v1/advice/deployment", c.handleDeploymentAdvice)
-	c.mux.HandleFunc("/v1/report", c.handleReport)
-	c.mux.HandleFunc("/v1/insights/incidents", c.handleIncidents)
+	c.mux.HandleFunc("/v1/report", c.serve(c.report))
+	c.mux.HandleFunc("/v1/insights/incidents", c.serve(c.incidents))
 	c.mux.HandleFunc("/v1/healthz", c.handleHealthz)
 	c.mux.HandleFunc("/v1/readyz", c.handleReadyz)
 	return c
@@ -154,7 +190,8 @@ type shardErr struct {
 func (e shardErr) String() string { return fmt.Sprintf("shard %s unavailable: %v", e.name, e.err) }
 
 // each runs f against every shard concurrently and returns the failures
-// sorted by shard name (stable degradation annotations).
+// sorted by shard name (stable degradation annotations). f records its RPCs
+// against the shard's gauges through shardConn.call.
 func (c *Coordinator) each(f func(i int, sc *shardConn) error) []shardErr {
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -162,10 +199,7 @@ func (c *Coordinator) each(f func(i int, sc *shardConn) error) []shardErr {
 		wg.Add(1)
 		go func(i int, sc *shardConn) {
 			defer wg.Done()
-			start := time.Now()
-			err := f(i, sc)
-			sc.observe(start, err)
-			errs[i] = err
+			errs[i] = f(i, sc)
 		}(i, sc)
 	}
 	wg.Wait()
@@ -179,45 +213,137 @@ func (c *Coordinator) each(f func(i int, sc *shardConn) error) []shardErr {
 	return out
 }
 
-// gatherPartials fans GET /v1/partials to every shard. bundles[i] is nil
-// for shards that failed.
-func (c *Coordinator) gatherPartials(ctx context.Context, query url.Values) ([]*usaas.ShardPartials, []shardErr) {
-	bundles := make([]*usaas.ShardPartials, len(c.shards))
-	errs := c.each(func(i int, sc *shardConn) error {
-		p, err := sc.client.Partials(ctx, query)
-		if err != nil {
-			return err
-		}
-		bundles[i] = &p
-		return nil
-	})
-	c.merges.Add(1)
-	return bundles, errs
+// query is a read endpoint after parameter parsing: the shard state it
+// needs and how to render the answer from it.
+type query struct {
+	sections []section
+	// degrades marks /v1/report: a shard failure becomes per-section notes
+	// on a 200 instead of a 503.
+	degrades bool
+	render   func(w http.ResponseWriter, g *gathered)
 }
 
-// gatherModelPartials fans the model phase (POST /v1/partials/model) to
-// every shard; any failure fails the phase (a partial model-phase answer
-// would silently change the merged number).
-func (c *Coordinator) gatherModelPartials(ctx context.Context, req usaas.ModelPartialsRequest) ([]usaas.ModelPartials, error) {
-	out := make([]usaas.ModelPartials, len(c.shards))
-	errs := c.each(func(i int, sc *shardConn) error {
-		mp, err := sc.client.ModelPartials(ctx, req)
-		if err != nil {
-			return err
+// gathered is one query's view of the fleet: per shard, the bundle of the
+// query's sections and the tag it is valid at (nil and "" for a shard that
+// failed).
+type gathered struct {
+	c       *Coordinator
+	ctx     context.Context
+	bundles []*usaas.ShardPartials
+	tags    []string
+	errs    []shardErr
+	// unstorable is set when the answer is not a pure function of the tags
+	// in the cache key: a model phase failed, or answered under a tag other
+	// than phase one's (a write landed between the phases, or the other
+	// replica answered).
+	unstorable atomic.Bool
+}
+
+// gather brings every shard's bundle for the sections up to date: one
+// conditional request per shard (held.go).
+func (c *Coordinator) gather(ctx context.Context, sections []section) *gathered {
+	g := &gathered{c: c, ctx: ctx, bundles: make([]*usaas.ShardPartials, len(c.shards)), tags: make([]string, len(c.shards))}
+	g.errs = c.each(func(i int, sc *shardConn) (err error) {
+		g.bundles[i], g.tags[i], err = sc.partials(ctx, sections)
+		return err
+	})
+	return g
+}
+
+// generation is the result-cache generation of the gathered state: the
+// vector of shard tags, or "" when some shard gave none (failed, or predates
+// tags) and nothing may be replayed.
+func (g *gathered) generation() string {
+	for _, tag := range g.tags {
+		if tag == "" {
+			return ""
+		}
+	}
+	return strings.Join(g.tags, " ")
+}
+
+// modelPartials runs the model phase on every shard, answering from held
+// results where the shard is still at the phase-one tag. Any failure fails
+// the phase (a partial model-phase answer would silently change the merged
+// number).
+func (g *gathered) modelPartials(req usaas.ModelPartialsRequest) ([]usaas.ModelPartials, error) {
+	key := modelKey(req)
+	out := make([]usaas.ModelPartials, len(g.c.shards))
+	errs := g.c.each(func(i int, sc *shardConn) error {
+		mp, same, err := sc.modelPartials(g.ctx, g.tags[i], key, req)
+		if err != nil || !same {
+			g.unstorable.Store(true)
 		}
 		out[i] = mp
-		return nil
+		return err
 	})
 	if len(errs) > 0 {
-		c.degraded.Add(uint64(len(errs)))
+		g.c.degraded.Add(uint64(len(errs)))
 		return nil, fmt.Errorf("%s", errs[0])
 	}
 	return out, nil
 }
 
+// tePartials is the traffic-engineering model phase.
+func (g *gathered) tePartials(model stats.LinearModel) ([][]usaas.TEDayPartial, error) {
+	mps, err := g.modelPartials(usaas.ModelPartialsRequest{Model: model, Sections: []string{usaas.ModelSectionTE}})
+	if err != nil {
+		return nil, err
+	}
+	parts := make([][]usaas.TEDayPartial, 0, len(mps))
+	for _, mp := range mps {
+		parts = append(parts, mp.TE)
+	}
+	return parts, nil
+}
+
+// rated merges the day-major rated subsequence and the cluster session
+// count out of SectionSessions bundles.
+func (g *gathered) rated() (rated []telemetry.SessionRecord, total int) {
+	parts := make([][]telemetry.SessionRecord, 0, len(g.bundles))
+	for _, b := range g.bundles {
+		total += b.Sessions
+		parts = append(parts, b.Rated)
+	}
+	return usaas.MergeRated(parts), total
+}
+
+// serve is the one read path: method check, parameters (plan answers a 4xx
+// itself and returns nil), gather, refuse or degrade, then the result cache
+// keyed by the tags actually gathered — a hit replays recorded bytes, a
+// miss merges and renders. A shard that cannot be revalidated is never
+// answered from cache: every endpoint but /v1/report refuses with a 503
+// naming it, and the degraded report is rendered fresh and not stored.
+func (c *Coordinator) serve(plan func(w http.ResponseWriter, r *http.Request) *query) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requireMethod(w, r, http.MethodGet) {
+			return
+		}
+		q := plan(w, r)
+		if q == nil {
+			return
+		}
+		g := c.gather(r.Context(), q.sections)
+		if q.degrades {
+			c.degraded.Add(uint64(len(g.errs)))
+		} else if c.refuse(w, g.errs) {
+			return
+		}
+		cache, gen := c.cache, g.generation()
+		if gen == "" {
+			cache = nil
+		}
+		cache.Serve(w, r, gen, func(w http.ResponseWriter) bool {
+			c.merges.Add(1)
+			q.render(w, g)
+			return !g.unstorable.Load()
+		})
+	}
+}
+
 // refuse writes the scatter failure as an explicit 503 naming the shard —
-// the degradation contract for every endpoint except /v1/report (which
-// degrades per section instead). Never a silently partial answer.
+// the degradation contract for ingest and stats. Never a silently partial
+// answer.
 func (c *Coordinator) refuse(w http.ResponseWriter, errs []shardErr) bool {
 	if len(errs) == 0 {
 		return false
@@ -299,24 +425,6 @@ func (f *queryForm) reject(w http.ResponseWriter) bool {
 	return true
 }
 
-func parseMetric(name string) (telemetry.Metric, error) {
-	for m := telemetry.LatencyMean; m <= telemetry.BandwidthP95; m++ {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown metric %q", name)
-}
-
-func parseEngagement(name string) (telemetry.Engagement, error) {
-	for _, e := range telemetry.Engagements() {
-		if e.String() == name {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown engagement %q", name)
-}
-
 // --- ingest ---
 
 // handleSessions routes a session batch: records split by owning shard
@@ -377,9 +485,10 @@ func (c *Coordinator) handlePosts(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) ingest(w http.ResponseWriter, ctx context.Context, batchID string, send func(ctx context.Context, i int, sc *shardConn) (usaas.IngestResponse, error)) {
 	acks := make([]usaas.IngestResponse, len(c.shards))
 	errs := c.each(func(i int, sc *shardConn) error {
-		resp, err := send(ctx, i, sc)
-		acks[i] = resp
-		return err
+		return sc.call(func() (err error) {
+			acks[i], err = send(ctx, i, sc)
+			return err
+		})
 	})
 	if c.refuse(w, errs) {
 		return
@@ -404,9 +513,10 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	totals := make([]usaas.StatsResponse, len(c.shards))
 	errs := c.each(func(i int, sc *shardConn) error {
-		st, err := sc.client.Stats(r.Context())
-		totals[i] = st
-		return err
+		return sc.call(func() (err error) {
+			totals[i], err = sc.client.Stats(r.Context())
+			return err
+		})
 	})
 	if c.refuse(w, errs) {
 		return
@@ -426,16 +536,23 @@ func (c *Coordinator) clusterStats() *usaas.ClusterStats {
 		PartialMerges:    c.merges.Load(),
 		DegradedSections: c.degraded.Load(),
 	}
+	if c.cache != nil {
+		m := c.cache.Metrics()
+		cs.Cache = &m
+	}
 	for _, sc := range c.shards {
 		sc.mu.Lock()
-		hist := stats.Hist{B: sc.lat.B, Counts: append([]int(nil), sc.lat.Counts...)}
+		hist := sc.lat.Clone()
 		sc.mu.Unlock()
 		cs.Shards = append(cs.Shards, usaas.ShardStatus{
-			Name:      sc.name,
-			Up:        sc.up.Load(),
-			Fanouts:   sc.fanouts.Load(),
-			Errors:    sc.errs.Load(),
-			LatencyMs: hist,
+			Name:          sc.name,
+			Up:            sc.up.Load(),
+			Fanouts:       sc.fanouts.Load(),
+			Errors:        sc.errs.Load(),
+			Revalidated:   sc.revalidated.Load(),
+			Fetched:       sc.fetched.Load(),
+			PartialsBytes: sc.bytes.Load(),
+			LatencyMs:     hist,
 		})
 	}
 	return cs
@@ -456,7 +573,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	errs := c.each(func(i int, sc *shardConn) error {
-		return sc.client.Ready(r.Context())
+		return sc.call(func() error { return sc.client.Ready(r.Context()) })
 	})
 	if len(errs) > 0 {
 		writeJSON(w, http.StatusServiceUnavailable, usaas.HealthResponse{Status: "not ready", Error: errs[0].String()})
@@ -467,333 +584,232 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // --- scatter-gather queries ---
 
-func sectionsQuery(sections string) url.Values {
-	return url.Values{"sections": {sections}}
-}
-
-// zeroNaNs mirrors the usaas service's NaN scrubbing for JSON.
-func zeroNaNs(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if x == x { // !NaN
-			out[i] = x
-		}
-	}
-	return out
-}
-
-func (c *Coordinator) handleEngagement(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	metric, err := parseMetric(r.URL.Query().Get("metric"))
+func (c *Coordinator) engagement(w http.ResponseWriter, r *http.Request) *query {
+	metric, err := telemetry.ParseMetric(r.URL.Query().Get("metric"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	f := formOf(r)
 	lo := f.float("lo", 0)
 	hi := f.float("hi", 300)
 	bins := f.int("bins", 10)
 	if f.reject(w) {
-		return
+		return nil
 	}
 	if hi <= lo || bins < 1 || bins > 1000 {
 		writeErr(w, http.StatusBadRequest, "invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
-		return
+		return nil
 	}
-	q := sectionsQuery(usaas.SectionDose)
-	q.Set("metric", metric.String())
-	q.Set("engagement", eng.String())
-	q.Set("lo", fmt.Sprint(lo))
-	q.Set("hi", fmt.Sprint(hi))
-	q.Set("bins", fmt.Sprint(bins))
+	params := url.Values{
+		"metric": {metric.String()}, "engagement": {eng.String()},
+		"lo": {fmt.Sprint(lo)}, "hi": {fmt.Sprint(hi)}, "bins": {fmt.Sprint(bins)},
+	}
 	if isp := r.URL.Query().Get("isp"); isp != "" {
-		q.Set("isp", isp)
+		params.Set("isp", isp)
 	}
-	bundles, errs := c.gatherPartials(r.Context(), q)
-	if c.refuse(w, errs) {
-		return
-	}
-	parts := make([][]usaas.DoseDayPartial, 0, len(bundles))
-	for _, b := range bundles {
-		parts = append(parts, b.Dose)
-	}
-	series, err := usaas.MergeDosePartials(stats.Binner{Lo: lo, Hi: hi, NBins: bins}, parts)
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, "%v", err)
-		return
-	}
-	norm := usaas.Normalize100(series)
-	writeJSON(w, http.StatusOK, usaas.EngagementResponse{
-		Metric:     metric.String(),
-		Engagement: eng.String(),
-		X:          series.X,
-		Y:          zeroNaNs(series.Y),
-		Normalized: zeroNaNs(norm.Y),
-		Count:      series.Count,
-	})
+	return &query{sections: []section{{usaas.SectionDose, params}}, render: func(w http.ResponseWriter, g *gathered) {
+		parts := make([][]usaas.DoseDayPartial, 0, len(g.bundles))
+		for _, b := range g.bundles {
+			parts = append(parts, b.Dose)
+		}
+		series, err := usaas.MergeDosePartials(stats.Binner{Lo: lo, Hi: hi, NBins: bins}, parts)
+		if err != nil {
+			writeErr(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, usaas.EngagementFromSeries(metric, eng, series))
+	}}
 }
 
-// gatherSessions fetches the day-major rated subsequence and cluster
-// session count.
-func (c *Coordinator) gatherSessions(ctx context.Context) (rated []telemetry.SessionRecord, total int, errs []shardErr) {
-	bundles, errs := c.gatherPartials(ctx, sectionsQuery(usaas.SectionSessions))
-	if len(errs) > 0 {
-		return nil, 0, errs
-	}
-	parts := make([][]telemetry.SessionRecord, 0, len(bundles))
-	for _, b := range bundles {
-		total += b.Sessions
-		parts = append(parts, b.Rated)
-	}
-	return usaas.MergeRated(parts), total, nil
-}
-
-func (c *Coordinator) handleMOS(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+func (c *Coordinator) mos(w http.ResponseWriter, r *http.Request) *query {
 	f := formOf(r)
 	bins := f.int("bins", 10)
 	if f.reject(w) {
-		return
+		return nil
 	}
-	rated, total, errs := c.gatherSessions(r.Context())
-	if c.refuse(w, errs) {
-		return
-	}
-	resp, err := usaas.MOSFromRated(rated, total, bins)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// gatherSocial fetches the social partial bundles; ok is false (and a 404
-// matching the single-node "no posts ingested" has been written) when no
-// shard holds posts.
-func (c *Coordinator) gatherSocial(w http.ResponseWriter, r *http.Request, sections string) ([]*usaas.ShardPartials, timeline.Range, bool) {
-	bundles, errs := c.gatherPartials(r.Context(), sectionsQuery(sections))
-	if c.refuse(w, errs) {
-		return nil, timeline.Range{}, false
-	}
-	window, have := usaas.SocialWindow(bundles)
-	if !have {
-		writeErr(w, http.StatusNotFound, "no posts ingested")
-		return nil, timeline.Range{}, false
-	}
-	return bundles, window, true
-}
-
-func socialParts(bundles []*usaas.ShardPartials) (sent [][]usaas.DaySentiment, kw [][]usaas.DayKeywords, clouds [][]usaas.DayCloud, terms [][]usaas.TermPartial) {
-	for _, b := range bundles {
-		if b == nil || !b.HavePosts {
-			continue
+	return &query{sections: []section{{name: usaas.SectionSessions}}, render: func(w http.ResponseWriter, g *gathered) {
+		rated, total := g.rated()
+		resp, err := usaas.MOSFromRated(rated, total, bins)
+		if err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			return
 		}
-		sent = append(sent, b.Sentiment)
-		kw = append(kw, b.Keywords)
-		clouds = append(clouds, b.Clouds)
-		terms = append(terms, b.Terms)
-	}
-	return
+		writeJSON(w, http.StatusOK, resp)
+	}}
 }
 
-func (c *Coordinator) handleSentiment(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	bundles, window, ok := c.gatherSocial(w, r, usaas.SectionSocial)
-	if !ok {
-		return
-	}
-	sent, _, _, _ := socialParts(bundles)
-	writeJSON(w, http.StatusOK, usaas.MergeSentiment(window, sent))
+// socialParts is the post-side accumulator state of the shards that hold
+// posts, one slice per kind.
+type socialParts struct {
+	window timeline.Range
+	sent   [][]usaas.DaySentiment
+	kw     [][]usaas.DayKeywords
+	clouds [][]usaas.DayCloud
+	terms  [][]usaas.TermPartial
+	speeds [][]usaas.SpeedMonthPartial
 }
 
-func (c *Coordinator) handlePeaks(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+// socialQuery builds the query of an endpoint over one post section. render runs
+// only when some shard holds posts; otherwise the answer is the single
+// node's "no posts ingested" 404.
+func socialQuery(name string, render func(w http.ResponseWriter, p socialParts)) *query {
+	return &query{sections: []section{{name: name}}, render: func(w http.ResponseWriter, g *gathered) {
+		var p socialParts
+		var have bool
+		if p.window, have = usaas.SocialWindow(g.bundles); !have {
+			writeErr(w, http.StatusNotFound, "no posts ingested")
+			return
+		}
+		for _, b := range g.bundles {
+			if !b.HavePosts {
+				continue
+			}
+			p.sent = append(p.sent, b.Sentiment)
+			p.kw = append(p.kw, b.Keywords)
+			p.clouds = append(p.clouds, b.Clouds)
+			p.terms = append(p.terms, b.Terms)
+			p.speeds = append(p.speeds, b.Speeds)
+		}
+		render(w, p)
+	}}
+}
+
+func (c *Coordinator) sentiment(http.ResponseWriter, *http.Request) *query {
+	return socialQuery(usaas.SectionSocial, func(w http.ResponseWriter, p socialParts) {
+		writeJSON(w, http.StatusOK, usaas.MergeSentiment(p.window, p.sent))
+	})
+}
+
+func (c *Coordinator) peaks(w http.ResponseWriter, r *http.Request) *query {
 	f := formOf(r)
 	k := f.int("k", 3)
 	if f.reject(w) {
-		return
+		return nil
 	}
 	if k < 1 || k > 50 {
 		writeErr(w, http.StatusBadRequest, "k out of range")
-		return
+		return nil
 	}
-	bundles, window, ok := c.gatherSocial(w, r, usaas.SectionSocial)
-	if !ok {
-		return
-	}
-	sent, _, clouds, _ := socialParts(bundles)
-	daily := usaas.MergeSentiment(window, sent)
-	writeJSON(w, http.StatusOK, usaas.MergePeaks(daily, usaas.MergeClouds(clouds), c.opts.News, k))
+	return socialQuery(usaas.SectionSocial, func(w http.ResponseWriter, p socialParts) {
+		daily := usaas.MergeSentiment(p.window, p.sent)
+		writeJSON(w, http.StatusOK, usaas.MergePeaks(daily, usaas.MergeClouds(p.clouds), c.opts.News, k))
+	})
 }
 
-func (c *Coordinator) handleOutages(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+func (c *Coordinator) outages(w http.ResponseWriter, r *http.Request) *query {
 	f := formOf(r)
 	threshold := f.int("threshold", 0)
 	if f.reject(w) {
-		return
+		return nil
 	}
-	bundles, window, ok := c.gatherSocial(w, r, usaas.SectionSocial)
-	if !ok {
-		return
-	}
-	_, kw, _, _ := socialParts(bundles)
-	series := usaas.MergeKeywords(window, kw)
-	if threshold > 0 {
-		writeJSON(w, http.StatusOK, usaas.AlertsFromSeries(series, threshold))
-		return
-	}
-	writeJSON(w, http.StatusOK, series)
-}
-
-func (c *Coordinator) handleSpeeds(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	bundles, window, ok := c.gatherSocial(w, r, usaas.SectionSpeeds)
-	if !ok {
-		return
-	}
-	var parts [][]usaas.SpeedMonthPartial
-	for _, b := range bundles {
-		if b != nil && b.HavePosts {
-			parts = append(parts, b.Speeds)
+	return socialQuery(usaas.SectionSocial, func(w http.ResponseWriter, p socialParts) {
+		series := usaas.MergeKeywords(p.window, p.kw)
+		if threshold > 0 {
+			writeJSON(w, http.StatusOK, usaas.AlertsFromSeries(series, threshold))
+			return
 		}
-	}
-	writeJSON(w, http.StatusOK, usaas.MergeSpeeds(window, parts, c.opts.Model, 1))
+		writeJSON(w, http.StatusOK, series)
+	})
 }
 
-func (c *Coordinator) handleTrends(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	bundles, window, ok := c.gatherSocial(w, r, usaas.SectionSocial)
-	if !ok {
-		return
-	}
-	_, _, _, terms := socialParts(bundles)
-	writeJSON(w, http.StatusOK, usaas.MergeTrends(window, terms, usaas.TrendOptions{}))
+func (c *Coordinator) speeds(http.ResponseWriter, *http.Request) *query {
+	return socialQuery(usaas.SectionSpeeds, func(w http.ResponseWriter, p socialParts) {
+		writeJSON(w, http.StatusOK, usaas.MergeSpeeds(p.window, p.speeds, c.opts.Model, 1))
+	})
 }
 
-func (c *Coordinator) handleExperience(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
+func (c *Coordinator) trends(http.ResponseWriter, *http.Request) *query {
+	return socialQuery(usaas.SectionSocial, func(w http.ResponseWriter, p socialParts) {
+		writeJSON(w, http.StatusOK, usaas.MergeTrends(p.window, p.terms, usaas.TrendOptions{}))
+	})
+}
+
+func (c *Coordinator) experience(w http.ResponseWriter, r *http.Request) *query {
 	isp := r.URL.Query().Get("isp")
 	if isp == "" {
 		writeErr(w, http.StatusBadRequest, "isp parameter required")
-		return
+		return nil
 	}
-	q := sectionsQuery(usaas.SectionSessions + "," + usaas.SectionExperience)
-	q.Set("isp", isp)
-	bundles, errs := c.gatherPartials(r.Context(), q)
-	if c.refuse(w, errs) {
-		return
-	}
-	var ratedParts [][]telemetry.SessionRecord
-	var expParts []*usaas.ExperiencePartial
-	expSessions := 0
-	for _, b := range bundles {
-		ratedParts = append(ratedParts, b.Rated)
-		expParts = append(expParts, b.Experience)
-		if b.Experience != nil {
-			expSessions += b.Experience.Sessions
+	sections := []section{{name: usaas.SectionSessions}, {usaas.SectionExperience, url.Values{"isp": {isp}}}}
+	return &query{sections: sections, render: func(w http.ResponseWriter, g *gathered) {
+		var expParts []*usaas.ExperiencePartial
+		expSessions := 0
+		for _, b := range g.bundles {
+			expParts = append(expParts, b.Experience)
+			if b.Experience != nil {
+				expSessions += b.Experience.Sessions
+			}
 		}
+		if expSessions == 0 {
+			writeErr(w, http.StatusNotFound, "no sessions for isp %q", isp)
+			return
+		}
+		var predicted [][]usaas.DayOnlinePartial
+		rated, _ := g.rated()
+		if p, err := usaas.TrainMOSPredictor(rated, 1.0); err == nil {
+			mps, err := g.modelPartials(usaas.ModelPartialsRequest{
+				Model:    *p.Model(),
+				ISP:      isp,
+				Sections: []string{usaas.ModelSectionExperience},
+			})
+			if err != nil {
+				writeErr(w, http.StatusServiceUnavailable, "%v", err)
+				return
+			}
+			for _, mp := range mps {
+				predicted = append(predicted, mp.Predicted)
+			}
+		}
+		writeJSON(w, http.StatusOK, usaas.MergeExperience(isp, expParts, predicted))
+	}}
+}
+
+func (c *Coordinator) confounders(w http.ResponseWriter, r *http.Request) *query {
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return nil
 	}
-	if expSessions == 0 {
-		writeErr(w, http.StatusNotFound, "no sessions for isp %q", isp)
-		return
-	}
-	var predicted [][]usaas.DayOnlinePartial
-	if p, err := usaas.TrainMOSPredictor(usaas.MergeRated(ratedParts), 1.0); err == nil {
-		mps, err := c.gatherModelPartials(r.Context(), usaas.ModelPartialsRequest{
-			Model:    *p.Model(),
-			ISP:      isp,
-			Sections: []string{usaas.ModelSectionExperience},
-		})
+	sections := []section{{usaas.SectionConfounders, url.Values{"engagement": {eng.String()}}}}
+	return &query{sections: sections, render: func(w http.ResponseWriter, g *gathered) {
+		parts := make([][]usaas.ConfounderDayPartial, 0, len(g.bundles))
+		for _, b := range g.bundles {
+			parts = append(parts, b.Confounders)
+		}
+		effects, err := usaas.MergeConfounders(parts)
+		if err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, effects)
+	}}
+}
+
+func (c *Coordinator) teAdvice(http.ResponseWriter, *http.Request) *query {
+	return &query{sections: []section{{name: usaas.SectionSessions}}, render: func(w http.ResponseWriter, g *gathered) {
+		rated, total := g.rated()
+		if total == 0 {
+			writeErr(w, http.StatusUnprocessableEntity, "usaas: no sessions to advise on")
+			return
+		}
+		p, err := usaas.TrainMOSPredictor(rated, 1.0)
+		if err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, "usaas: traffic-engineering advisor: %v", err)
+			return
+		}
+		parts, err := g.tePartials(*p.Model())
 		if err != nil {
 			writeErr(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		for _, mp := range mps {
-			predicted = append(predicted, mp.Predicted)
-		}
-	}
-	writeJSON(w, http.StatusOK, usaas.MergeExperience(isp, expParts, predicted))
-}
-
-func (c *Coordinator) handleConfounders(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q := sectionsQuery(usaas.SectionConfounders)
-	q.Set("engagement", eng.String())
-	bundles, errs := c.gatherPartials(r.Context(), q)
-	if c.refuse(w, errs) {
-		return
-	}
-	parts := make([][]usaas.ConfounderDayPartial, 0, len(bundles))
-	for _, b := range bundles {
-		parts = append(parts, b.Confounders)
-	}
-	effects, err := usaas.MergeConfounders(parts)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, effects)
-}
-
-func (c *Coordinator) handleTEAdvice(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	rated, total, errs := c.gatherSessions(r.Context())
-	if c.refuse(w, errs) {
-		return
-	}
-	if total == 0 {
-		writeErr(w, http.StatusUnprocessableEntity, "usaas: no sessions to advise on")
-		return
-	}
-	p, err := usaas.TrainMOSPredictor(rated, 1.0)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "usaas: traffic-engineering advisor: %v", err)
-		return
-	}
-	mps, err := c.gatherModelPartials(r.Context(), usaas.ModelPartialsRequest{
-		Model:    *p.Model(),
-		Sections: []string{usaas.ModelSectionTE},
-	})
-	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	parts := make([][]usaas.TEDayPartial, 0, len(mps))
-	for _, mp := range mps {
-		parts = append(parts, mp.TE)
-	}
-	writeJSON(w, http.StatusOK, usaas.MergeTE(total, parts))
+		writeJSON(w, http.StatusOK, usaas.MergeTE(total, parts))
+	}}
 }
 
 // handleDeploymentAdvice serves locally: the launch planner consults only
@@ -823,37 +839,32 @@ func (c *Coordinator) handleDeploymentAdvice(w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusOK, advice)
 }
 
-func (c *Coordinator) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
+func (c *Coordinator) incidents(w http.ResponseWriter, r *http.Request) *query {
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil
 	}
 	f := formOf(r)
 	minDrop := f.float("min_drop", 0)
 	if f.reject(w) {
-		return
+		return nil
 	}
-	bundles, errs := c.gatherPartials(r.Context(), sectionsQuery(usaas.SectionDaily))
-	if c.refuse(w, errs) {
-		return
-	}
-	parts := make([][]usaas.DayEngagement, 0, len(bundles))
-	for _, b := range bundles {
-		parts = append(parts, b.Daily)
-	}
-	days := usaas.MergeDaily(parts)
-	if len(days) == 0 {
-		writeErr(w, http.StatusNotFound, "no sessions ingested")
-		return
-	}
-	incidents := usaas.EngagementIncidents(days, eng, usaas.IncidentOptions{MinDrop: minDrop})
-	writeJSON(w, http.StatusOK, usaas.IncidentResponse{
-		Engagement: eng.String(), Days: days, Incidents: incidents,
-	})
+	return &query{sections: []section{{name: usaas.SectionDaily}}, render: func(w http.ResponseWriter, g *gathered) {
+		parts := make([][]usaas.DayEngagement, 0, len(g.bundles))
+		for _, b := range g.bundles {
+			parts = append(parts, b.Daily)
+		}
+		days := usaas.MergeDaily(parts)
+		if len(days) == 0 {
+			writeErr(w, http.StatusNotFound, "no sessions ingested")
+			return
+		}
+		incidents := usaas.EngagementIncidents(days, eng, usaas.IncidentOptions{MinDrop: minDrop})
+		writeJSON(w, http.StatusOK, usaas.IncidentResponse{
+			Engagement: eng.String(), Days: days, Incidents: incidents,
+		})
+	}}
 }
 
 // reportSections are every section name buildReportFrom can attach notes
@@ -865,52 +876,36 @@ var reportSections = []string{
 	"outage-monitor", "trends", "speeds",
 }
 
-// handleReport is the scatter-gather report: one partials fan-out covering
-// the report's sections, merged through the exact guard chain BuildReport
-// uses. Shards that fail mid-scatter degrade per section — the report
-// still lands with explicit notes naming the shard, never silently
-// missing its days.
-func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	sections := strings.Join([]string{
-		usaas.SectionSessions, usaas.SectionDrops, usaas.SectionSocial, usaas.SectionSpeeds,
-	}, ",")
-	bundles, errs := c.gatherPartials(r.Context(), sectionsQuery(sections))
-	notes := map[string][]string{}
-	for _, e := range errs {
-		for _, sec := range reportSections {
-			notes[sec] = append(notes[sec], fmt.Sprintf("%s: %s", sec, e))
+// reportPartials are the shard sections /v1/report merges.
+var reportPartials = []section{
+	{name: usaas.SectionSessions}, {name: usaas.SectionDrops}, {name: usaas.SectionSocial}, {name: usaas.SectionSpeeds},
+}
+
+// report is the scatter-gather report: the report's sections merged through
+// the exact guard chain BuildReport uses. Shards that fail mid-scatter
+// degrade per section — the report still lands with explicit notes naming
+// the shard, never silently missing its days.
+func (c *Coordinator) report(_ http.ResponseWriter, r *http.Request) *query {
+	text := r.URL.Query().Get("format") == "text"
+	return &query{sections: reportPartials, degrades: true, render: func(w http.ResponseWriter, g *gathered) {
+		notes := map[string][]string{}
+		for _, e := range g.errs {
+			for _, sec := range reportSections {
+				notes[sec] = append(notes[sec], fmt.Sprintf("%s: %s", sec, e))
+			}
 		}
-	}
-	if len(errs) > 0 {
-		c.degraded.Add(uint64(len(errs)))
-	}
-	rep := usaas.AssembleClusterReport(usaas.ClusterReportInput{
-		Bundles: bundles,
-		Notes:   notes,
-		News:    c.opts.News,
-		Model:   c.opts.Model,
-		TEPartials: func(model stats.LinearModel) ([][]usaas.TEDayPartial, error) {
-			mps, err := c.gatherModelPartials(r.Context(), usaas.ModelPartialsRequest{
-				Model:    model,
-				Sections: []string{usaas.ModelSectionTE},
-			})
-			if err != nil {
-				return nil, err
-			}
-			parts := make([][]usaas.TEDayPartial, 0, len(mps))
-			for _, mp := range mps {
-				parts = append(parts, mp.TE)
-			}
-			return parts, nil
-		},
-	})
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, rep.Render())
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
+		rep := usaas.AssembleClusterReport(usaas.ClusterReportInput{
+			Bundles:    g.bundles,
+			Notes:      notes,
+			News:       c.opts.News,
+			Model:      c.opts.Model,
+			TEPartials: g.tePartials,
+		})
+		if text {
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			fmt.Fprint(w, rep.Render())
+			return
+		}
+		writeJSON(w, http.StatusOK, rep)
+	}}
 }

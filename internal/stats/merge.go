@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"sort"
 
 	"usersignals/internal/parallel"
 )
@@ -183,6 +184,43 @@ func (h *Hist) Merge(other *Hist) error {
 		h.Counts[i] += c
 	}
 	return nil
+}
+
+// GeoHist is a histogram over geometric bucket edges, for quantities that
+// span orders of magnitude (a 0.2 ms revalidation, a 70 ms fetch and a 2 s
+// stall belong in different buckets of one gauge). Bucket i counts
+// observations in [Edges[i-1], Edges[i]), bucket 0 from zero; anything at or
+// past the last edge is clamped into the top bucket, never dropped.
+type GeoHist struct {
+	Edges  []float64
+	Counts []int
+}
+
+// NewGeoHist returns an empty histogram of n buckets whose upper edges
+// start at first and grow by ratio.
+func NewGeoHist(first, ratio float64, n int) *GeoHist {
+	edges := make([]float64, n)
+	for i, e := 0, first; i < n; i, e = i+1, e*ratio {
+		edges[i] = e
+	}
+	return &GeoHist{Edges: edges, Counts: make([]int, n)}
+}
+
+// Add counts one observation; NaN is ignored.
+func (h *GeoHist) Add(x float64) {
+	if x != x {
+		return
+	}
+	i := sort.SearchFloat64s(h.Edges, x)
+	if i < len(h.Edges) && h.Edges[i] == x {
+		i++ // edges are exclusive upper bounds
+	}
+	h.Counts[min(i, len(h.Counts)-1)]++
+}
+
+// Clone returns a copy safe to publish while h keeps counting.
+func (h *GeoHist) Clone() GeoHist {
+	return GeoHist{Edges: h.Edges, Counts: append([]int(nil), h.Counts...)}
 }
 
 // BinMeansN is BinMeans over `workers` goroutines: xs is sharded into

@@ -226,3 +226,32 @@ func TestBinMeansNMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestGeoHistSeparatesOrdersOfMagnitude: the coordinator's fan-out latency
+// shape puts a 0.2 ms revalidation, a 70 ms fetch and a 2 s stall in
+// buckets of their own, counts an observation on an edge in the bucket
+// above it, and clamps overflow into the top bucket instead of dropping it.
+func TestGeoHistSeparatesOrdersOfMagnitude(t *testing.T) {
+	h := NewGeoHist(0.125, 2, 17)
+	if len(h.Edges) != 17 || h.Edges[0] != 0.125 || h.Edges[16] != 8192 {
+		t.Fatalf("edges %v", h.Edges)
+	}
+	for _, x := range []float64{0, 0.2, 0.25, 70, 2000, 8192, 1e9, math.NaN()} {
+		h.Add(x)
+	}
+	want := make([]int, 17)
+	want[0] = 1  // 0
+	want[1] = 1  // 0.2 in [0.125, 0.25)
+	want[2] = 1  // 0.25 sits on an edge: [0.25, 0.5)
+	want[10] = 1 // 70 in [64, 128)
+	want[14] = 1 // 2000 in [1024, 2048)
+	want[16] = 2 // the last edge and far beyond it: clamped, not dropped
+	if !reflect.DeepEqual(h.Counts, want) {
+		t.Fatalf("counts %v, want %v", h.Counts, want)
+	}
+	snap := h.Clone()
+	h.Add(1)
+	if reflect.DeepEqual(snap.Counts, h.Counts) {
+		t.Fatal("Clone shares its counts with the live histogram")
+	}
+}

@@ -78,6 +78,16 @@ func (m Metric) String() string {
 	}
 }
 
+// ParseMetric is the inverse of Metric.String.
+func ParseMetric(name string) (Metric, error) {
+	for m := LatencyMean; m <= BandwidthP95; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown metric %q", name)
+}
+
 // Of extracts the metric value from aggregates.
 func (m Metric) Of(a NetAggregates) float64 {
 	switch m {
@@ -128,6 +138,16 @@ func (e Engagement) String() string {
 
 // Engagements lists all engagement metrics in display order.
 func Engagements() []Engagement { return []Engagement{Presence, CamOn, MicOn} }
+
+// ParseEngagement is the inverse of Engagement.String.
+func ParseEngagement(name string) (Engagement, error) {
+	for _, e := range Engagements() {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engagement %q", name)
+}
 
 // SessionRecord is one participant's session in one call: the unit of the
 // §3 analysis.

@@ -1,18 +1,28 @@
 package usaas
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // The result cache memoizes fully-rendered GET responses keyed by the query
-// (path + raw query string) and the store generations at render time. Ingest
-// bumps a generation, which retires every cached entry at once — a cached
-// body is therefore always byte-identical to recomputing against the
-// current store. Concurrent identical queries collapse into one
-// computation (singleflight): one leader renders, followers replay its
-// recorded response.
+// (path + raw query string) and a generation string naming the state they
+// were rendered from. A single node's generation is its state tag (boot
+// nonce + store generations); a cluster coordinator's is the vector of shard
+// tags it merged. A write moves the generation, which retires every cached
+// entry at once — a cached body is therefore always byte-identical to
+// recomputing against the current state. Concurrent identical queries
+// collapse into one computation (singleflight): one leader renders,
+// followers replay its recorded response.
+//
+// The same tag is the HTTP validator: every cached GET carries it as a
+// strong ETag, and If-None-Match equal to the current tag answers 304
+// before any lookup or render. The coordinator revalidates the decoded
+// shard partials it holds that way (internal/cluster).
 
 // CacheMetrics counts result-cache activity.
 type CacheMetrics struct {
@@ -36,11 +46,12 @@ type flightCall struct {
 	entry *cacheEntry // nil if the leader's response was not cacheable
 }
 
-// resultCache is a generation-scoped memo of rendered responses with
-// singleflight collapsing. Keys embed the store generations, so entries
-// written by a flight that straddled an ingest land under a dead key
-// instead of poisoning the fresh generation.
-type resultCache struct {
+// ResultCache is a generation-scoped memo of rendered responses with
+// singleflight collapsing. Keys embed the generation, so entries written by
+// a flight that straddled an ingest land under a dead key instead of
+// poisoning the fresh generation. A nil *ResultCache is the disabled cache:
+// Serve renders every request.
+type ResultCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[string]*cacheEntry
@@ -51,9 +62,20 @@ type resultCache struct {
 	hits, misses, collapsed, evictions uint64
 }
 
-func newResultCache(max int) *resultCache {
-	return &resultCache{
-		max:     max,
+// DefaultResultCacheSize is the entry cap a zero ResultCacheSize selects.
+const DefaultResultCacheSize = 256
+
+// NewResultCache builds a cache of at most size entries (FIFO): 0 means
+// DefaultResultCacheSize, negative disables caching (nil).
+func NewResultCache(size int) *ResultCache {
+	if size < 0 {
+		return nil
+	}
+	if size == 0 {
+		size = DefaultResultCacheSize
+	}
+	return &ResultCache{
+		max:     size,
 		entries: map[string]*cacheEntry{},
 		flights: map[string]*flightCall{},
 	}
@@ -62,7 +84,7 @@ func newResultCache(max int) *resultCache {
 // lookup returns a cached entry, an existing flight to follow, or (when
 // both are nil) leadership of a new flight for the key. A generation change
 // purges all previous-generation entries.
-func (c *resultCache) lookup(gen, key string) (entry *cacheEntry, follow *flightCall) {
+func (c *ResultCache) lookup(gen, key string) (entry *cacheEntry, follow *flightCall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.gen != gen {
@@ -86,7 +108,7 @@ func (c *resultCache) lookup(gen, key string) (entry *cacheEntry, follow *flight
 
 // complete finishes the leader's flight, storing the entry (when cacheable
 // and the generation is still current) and waking followers.
-func (c *resultCache) complete(gen, key string, entry *cacheEntry) {
+func (c *ResultCache) complete(gen, key string, entry *cacheEntry) {
 	c.mu.Lock()
 	if f, ok := c.flights[key]; ok {
 		delete(c.flights, key)
@@ -109,13 +131,17 @@ func (c *resultCache) complete(gen, key string, entry *cacheEntry) {
 }
 
 // inflight reports the number of open flights (test hook).
-func (c *resultCache) inflight() int {
+func (c *ResultCache) inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.flights)
 }
 
-func (c *resultCache) metrics() CacheMetrics {
+// Metrics reports the cache's counters (zero value when disabled).
+func (c *ResultCache) Metrics() CacheMetrics {
+	if c == nil {
+		return CacheMetrics{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheMetrics{
@@ -154,62 +180,90 @@ func replayEntry(w http.ResponseWriter, e *cacheEntry) {
 	_, _ = w.Write(e.body)
 }
 
-// cacheKey builds the generation-scoped key for a request.
-func cacheKey(sessGen, postGen uint64, r *http.Request) (gen, key string) {
-	gen = strconv.FormatUint(sessGen, 10) + "." + strconv.FormatUint(postGen, 10)
-	return gen, gen + "|" + r.URL.Path + "?" + r.URL.RawQuery
+// Serve answers a GET whose state generation is gen: a hit replays the
+// recorded bytes, a request identical to one in flight waits for it, and
+// otherwise render runs into a recorder whose response is stored when render
+// reports it storable and the status is below 500 (transient failures must
+// not stick until the next ingest).
+func (c *ResultCache) Serve(w http.ResponseWriter, r *http.Request, gen string, render func(http.ResponseWriter) (storable bool)) {
+	if c == nil {
+		render(w)
+		return
+	}
+	key := gen + "|" + r.URL.Path + "?" + r.URL.RawQuery
+	entry, follow := c.lookup(gen, key)
+	if entry != nil {
+		replayEntry(w, entry)
+		return
+	}
+	if follow != nil {
+		select {
+		case <-follow.done:
+			if follow.entry != nil {
+				replayEntry(w, follow.entry)
+				return
+			}
+			// Leader's response was not cacheable; compute solo.
+			render(w)
+		case <-r.Context().Done():
+			writeErr(w, http.StatusServiceUnavailable, "request canceled while waiting for identical query")
+		}
+		return
+	}
+	// Leader: render into a recorder, then publish and replay.
+	rec := newResponseRecorder()
+	var stored *cacheEntry
+	defer func() { c.complete(gen, key, stored) }()
+	storable := render(rec)
+	entry = &cacheEntry{status: rec.status, header: rec.header, body: rec.body}
+	if storable && rec.status < http.StatusInternalServerError {
+		stored = entry
+	}
+	replayEntry(w, entry)
 }
 
-// cached wraps a GET handler with the generation-keyed result cache and
-// singleflight collapsing. Responses with status >= 500 are not cached
-// (transient failures must not stick until the next ingest).
-func (s *Server) cached(next http.HandlerFunc) http.HandlerFunc {
-	if s.cache == nil {
-		return next
+// newBootNonce draws the per-server half of the state tag. Generation
+// counters restart at recovery and differ between a leader and its follower,
+// so a tag built from them alone could validate bytes another process
+// rendered; the nonce makes every such case a mismatch.
+func newBootNonce() string {
+	var buf [8]byte
+	if _, err := rand.Read(buf[:]); err != nil {
+		return strconv.FormatInt(time.Now().UnixNano(), 16)
 	}
+	return hex.EncodeToString(buf[:])
+}
+
+// stateTag is the strong ETag of the store state: boot nonce plus the
+// session and post generations, read through the apply fence so an acked
+// write is never hidden. Callers read it before the content it stamps, so
+// content is never older than its tag.
+func (s *Server) stateTag() string {
+	sessGen, postGen := s.store.Generations()
+	return `"` + s.boot + "." + strconv.FormatUint(sessGen, 10) + "." + strconv.FormatUint(postGen, 10) + `"`
+}
+
+// cached wraps a GET handler with the state tag (ETag out, If-None-Match
+// in) and the tag-keyed result cache with singleflight collapsing.
+func (s *Server) cached(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			next(w, r)
 			return
 		}
-		sessGen, postGen := s.store.Generations()
-		gen, key := cacheKey(sessGen, postGen, r)
-		entry, follow := s.cache.lookup(gen, key)
-		if entry != nil {
-			replayEntry(w, entry)
+		tag := s.stateTag()
+		w.Header().Set("ETag", tag)
+		if r.Header.Get("If-None-Match") == tag {
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		if follow != nil {
-			select {
-			case <-follow.done:
-				if follow.entry != nil {
-					replayEntry(w, follow.entry)
-					return
-				}
-				// Leader's response was not cacheable; compute solo.
-				next(w, r)
-			case <-r.Context().Done():
-				writeErr(w, http.StatusServiceUnavailable, "request canceled while waiting for identical query")
-			}
-			return
-		}
-		// Leader: render into a recorder, then publish and replay.
-		rec := newResponseRecorder()
-		var stored *cacheEntry
-		defer func() { s.cache.complete(gen, key, stored) }()
-		next(rec, r)
-		if rec.status < http.StatusInternalServerError {
-			stored = &cacheEntry{status: rec.status, header: rec.header, body: rec.body}
-		}
-		replayEntry(w, &cacheEntry{status: rec.status, header: rec.header, body: rec.body})
+		s.cache.Serve(w, r, tag, func(w http.ResponseWriter) bool {
+			next(w, r)
+			return true
+		})
 	}
 }
 
 // CacheMetrics reports result-cache counters (zero value when the cache is
 // disabled).
-func (s *Server) CacheMetrics() CacheMetrics {
-	if s.cache == nil {
-		return CacheMetrics{}
-	}
-	return s.cache.metrics()
-}
+func (s *Server) CacheMetrics() CacheMetrics { return s.cache.Metrics() }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,5 +219,83 @@ func TestCacheEviction(t *testing.T) {
 	fetchBody(t, ctx, ts.URL+"/v1/x?q=a")
 	if m := srv.CacheMetrics(); m.Misses != 4 {
 		t.Fatalf("metrics = %+v, want 4 misses", m)
+	}
+}
+
+// TestCacheStateTagValidates: every cached GET carries the state tag as its
+// ETag; If-None-Match equal to the current tag answers 304 before any
+// lookup or render, an ingest moves the tag, the model phase stamps the same
+// tag, and a second server over the very same store has a tag of its own —
+// with the result cache on or off.
+func TestCacheStateTagValidates(t *testing.T) {
+	for _, size := range []int{0, -1} {
+		srv, ts, recs := cacheTestServer(t, ServerOptions{ResultCacheSize: size})
+		var renders atomic.Int64
+		probe := httptest.NewServer(srv.cached(func(w http.ResponseWriter, r *http.Request) {
+			renders.Add(1)
+			writeJSON(w, http.StatusOK, "rendered")
+		}))
+		defer probe.Close()
+		fetch := func(url, ifNoneMatch string) (int, string, string) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodGet, url, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ifNoneMatch != "" {
+				req.Header.Set("If-None-Match", ifNoneMatch)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, resp.Header.Get("ETag"), string(body)
+		}
+
+		status, tag, body := fetch(probe.URL+"/v1/x", "")
+		if status != http.StatusOK || tag == "" || body == "" || renders.Load() != 1 {
+			t.Fatalf("size %d: first GET: %d, tag %q, body %q, %d renders", size, status, tag, body, renders.Load())
+		}
+		before := srv.CacheMetrics()
+		status, again, body := fetch(probe.URL+"/v1/x", tag)
+		if status != http.StatusNotModified || again != tag || body != "" {
+			t.Fatalf("size %d: revalidation: %d, tag %q, body %q; want a bodiless 304 under %q", size, status, again, body, tag)
+		}
+		if renders.Load() != 1 || srv.CacheMetrics() != before {
+			t.Fatalf("size %d: a 304 rendered or touched the cache: %d renders, %+v → %+v", size, renders.Load(), before, srv.CacheMetrics())
+		}
+
+		// The real endpoints share the tag, the model phase included.
+		_, partialsTag, _ := fetch(ts.URL+"/v1/partials?sections=daily", "")
+		resp, err := http.Post(ts.URL+"/v1/partials/model", "application/json", strings.NewReader(`{"sections":[]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if partialsTag != tag || resp.Header.Get("ETag") != tag {
+			t.Fatalf("size %d: tags %q (partials) and %q (model phase), want %q", size, partialsTag, resp.Header.Get("ETag"), tag)
+		}
+
+		// Another process over the same state: same counters, its own tag.
+		other := httptest.NewServer(NewServer(srv.store, ServerOptions{ResultCacheSize: size}).Handler())
+		defer other.Close()
+		if status, otherTag, _ := fetch(other.URL+"/v1/partials?sections=daily", tag); status != http.StatusOK || otherTag == tag {
+			t.Fatalf("size %d: a second server validated the first one's tag: %d under %q", size, status, otherTag)
+		}
+
+		// An ingest moves the tag: the old one no longer validates.
+		srv.store.AddSessions(recs[:10])
+		status, moved, body := fetch(probe.URL+"/v1/x", tag)
+		if status != http.StatusOK || moved == tag || body == "" {
+			t.Fatalf("size %d: after ingest: %d, tag %q (was %q), body %q", size, status, moved, tag, body)
+		}
+
+		// /v1/stats serves the cache counters exactly when the cache is on.
+		_, _, statsBody := fetch(ts.URL+"/v1/stats", "")
+		if on := strings.Contains(statsBody, `"cache":{"hits":`); on != (size >= 0) {
+			t.Fatalf("size %d: /v1/stats = %s", size, statsBody)
+		}
 	}
 }

@@ -228,7 +228,9 @@ func (c *Client) nextBatchID() string {
 	return c.batchPre + "-" + strconv.FormatUint(c.batchSeq.Add(1), 10)
 }
 
-func (c *Client) post(ctx context.Context, path string, batchID string, in, out any) error {
+// post sends in as a JSON POST; v, when not nil, receives the response's
+// validator.
+func (c *Client) post(ctx context.Context, path string, batchID string, in, out any, v *Validation) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("usaas client: encoding %s request: %w", path, err)
@@ -241,10 +243,16 @@ func (c *Client) post(ctx context.Context, path string, batchID string, in, out 
 	if batchID != "" {
 		req.Header.Set(BatchIDHeader, batchID)
 	}
-	return c.do(req, out)
+	return c.do(req, out, v)
 }
 
 func (c *Client) get(ctx context.Context, path string, query url.Values, out any) error {
+	return c.getTagged(ctx, path, query, out, "", nil)
+}
+
+// getTagged is get as a conditional request: a non-empty held tag goes out
+// as If-None-Match, and v reports what the server answered.
+func (c *Client) getTagged(ctx context.Context, path string, query url.Values, out any, held string, v *Validation) error {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -253,7 +261,34 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out any
 	if err != nil {
 		return fmt.Errorf("usaas client: building %s request: %w", path, err)
 	}
-	return c.do(req, out)
+	if held != "" {
+		req.Header.Set("If-None-Match", held)
+	}
+	return c.do(req, out, v)
+}
+
+// Validation is what a tagged call learned about the state it read: the
+// validator half of a conditional request.
+type Validation struct {
+	// Tag is the response's ETag ("" when the server sent none).
+	Tag string
+	// NotModified reports a 304: the tag the caller holds is current, no
+	// body was sent and the output value was left untouched.
+	NotModified bool
+	// Bytes counts the response body bytes transferred.
+	Bytes int64
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // statusError is a non-200 response; it keeps the status and any
@@ -327,8 +362,10 @@ func countsAgainstBreaker(err error) bool {
 
 // do runs one logical call: breaker check, attempt, classify, back off,
 // retry. Requests with non-replayable bodies (req.GetBody == nil on a
-// body-carrying request) are never retried.
-func (c *Client) do(req *http.Request, out any) error {
+// body-carrying request) are never retried. With v set the call reads the
+// response's validator, and a 304 to a request that carried If-None-Match
+// is a success — not retried, not counted against the breaker.
+func (c *Client) do(req *http.Request, out any, v *Validation) error {
 	if c.token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.token)
 	}
@@ -345,7 +382,7 @@ func (c *Client) do(req *http.Request, out any) error {
 			return err
 		}
 		c.retarget(req)
-		err := c.doOnce(req, out)
+		err := c.doOnce(req, out, v)
 		c.breakerRecord(err)
 		if err == nil {
 			return nil
@@ -379,12 +416,25 @@ func (c *Client) do(req *http.Request, out any) error {
 }
 
 // doOnce performs a single HTTP attempt.
-func (c *Client) doOnce(req *http.Request, out any) error {
+func (c *Client) doOnce(req *http.Request, out any, v *Validation) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return fmt.Errorf("usaas client: %s %s: %w", req.Method, req.URL.Path, err)
 	}
 	defer resp.Body.Close()
+	body := io.Reader(resp.Body)
+	if v != nil {
+		counted := &countingReader{r: resp.Body}
+		defer func() { v.Bytes = counted.n }()
+		*v = Validation{Tag: resp.Header.Get("ETag")}
+		body = counted
+		if resp.StatusCode == http.StatusNotModified && req.Header.Get("If-None-Match") != "" {
+			// Drain so the connection can be reused.
+			_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<16))
+			v.NotModified = true
+			return nil
+		}
+	}
 	if resp.StatusCode != http.StatusOK {
 		se := &statusError{
 			method:     req.Method,
@@ -402,10 +452,10 @@ func (c *Client) doOnce(req *http.Request, out any) error {
 	}
 	if out == nil {
 		// Drain so the connection can be reused.
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+		_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<20))
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(body).Decode(out); err != nil {
 		if cerr := req.Context().Err(); cerr != nil {
 			return fmt.Errorf("usaas client: decoding %s response: %w", req.URL.Path, cerr)
 		}
@@ -539,7 +589,7 @@ func (c *Client) IngestSessionsNDJSONBatch(ctx context.Context, batchID string, 
 		req.Header.Set(BatchIDHeader, batchID)
 	}
 	var out IngestResponse
-	err = c.do(req, &out)
+	err = c.do(req, &out, nil)
 	return out, err
 }
 
@@ -574,7 +624,7 @@ func (c *Client) IngestSessionsBatch(ctx context.Context, batchID string, recs [
 		req.Header.Set(BatchIDHeader, batchID)
 	}
 	var out IngestResponse
-	err = c.do(req, &out)
+	err = c.do(req, &out, nil)
 	return out, err
 }
 
@@ -586,7 +636,7 @@ func (c *Client) IngestPosts(ctx context.Context, posts []social.Post) (IngestRe
 // IngestPostsBatch is IngestPosts under an explicit batch ID.
 func (c *Client) IngestPostsBatch(ctx context.Context, batchID string, posts []social.Post) (IngestResponse, error) {
 	var out IngestResponse
-	err := c.post(ctx, "/v1/posts", batchID, posts, &out)
+	err := c.post(ctx, "/v1/posts", batchID, posts, &out, nil)
 	return out, err
 }
 
@@ -737,18 +787,28 @@ func (c *Client) Experience(ctx context.Context, isp string) (ExperienceResponse
 // Partials fetches a shard's mergeable accumulator state for the requested
 // sections (the cluster coordinator's scatter half; see partials.go).
 // query carries the sections parameter plus any section-specific options.
-func (c *Client) Partials(ctx context.Context, query url.Values) (ShardPartials, error) {
+// held, when not empty, makes the request conditional: it is the tag of the
+// state the caller already holds, and a shard still at that tag answers 304
+// — Validation.NotModified, no body, zero partials. Validation.Tag is the
+// tag of whichever endpoint answered: reads rotate over a shard's
+// endpoints, and tags of different processes never match.
+func (c *Client) Partials(ctx context.Context, query url.Values, held string) (ShardPartials, Validation, error) {
 	var out ShardPartials
-	err := c.get(ctx, "/v1/partials", query, &out)
-	return out, err
+	var v Validation
+	err := c.getTagged(ctx, "/v1/partials", query, &out, held, &v)
+	return out, v, err
 }
 
 // ModelPartials runs the model phase of a two-phase cluster query: ship the
 // coordinator-trained model, get back per-day partials computed under it.
-func (c *Client) ModelPartials(ctx context.Context, req ModelPartialsRequest) (ModelPartials, error) {
+// Validation.Tag is the state tag the shard stamped on its answer, so the
+// caller can tell whether the model phase saw the same state as the
+// phase-one partials it holds.
+func (c *Client) ModelPartials(ctx context.Context, req ModelPartialsRequest) (ModelPartials, Validation, error) {
 	var out ModelPartials
-	err := c.post(ctx, "/v1/partials/model", "", req, &out)
-	return out, err
+	var v Validation
+	err := c.post(ctx, "/v1/partials/model", "", req, &out, &v)
+	return out, v, err
 }
 
 // Ready probes /v1/readyz; a nil error means the service reported ready.

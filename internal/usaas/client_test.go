@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -276,6 +278,73 @@ func TestClientCircuitBreaker(t *testing.T) {
 		if _, err := c.Stats(ctx); err != nil {
 			t.Fatalf("closed breaker call %d: %v", i, err)
 		}
+	}
+}
+
+// TestClientConditionalPartials: a 304 to a conditional call is a success —
+// one attempt, nothing for the breaker to count, the connection drained and
+// reused — while a 304 nobody asked for stays an error that is not retried.
+func TestClientConditionalPartials(t *testing.T) {
+	const tag = `"boot.3.1"`
+	const body = `{"sessions":7}` + "\n"
+	var calls, conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		switch {
+		case r.URL.Path == "/v1/stats":
+			w.WriteHeader(http.StatusNotModified) // unsolicited
+		case r.Header.Get("If-None-Match") == tag:
+			w.Header().Set("ETag", tag)
+			w.WriteHeader(http.StatusNotModified)
+		default:
+			w.Header().Set("ETag", tag)
+			io.WriteString(w, body)
+		}
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	c := NewClientWithOptions(ts.URL, ClientOptions{
+		HTTPClient: ts.Client(),
+		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Nanosecond, MaxBackoff: time.Microsecond},
+		Breaker:    BreakerPolicy{FailureThreshold: 2, Cooldown: time.Hour},
+		Sleep:      func(time.Duration) {},
+	})
+	ctx := context.Background()
+	q := url.Values{"sections": {SectionSessions}}
+
+	p, v, err := c.Partials(ctx, q, "")
+	if err != nil || p.Sessions != 7 || v != (Validation{Tag: tag, Bytes: int64(len(body))}) {
+		t.Fatalf("first fetch: partials %+v, validation %+v, err %v", p, v, err)
+	}
+	// More 304s than the breaker's threshold: none may count as a failure.
+	for i := 0; i < 5; i++ {
+		before := calls.Load()
+		p, v, err := c.Partials(ctx, q, tag)
+		if err != nil || !v.NotModified || v.Tag != tag || v.Bytes != 0 || p.Sessions != 0 {
+			t.Fatalf("revalidation %d: partials %+v, validation %+v, err %v", i, p, v, err)
+		}
+		if got := calls.Load() - before; got != 1 {
+			t.Fatalf("revalidation %d took %d attempts, want 1", i, got)
+		}
+	}
+	if mp, v, err := c.ModelPartials(ctx, ModelPartialsRequest{Sections: []string{ModelSectionTE}}); err != nil || mp.Sessions != 7 || v.Tag != tag {
+		t.Fatalf("model phase: %+v, validation %+v, err %v", mp, v, err)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Errorf("%d connections opened, want 1 reused throughout", got)
+	}
+
+	before := calls.Load()
+	if _, err := c.Stats(ctx); err == nil || !strings.Contains(err.Error(), "status 304") {
+		t.Fatalf("unsolicited 304: err = %v, want a status error", err)
+	}
+	if got := calls.Load() - before; got != 1 {
+		t.Fatalf("unsolicited 304 took %d attempts, want 1", got)
 	}
 }
 

@@ -147,6 +147,37 @@ type ShardPartials struct {
 	Experience *ExperiencePartial `json:"experience,omitempty"`
 }
 
+// Take copies the fields section contributes from src into p. The copy is
+// shallow — slices are shared and read-only, as every Merge* function treats
+// them. A coordinator splits a multi-section answer into sections it can hold
+// separately with it, and composes held sections back into one bundle.
+// Unknown sections contribute only the session count every answer carries.
+func (p *ShardPartials) Take(section string, src *ShardPartials) {
+	p.Sessions = src.Sessions
+	switch section {
+	case SectionSessions:
+		p.Rated = src.Rated
+	case SectionDaily:
+		p.Daily = src.Daily
+	case SectionDose:
+		p.Dose = src.Dose
+	case SectionDrops:
+		p.Drops = src.Drops
+	case SectionConfounders:
+		p.Confounders = src.Confounders
+	case SectionSocial, SectionSpeeds:
+		p.HavePosts, p.Posts = src.HavePosts, src.Posts
+		p.WindowFrom, p.WindowTo = src.WindowFrom, src.WindowTo
+		if section == SectionSpeeds {
+			p.Speeds = src.Speeds
+			break
+		}
+		p.Sentiment, p.Keywords, p.Clouds, p.Terms = src.Sentiment, src.Keywords, src.Clouds, src.Terms
+	case SectionExperience:
+		p.Experience = src.Experience
+	}
+}
+
 // ModelPartialsRequest is the POST /v1/partials/model body: the
 // coordinator-trained model plus which model-phase sections to compute.
 type ModelPartialsRequest struct {

@@ -513,8 +513,9 @@ type Server struct {
 	store *Store
 	opts  ServerOptions
 	mux   *http.ServeMux
-	cache *resultCache // nil when disabled
+	cache *ResultCache // nil when disabled
 	admit *admission   // nil when admission control is disabled
+	boot  string       // per-server half of the state tag (cache.go)
 }
 
 // NewServer builds a service around a store (a fresh one if nil).
@@ -535,19 +536,15 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 60 * time.Second
 	}
-	s := &Server{store: store, opts: opts, mux: http.NewServeMux()}
+	s := &Server{
+		store: store, opts: opts, mux: http.NewServeMux(),
+		cache: NewResultCache(opts.ResultCacheSize), boot: newBootNonce(),
+	}
 	if opts.Admission.Rate > 0 {
 		s.admit = newAdmission(opts.Admission)
 	}
-	if opts.ResultCacheSize >= 0 {
-		size := opts.ResultCacheSize
-		if size == 0 {
-			size = 256
-		}
-		s.cache = newResultCache(size)
-	}
 	// Ingest and store-stats endpoints stay uncached; every insight/query
-	// endpoint goes through the generation-keyed result cache.
+	// endpoint goes through the tag-keyed result cache.
 	s.mux.HandleFunc("/v1/sessions", s.handleSessions)
 	s.mux.HandleFunc("/v1/posts", s.handlePosts)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -564,9 +561,9 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	s.mux.HandleFunc("/v1/advice/deployment", s.cached(s.handleDeploymentAdvice))
 	s.mux.HandleFunc("/v1/report", s.cached(s.handleReport))
 	s.mux.HandleFunc("/v1/insights/incidents", s.cached(s.handleIncidents))
-	// Cluster partial-state exchange (partials.go). The GET side is
-	// generation-cached like any insight; the model phase is a POST and
-	// stays uncached.
+	// Cluster partial-state exchange (partials.go). The GET side is tagged
+	// and cached like any insight; the model phase is a POST and stays
+	// uncached, but stamps the same tag on its answer.
 	s.mux.HandleFunc("/v1/partials", s.cached(s.handleGetPartials))
 	s.mux.HandleFunc("/v1/partials/model", s.handleModelPartials)
 	s.mux.HandleFunc(healthzPath, s.handleHealthz)
@@ -622,7 +619,7 @@ func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1020,15 +1017,16 @@ func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsResponse reports store contents, plus — when the corresponding
-// subsystems are enabled — ingest pipeline and admission gauges. The
-// optional sections are omitted entirely when off, so the wire bytes of a
-// plain store are unchanged (several tests byte-compare /v1/stats across
-// stores).
+// subsystems are enabled — ingest pipeline, admission and result-cache
+// gauges. The optional sections are omitted entirely when off, so the wire
+// bytes of a plain store (result cache disabled) are unchanged (several
+// tests byte-compare /v1/stats across stores).
 type StatsResponse struct {
 	Sessions  int                  `json:"sessions"`
 	Posts     int                  `json:"posts"`
 	Ingest    *IngestPipelineStats `json:"ingest,omitempty"`
 	Admission []TenantAdmission    `json:"admission,omitempty"`
+	Cache     *CacheMetrics        `json:"cache,omitempty"`
 	Cluster   *ClusterStats        `json:"cluster,omitempty"`
 }
 
@@ -1036,19 +1034,28 @@ type StatsResponse struct {
 // /v1/stats when usaasd runs in coordinator role (internal/cluster fills
 // it in; single nodes never set it, so their stats bytes are unchanged).
 type ClusterStats struct {
-	MapVersion       uint64        `json:"map_version"`
-	Shards           []ShardStatus `json:"shards"`
+	MapVersion uint64        `json:"map_version"`
+	Shards     []ShardStatus `json:"shards"`
+	// PartialMerges counts merges actually performed: a query answered from
+	// the coordinator's result cache does not merge.
 	PartialMerges    uint64        `json:"partial_merges"`
 	DegradedSections uint64        `json:"degraded_sections"`
+	Cache            *CacheMetrics `json:"cache,omitempty"` // nil when the coordinator caches are off
 }
 
-// ShardStatus is one shard's health and fan-out gauges.
+// ShardStatus is one shard's health and fan-out gauges. Revalidated counts
+// partials requests the shard answered 304 (the coordinator's held state
+// was current), Fetched those it answered with a body, PartialsBytes the
+// body bytes transferred.
 type ShardStatus struct {
-	Name      string     `json:"name"`
-	Up        bool       `json:"up"`
-	Fanouts   uint64     `json:"fanouts"`
-	Errors    uint64     `json:"errors"`
-	LatencyMs stats.Hist `json:"latency_ms"`
+	Name          string        `json:"name"`
+	Up            bool          `json:"up"`
+	Fanouts       uint64        `json:"fanouts"`
+	Errors        uint64        `json:"errors"`
+	Revalidated   uint64        `json:"revalidated"`
+	Fetched       uint64        `json:"fetched"`
+	PartialsBytes uint64        `json:"partials_bytes"`
+	LatencyMs     stats.GeoHist `json:"latency_ms"`
 }
 
 // IngestPipelineStats is the group-commit scheduler's view of ingest: how
@@ -1108,6 +1115,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.admit != nil {
 		resp.Admission = s.admit.snapshot()
 	}
+	if s.cache != nil {
+		m := s.cache.Metrics()
+		resp.Cache = &m
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1136,34 +1147,30 @@ type EngagementResponse struct {
 	Count      []int     `json:"count"`
 }
 
-func parseMetric(name string) (telemetry.Metric, error) {
-	for m := telemetry.LatencyMean; m <= telemetry.BandwidthP95; m++ {
-		if m.String() == name {
-			return m, nil
-		}
+// EngagementFromSeries is the /v1/insights/engagement answer for a merged
+// dose-response series — shared by the single-node handler and the
+// coordinator (which feeds it MergeDosePartials output).
+func EngagementFromSeries(metric telemetry.Metric, eng telemetry.Engagement, series stats.BinnedSeries) EngagementResponse {
+	return EngagementResponse{
+		Metric:     metric.String(),
+		Engagement: eng.String(),
+		X:          series.X,
+		Y:          zeroNaNs(series.Y),
+		Normalized: zeroNaNs(Normalize100(series).Y),
+		Count:      series.Count,
 	}
-	return 0, fmt.Errorf("unknown metric %q", name)
-}
-
-func parseEngagement(name string) (telemetry.Engagement, error) {
-	for _, e := range telemetry.Engagements() {
-		if e.String() == name {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown engagement %q", name)
 }
 
 func (s *Server) handleEngagement(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	metric, err := parseMetric(r.URL.Query().Get("metric"))
+	metric, err := telemetry.ParseMetric(r.URL.Query().Get("metric"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1180,15 +1187,7 @@ func (s *Server) handleEngagement(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	series := s.store.DoseResponseSeries(metric, eng, stats.NewBinner(lo, hi, bins), r.URL.Query().Get("isp"))
-	norm := Normalize100(series)
-	writeJSON(w, http.StatusOK, EngagementResponse{
-		Metric:     metric.String(),
-		Engagement: eng.String(),
-		X:          series.X,
-		Y:          zeroNaNs(series.Y),
-		Normalized: zeroNaNs(norm.Y),
-		Count:      series.Count,
-	})
+	writeJSON(w, http.StatusOK, EngagementFromSeries(metric, eng, series))
 }
 
 // MOSResponse carries the Fig. 4 correlations and the predictor evaluation.
@@ -1314,7 +1313,7 @@ func (s *Server) handleConfounders(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	eng, err := parseEngagement(r.URL.Query().Get("engagement"))
+	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1411,7 +1410,7 @@ func (s *Server) handleExperience(w http.ResponseWriter, r *http.Request) {
 
 // handleGetPartials serves the cluster partial-state exchange (partials.go):
 // the mergeable per-day accumulator state for the requested sections.
-// Answers are generation-cached like any insight.
+// Answers are tagged and cached like any insight.
 func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
@@ -1427,12 +1426,12 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 	for _, section := range sections {
 		switch section {
 		case SectionDose:
-			metric, err := parseMetric(q.Get("metric"))
+			metric, err := telemetry.ParseMetric(q.Get("metric"))
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
 			}
-			eng, err := parseEngagement(q.Get("engagement"))
+			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
@@ -1450,7 +1449,7 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 			}
 			doseKey = &engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}
 		case SectionConfounders:
-			eng, err := parseEngagement(q.Get("engagement"))
+			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
 			if err != nil {
 				writeErr(w, http.StatusBadRequest, "%v", err)
 				return
@@ -1468,11 +1467,14 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 
 // handleModelPartials serves the model phase of two-phase cluster queries:
 // the coordinator POSTs the canonical trained model and the shard answers
-// with per-day partials computed under it. POST, so never cached.
+// with per-day partials computed under it. POST, so never cached here; the
+// answer carries the state tag (read before the content, like cached does)
+// so the coordinator can hold it beside the phase-one partials.
 func (s *Server) handleModelPartials(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
+	w.Header().Set("ETag", s.stateTag())
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	var req ModelPartialsRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
