@@ -106,7 +106,7 @@ func TestReplicaChaosFailoverGroupCommit(t *testing.T) {
 // options both the leader and the follower run with.
 func runChaosFailover(t *testing.T, seed uint64, dopts usaas.DurabilityOptions) {
 	batches := chaosBatches(t, seed)
-	if len(batches) < 8 {
+	if len(batches) < 16 {
 		t.Fatalf("dataset too small: %d batches", len(batches))
 	}
 	// The link mangles roughly a third of all deliveries. A tiny
@@ -127,11 +127,15 @@ func runChaosFailover(t *testing.T, seed uint64, dopts usaas.DurabilityOptions) 
 	})
 	defer follower.close(t)
 
-	// Ack a seed-chosen number of batches on the leader, then let
-	// the follower replicate a seed-chosen fraction of them — the
-	// exact boundary it reaches before the kill is up to scheduling
-	// and the link; it lands somewhere at or past the target.
-	acked := 12 + int(seed%7)
+	// Ack most of the dataset on the leader, then let the follower
+	// tail until it has replicated a seed-chosen fraction of the log
+	// AND the link has made minDeliveries deliveries. The kill is
+	// placed by those counts, not by the clock: the exact boundary the
+	// follower reaches is still up to scheduling and the link (at or
+	// past the target), but the fault-rate check below always judges
+	// enough deliveries to mean something.
+	const minDeliveries = 30
+	acked := len(batches) - 4 - int(seed%5)
 	direct := usaas.NewClient(leader.server.URL, nil)
 	for _, b := range batches[:acked] {
 		sendBatch(t, direct, b)
@@ -141,6 +145,12 @@ func runChaosFailover(t *testing.T, seed uint64, dopts usaas.DurabilityOptions) 
 		target = 1
 	}
 	waitCaughtUp(t, follower, target)
+	for deadline := time.Now().Add(30 * time.Second); link.Counts().Deliveries < minDeliveries; {
+		if time.Now().After(deadline) {
+			t.Fatalf("link made %d deliveries, want %d (status %+v)", link.Counts().Deliveries, minDeliveries, follower.node.CurrentStatus())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// Kill -9: the leader's listener vanishes mid-stream; its store
 	// is abandoned, never closed. Promote the survivor.

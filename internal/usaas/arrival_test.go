@@ -13,6 +13,7 @@ import (
 	"usersignals/internal/nlp"
 	"usersignals/internal/simrand"
 	"usersignals/internal/social"
+	"usersignals/internal/telemetry"
 )
 
 // This file makes post ARRIVAL ORDER an input of the identity tests. Every
@@ -269,31 +270,54 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 }
 
 // TestTrafficEngineeringAdviceComputedOncePerGeneration: the report and the
-// advice endpoint share one computation per session generation.
+// advice endpoint share the store's one TE fold, which visits each row once
+// while the model holds still — a second read of a generation folds
+// nothing, a rating-free batch folds exactly its rows — and refolds from row
+// 0 when a rating retrains the model.
 func TestTrafficEngineeringAdviceComputedOncePerGeneration(t *testing.T) {
 	recs := viewSessions(t, 6, 2000)
+	// The tail splits into a rating-free 20-row batch and the rest, which
+	// carries ratings.
+	var quiet, rated []telemetry.SessionRecord
+	for _, r := range recs[1500:] {
+		if !r.Rated && len(quiet) < 20 {
+			quiet = append(quiet, r)
+		} else {
+			rated = append(rated, r)
+		}
+	}
+	if len(quiet) != 20 || len(ratedOnly(rated)) == 0 {
+		t.Fatalf("tail split into %d quiet rows and %d rated ones", len(quiet), len(ratedOnly(rated)))
+	}
+	arrived := append(append(append([]telemetry.SessionRecord(nil), recs[:1500]...), quiet...), rated...)
+
 	store := &Store{}
+	ask := func(step string, n, wantFolded int) {
+		t.Helper()
+		before := store.te.visited
+		got, err := store.teAdvice()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		rep := BuildReport(store, nil, ServerOptions{})
+		if folded := store.te.visited - before; folded != wantFolded {
+			t.Errorf("%s: advice and report folded %d rows, want %d", step, folded, wantFolded)
+		}
+		want, err := AdviseTrafficEngineering(arrived[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if marshal(t, got) != marshal(t, want) || marshal(t, rep.TEAdvice) != marshal(t, want) {
+			t.Errorf("%s: advice differs from a from-scratch fold of the %d sessions", step, n)
+		}
+	}
 	store.AddSessions(recs[:1500])
-	first, err := store.teAdvice()
-	if err != nil || len(first) == 0 {
-		t.Fatalf("advice: %v %v", first, err)
-	}
-	rep := BuildReport(store, nil, ServerOptions{})
-	if &rep.TEAdvice[0] != &first[0] {
-		t.Error("the report computed its own advice within one session generation")
-	}
-	store.AddSessions(recs[1500:])
-	next, err := store.teAdvice()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := AdviseTrafficEngineering(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &next[0] == &first[0] || marshal(t, next) != marshal(t, want) {
-		t.Error("advice not recomputed for the new session generation")
-	}
+	ask("first read", 1500, 1500)
+	ask("same generation", 1500, 0)
+	store.AddSessions(quiet)
+	ask("rating-free batch", 1520, 20)
+	store.AddSessions(rated)
+	ask("rated batch", len(arrived), len(arrived))
 }
 
 // foldReference folds a corpus from scratch with the offline sweep and its

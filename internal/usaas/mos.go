@@ -137,17 +137,35 @@ func (f FeatureSet) String() string {
 	}
 }
 
+// predictorFeatureCount is the length of the combined feature vector, of
+// which the first engagementFeatureCount are engagement metrics.
+const (
+	predictorFeatureCount  = 7
+	engagementFeatureCount = 3
+)
+
+// fillFeatures writes the combined feature vector of session r with network
+// aggregates net into x: engagement, then network. It is the one definition
+// of the feature order, shared by training (featuresFor) and prediction
+// (predictWith).
+func fillFeatures(x *[predictorFeatureCount]float64, r *telemetry.SessionRecord, net *telemetry.NetAggregates) {
+	*x = [predictorFeatureCount]float64{
+		r.PresencePct, r.CamOnPct, r.MicOnPct,
+		net.LatencyMean, net.LossMean, net.JitterMean, net.BWMean,
+	}
+}
+
 // featuresFor builds the feature vector for a set.
 func featuresFor(r *telemetry.SessionRecord, set FeatureSet) []float64 {
-	eng := []float64{r.PresencePct, r.CamOnPct, r.MicOnPct}
-	net := []float64{r.Net.LatencyMean, r.Net.LossMean, r.Net.JitterMean, r.Net.BWMean}
+	x := new([predictorFeatureCount]float64)
+	fillFeatures(x, r, &r.Net)
 	switch set {
 	case FeaturesEngagementOnly:
-		return eng
+		return x[:engagementFeatureCount:engagementFeatureCount]
 	case FeaturesNetworkOnly:
-		return net
+		return x[engagementFeatureCount:]
 	default:
-		return append(eng, net...)
+		return x[:]
 	}
 }
 
@@ -177,13 +195,7 @@ func FeatureSetMAE(records []telemetry.SessionRecord, set FeatureSet, lambda flo
 	}
 	var sum float64
 	for i := range test {
-		pred := m.Predict(featuresFor(&test[i], set))
-		if pred < 1 {
-			pred = 1
-		}
-		if pred > 5 {
-			pred = 5
-		}
+		pred := clampRating(m.Predict(featuresFor(&test[i], set)))
 		sum += math.Abs(pred - float64(test[i].Rating))
 	}
 	return sum / float64(len(test)), nil
@@ -227,8 +239,22 @@ func NewMOSPredictorFromModel(m *stats.LinearModel) *MOSPredictor {
 }
 
 // Predict estimates the 1–5 rating for one session, clamped to the scale.
+// It allocates nothing.
 func (p *MOSPredictor) Predict(r *telemetry.SessionRecord) float64 {
-	v := p.model.Predict(predictorFeatures(r))
+	return p.predictWith(r, &r.Net)
+}
+
+// predictWith is Predict for session r with its network aggregates replaced
+// by net — how the traffic-engineering fold scores an intervention without
+// copying the record. The feature vector lives on the stack.
+func (p *MOSPredictor) predictWith(r *telemetry.SessionRecord, net *telemetry.NetAggregates) float64 {
+	var x [predictorFeatureCount]float64
+	fillFeatures(&x, r, net)
+	return clampRating(p.model.Predict(x[:]))
+}
+
+// clampRating clamps a predicted rating to the 1–5 scale.
+func clampRating(v float64) float64 {
 	if v < 1 {
 		return 1
 	}
@@ -272,14 +298,7 @@ func TrainMOSTree(records []telemetry.SessionRecord, opts stats.TreeOptions) (*M
 
 // Predict estimates the 1–5 rating for one session, clamped to the scale.
 func (p *MOSTree) Predict(r *telemetry.SessionRecord) float64 {
-	v := p.tree.Predict(predictorFeatures(r))
-	if v < 1 {
-		return 1
-	}
-	if v > 5 {
-		return 5
-	}
-	return v
+	return clampRating(p.tree.Predict(predictorFeatures(r)))
 }
 
 // PredictorEval compares the predictors against the survey-only status quo.

@@ -114,6 +114,14 @@ func TestMOSPredictorPredictBounds(t *testing.T) {
 		if v < 1 || v > 5 {
 			t.Fatalf("prediction %v out of scale", v)
 		}
+		// The stack feature vector is the training vector, bit for bit.
+		if want := clampRating(p.model.Predict(predictorFeatures(&recs[i]))); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("session %d: Predict %v, training features predict %v", i, v, want)
+		}
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += p.Predict(&recs[0]) }); allocs != 0 {
+		t.Fatalf("Predict allocates %v times per call, want 0", allocs)
 	}
 	// Good sessions predict higher than bad ones.
 	good := telemetry.SessionRecord{

@@ -2,6 +2,7 @@ package usaas
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -370,9 +371,32 @@ func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng
 	return out, nil
 }
 
+// checkShippedModel rejects a model no coordinator trains: the wrong
+// number of coefficients, or a non-finite one. A shipped model keys the
+// store's traffic-engineering fold, so it is checked before anything runs.
+func checkShippedModel(m *stats.LinearModel) error {
+	if len(m.Coef) != predictorFeatureCount {
+		return fmt.Errorf("model has %d coefficients, want %d", len(m.Coef), predictorFeatureCount)
+	}
+	if math.IsNaN(m.Intercept) || math.IsInf(m.Intercept, 0) {
+		return fmt.Errorf("model intercept %v is not finite", m.Intercept)
+	}
+	for j, c := range m.Coef {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("model coefficient %d (%v) is not finite", j, c)
+		}
+	}
+	return nil
+}
+
 // CollectModelPartials builds the POST /v1/partials/model response: per-day
-// partials computed under the shipped model.
+// partials computed under the shipped model. The traffic-engineering section
+// comes from the store's TE fold, so a model shipped again folds only the
+// rows that arrived since it was last asked for.
 func (s *Server) CollectModelPartials(req ModelPartialsRequest) (*ModelPartials, error) {
+	if err := checkShippedModel(&req.Model); err != nil {
+		return nil, err
+	}
 	model := req.Model
 	p := NewMOSPredictorFromModel(&model)
 	rows := s.store.Rows()
@@ -380,7 +404,7 @@ func (s *Server) CollectModelPartials(req ModelPartialsRequest) (*ModelPartials,
 	for _, section := range req.Sections {
 		switch section {
 		case ModelSectionTE:
-			out.TE = teDayPartials(p, rows)
+			out.TE, _ = s.store.te.partials(p, rows)
 		case ModelSectionExperience:
 			out.Predicted = predictedDayPartials(p, rows, req.ISP)
 		default:

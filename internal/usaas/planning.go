@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"usersignals/internal/leo"
+	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
 )
@@ -41,31 +42,35 @@ type TERecommendation struct {
 type teIntervention struct {
 	metric    telemetry.Metric
 	label     string
-	qualifies func(telemetry.NetAggregates) bool
-	apply     func(*telemetry.NetAggregates)
+	qualifies func(*telemetry.NetAggregates) bool
+	apply     func(telemetry.NetAggregates) telemetry.NetAggregates
 }
 
-func defaultInterventions() []teIntervention {
-	return []teIntervention{
+// teSlots is the number of candidate interventions; every per-intervention
+// array is indexed in defaultInterventions order.
+const teSlots = 4
+
+func defaultInterventions() [teSlots]teIntervention {
+	return [teSlots]teIntervention{
 		{
 			metric: telemetry.LatencyMean, label: "-25% latency",
-			qualifies: func(a telemetry.NetAggregates) bool { return a.LatencyMean > 60 },
-			apply:     func(a *telemetry.NetAggregates) { a.LatencyMean *= 0.75 },
+			qualifies: func(a *telemetry.NetAggregates) bool { return a.LatencyMean > 60 },
+			apply:     func(a telemetry.NetAggregates) telemetry.NetAggregates { a.LatencyMean *= 0.75; return a },
 		},
 		{
 			metric: telemetry.LossMean, label: "-50% loss",
-			qualifies: func(a telemetry.NetAggregates) bool { return a.LossMean > 0.5 },
-			apply:     func(a *telemetry.NetAggregates) { a.LossMean *= 0.5 },
+			qualifies: func(a *telemetry.NetAggregates) bool { return a.LossMean > 0.5 },
+			apply:     func(a telemetry.NetAggregates) telemetry.NetAggregates { a.LossMean *= 0.5; return a },
 		},
 		{
 			metric: telemetry.JitterMean, label: "-30% jitter",
-			qualifies: func(a telemetry.NetAggregates) bool { return a.JitterMean > 5 },
-			apply:     func(a *telemetry.NetAggregates) { a.JitterMean *= 0.7 },
+			qualifies: func(a *telemetry.NetAggregates) bool { return a.JitterMean > 5 },
+			apply:     func(a telemetry.NetAggregates) telemetry.NetAggregates { a.JitterMean *= 0.7; return a },
 		},
 		{
 			metric: telemetry.BandwidthMean, label: "+25% bandwidth",
-			qualifies: func(a telemetry.NetAggregates) bool { return a.BWMean < 2 },
-			apply:     func(a *telemetry.NetAggregates) { a.BWMean *= 1.25 },
+			qualifies: func(a *telemetry.NetAggregates) bool { return a.BWMean < 2 },
+			apply:     func(a telemetry.NetAggregates) telemetry.NetAggregates { a.BWMean *= 1.25; return a },
 		},
 	}
 }
@@ -83,46 +88,119 @@ type TEDayPartial struct {
 	Lift     []float64    `json:"lift"`
 }
 
-// teDayPartials folds the row snapshot into per-day TE partials with the
-// given predictor. Returned partials are sorted ascending by day.
-func teDayPartials(p *MOSPredictor, rows Rows) []TEDayPartial {
-	ivs := defaultInterventions()
-	type dayTE struct {
-		sessions int
-		affected []int
-		lift     []float64
+// teDay is one calendar day's traffic-engineering accumulation (the live
+// form of a TEDayPartial).
+type teDay struct {
+	sessions int
+	affected [teSlots]int
+	lift     [teSlots]float64
+}
+
+// teFold is the traffic-engineering fold under one model: per-day
+// accumulators over rows [0, folded), each day fed in arrival order. Rows
+// are append-only, so folding rows [folded, n) into their days continues
+// exactly the from-scratch fold (the doseView catch-up idiom) and a fold
+// stays current until the model changes. The model is identified by the
+// exact bits of its coefficients; a different model resets the fold.
+//
+// The store keeps one (Store.te), shared by /v1/report, the advice endpoint
+// and the model phase of /v1/partials/model, so between rated arrivals —
+// the only batches that retrain the model — each read folds only the rows
+// that arrived since the last one. The first asker folds while holding mu;
+// a concurrent asker waits instead of folding again.
+type teFold struct {
+	mu      sync.Mutex
+	key     []uint64 // Float64bits of the model's Intercept, then Coef; nil before the first fold
+	days    map[timeline.Day]*teDay
+	lastDay timeline.Day // ingest is roughly chronological: most rows skip the map
+	last    *teDay
+	folded  int // absolute row index the fold has reached
+	visited int // rows folded over the fold's life, resets included: tests count work with it
+}
+
+// keyedBy reports whether the fold was computed under a model with m's
+// exact coefficients.
+func (f *teFold) keyedBy(m *stats.LinearModel) bool {
+	if len(f.key) != 1+len(m.Coef) || f.key[0] != math.Float64bits(m.Intercept) {
+		return false
 	}
-	days := map[timeline.Day]*dayTE{}
-	rows.Each(0, rows.Len(), func(rec *telemetry.SessionRecord) {
-		d := timeline.DayOf(rec.Start)
-		dt := days[d]
+	for j, c := range m.Coef {
+		if f.key[1+j] != math.Float64bits(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// reset empties the fold and keys it by m.
+func (f *teFold) reset(m *stats.LinearModel) {
+	f.key = append(f.key[:0], math.Float64bits(m.Intercept))
+	for _, c := range m.Coef {
+		f.key = append(f.key, math.Float64bits(c))
+	}
+	f.days = map[timeline.Day]*teDay{}
+	f.last, f.folded = nil, 0
+}
+
+// foldOne absorbs the next row: per qualifying intervention, one affected
+// session and its predicted-MOS lift. Only the network aggregates are
+// copied, and the unmodified prediction is made once per row.
+func (f *teFold) foldOne(p *MOSPredictor, ivs *[teSlots]teIntervention, rec *telemetry.SessionRecord) {
+	f.folded++
+	f.visited++
+	if d := timeline.DayOf(rec.Start); f.last == nil || d != f.lastDay {
+		dt := f.days[d]
 		if dt == nil {
-			dt = &dayTE{affected: make([]int, len(ivs)), lift: make([]float64, len(ivs))}
-			days[d] = dt
+			dt = &teDay{}
+			f.days[d] = dt
 		}
-		dt.sessions++
-		for k := range ivs {
-			r := *rec // copy; we mutate the aggregates
-			if !ivs[k].qualifies(r.Net) {
-				continue
-			}
-			dt.affected[k]++
-			before := p.Predict(&r)
-			ivs[k].apply(&r.Net)
-			dt.lift[k] += p.Predict(&r) - before
+		f.lastDay, f.last = d, dt
+	}
+	dt := f.last
+	dt.sessions++
+	before := p.Predict(rec)
+	for k := range ivs {
+		if !ivs[k].qualifies(&rec.Net) {
+			continue
 		}
-	})
-	keys := make([]timeline.Day, 0, len(days))
-	for d := range days {
+		dt.affected[k]++
+		net := ivs[k].apply(rec.Net)
+		dt.lift[k] += p.predictWith(rec, &net) - before
+	}
+}
+
+// partials catches the fold up to rows under p's model — from row 0 when
+// the model differs from the one the fold holds — and returns a copy of its
+// day partials sorted ascending by day, with the number of rows they cover.
+// That count can exceed rows.Len(): a concurrent caller holding a newer
+// snapshot may have folded further first, and the answer covers those rows
+// too. The copy is the caller's to sort or encode while the fold moves on.
+func (f *teFold) partials(p *MOSPredictor, rows Rows) ([]TEDayPartial, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.keyedBy(p.model) {
+		f.reset(p.model)
+	}
+	ivs := defaultInterventions()
+	for f.folded < rows.Len() {
+		f.foldOne(p, &ivs, rows.At(f.folded))
+	}
+	keys := make([]timeline.Day, 0, len(f.days))
+	for d := range f.days {
 		keys = append(keys, d)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]TEDayPartial, 0, len(keys))
-	for _, d := range keys {
-		dt := days[d]
-		out = append(out, TEDayPartial{Day: d, Sessions: dt.sessions, Affected: dt.affected, Lift: dt.lift})
+	out := make([]TEDayPartial, len(keys))
+	affected := make([]int, len(keys)*teSlots)
+	lift := make([]float64, len(keys)*teSlots)
+	for i, d := range keys {
+		dt := f.days[d]
+		lo, hi := i*teSlots, (i+1)*teSlots
+		copy(affected[lo:hi], dt.affected[:])
+		copy(lift[lo:hi], dt.lift[:])
+		out[i] = TEDayPartial{Day: d, Sessions: dt.sessions, Affected: affected[lo:hi:hi], Lift: lift[lo:hi:hi]}
 	}
-	return out
+	return out, f.folded
 }
 
 // assembleTE folds TE day partials (from one store or many shards) into the
@@ -165,12 +243,14 @@ func assembleTE(total int, parts []TEDayPartial) []TERecommendation {
 func AdviseTrafficEngineering(records []telemetry.SessionRecord) ([]TERecommendation, error) {
 	var rs rowStore
 	rs.append(records)
-	return adviseTE(rs.snapshot(), ratedOnly(records))
+	return adviseTE(new(teFold), rs.snapshot(), ratedOnly(records))
 }
 
 // adviseTE is AdviseTrafficEngineering over a row snapshot and its
-// day-major rated subsequence.
-func adviseTE(rows Rows, rated []telemetry.SessionRecord) ([]TERecommendation, error) {
+// day-major rated subsequence: it catches fold up to the snapshot under the
+// model trained on rated, and the affected fractions divide by the rows the
+// fold covers, which is at least rows.Len().
+func adviseTE(fold *teFold, rows Rows, rated []telemetry.SessionRecord) ([]TERecommendation, error) {
 	if rows.Len() == 0 {
 		return nil, errors.New("usaas: no sessions to advise on")
 	}
@@ -178,39 +258,21 @@ func adviseTE(rows Rows, rated []telemetry.SessionRecord) ([]TERecommendation, e
 	if err != nil {
 		return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
 	}
-	return assembleTE(rows.Len(), teDayPartials(p, rows)), nil
-}
-
-// teMemo holds the traffic-engineering advice of one session generation.
-// /v1/report and /v1/advice/traffic-engineering both want it on every cold
-// refresh and the fold behind it visits every row, so whichever asks first
-// computes it — holding mu, so a concurrent asker waits instead of
-// computing it again — and the other reuses it.
-type teMemo struct {
-	mu     sync.Mutex
-	gen    uint64 // session generation advice and err were computed at
-	valid  bool
-	advice []TERecommendation
-	err    error
+	parts, n := fold.partials(p, rows)
+	return assembleTE(n, parts), nil
 }
 
 // teAdvice answers AdviseTrafficEngineering over the store's sessions,
-// covering at least every batch applied before the call, computing it at
-// most once per session generation. The result is shared: read-only.
+// covering at least every batch applied before the call. The model is
+// retrained from the rated subsequence on every call (microseconds); the
+// row fold behind it is the store's TE fold, which only catches up while
+// ratings hold still.
 func (s *Store) teAdvice() ([]TERecommendation, error) {
 	s.fenceSessions()
 	s.sessMu.RLock()
-	rows, rated, gen := s.sessions.snapshot(), s.views.rated, s.sessGen
+	rows, rated := s.sessions.snapshot(), s.views.rated
 	s.sessMu.RUnlock()
-
-	m := &s.te
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.valid || m.gen < gen {
-		m.advice, m.err = adviseTE(rows, rated)
-		m.gen, m.valid = gen, true
-	}
-	return m.advice, m.err
+	return adviseTE(&s.te, rows, rated)
 }
 
 // DeploymentScenario is one candidate launch plan evaluated by the

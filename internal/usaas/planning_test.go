@@ -1,10 +1,21 @@
 package usaas
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"usersignals/internal/durable"
 	"usersignals/internal/leo"
+	"usersignals/internal/stats"
 	"usersignals/internal/timeline"
 )
 
@@ -53,6 +64,243 @@ func TestAdviseTrafficEngineeringErrors(t *testing.T) {
 	}
 	if _, err := AdviseTrafficEngineering(stripped); err == nil {
 		t.Fatal("unrated dataset accepted")
+	}
+}
+
+// teDayPartials folds the row snapshot from row 0 into per-day TE partials
+// with the given predictor, sorted ascending by day: the from-scratch fold
+// every incremental answer must equal.
+func teDayPartials(p *MOSPredictor, rows Rows) []TEDayPartial {
+	parts, _ := new(teFold).partials(p, rows)
+	return parts
+}
+
+// teDiff describes the first difference between two TE day-partial lists —
+// days, counts, and lift sums bit for bit — or returns "".
+func teDiff(got, want []TEDayPartial) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d day partials, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		same := g.Day == w.Day && g.Sessions == w.Sessions && len(g.Affected) == len(w.Affected) && len(g.Lift) == len(w.Lift)
+		for k := 0; same && k < len(w.Affected); k++ {
+			same = g.Affected[k] == w.Affected[k] && math.Float64bits(g.Lift[k]) == math.Float64bits(w.Lift[k])
+		}
+		if !same {
+			return fmt.Sprintf("day partial %d = %+v, want %+v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// TestModelFoldIncrementalEqualsFull: every answer of the store's TE fold —
+// caught up over ragged batches, reset by ratings that retrain the store's
+// own model and by two models shipped alternately to one shard, and rebuilt
+// after snapshot + tail recovery — equals a fold of the same rows from row 0,
+// bit for bit. A model shipped again folds only the rows that arrived since.
+func TestModelFoldIncrementalEqualsFull(t *testing.T) {
+	recs := viewSessions(t, 7, 3000)
+	rated := ratedOnly(recs)
+	shippedA, err := TrainMOSPredictor(rated[:len(rated)/2], 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shippedB, err := TrainMOSPredictor(rated[len(rated)/2:], 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches []ingestBatch
+	prev := 0
+	for i, cut := range []int{1, 21, 600, 2047, 2048, 2049, 2069, 3000, 3500, len(recs) - 20, len(recs)} {
+		if cut > len(recs) || cut <= prev {
+			t.Fatalf("cut %d after %d of %d records", cut, prev, len(recs))
+		}
+		batches = append(batches, ingestBatch{id: fmt.Sprintf("te-%d", i), sessions: recs[prev:cut]})
+		prev = cut
+	}
+
+	ship := func(srv *Server, p *MOSPredictor) []TEDayPartial {
+		t.Helper()
+		mp, err := srv.CollectModelPartials(ModelPartialsRequest{Model: *p.Model(), Sections: []string{ModelSectionTE}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mp.TE
+	}
+	check := func(step string, srv *Server) {
+		t.Helper()
+		rows := srv.store.Rows()
+		for i, p := range []*MOSPredictor{shippedA, shippedB, shippedA} {
+			if diff := teDiff(ship(srv, p), teDayPartials(p, rows)); diff != "" {
+				t.Fatalf("%s, shipped model %d: %s", step, i, diff)
+			}
+		}
+		got, gotErr := srv.store.teAdvice()
+		want, wantErr := AdviseTrafficEngineering(rows.AppendTo(nil))
+		if g, w := marshal(t, []any{got, gotErr}), marshal(t, []any{want, wantErr}); g != w {
+			t.Fatalf("%s: store advice %s, want %s", step, g, w)
+		}
+	}
+
+	dir := t.TempDir()
+	d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d.Store, ServerOptions{})
+	const snapAt, recoverAt = 5, 8
+	for i, b := range batches[:recoverAt] {
+		applyBatch(t, d.Store, b)
+		check(fmt.Sprintf("live batch %d", i), srv)
+		if i+1 == snapAt {
+			if err := d.snapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if !d2.Recovery.SnapshotFound || d2.Recovery.ReplayedBatches != recoverAt-snapAt {
+		t.Fatalf("recovery %+v, want a snapshot plus %d replayed batches", d2.Recovery, recoverAt-snapAt)
+	}
+	srv2 := NewServer(d2.Store, ServerOptions{})
+	check("recovered", srv2)
+	// A coordinator ships the same model every cycle: after the first
+	// answer, each folds exactly the batch that arrived before it.
+	ship(srv2, shippedA)
+	for i, b := range batches[recoverAt:] {
+		applyBatch(t, d2.Store, b)
+		before := d2.Store.te.visited
+		got := ship(srv2, shippedA)
+		if folded := d2.Store.te.visited - before; folded != len(b.sessions) {
+			t.Errorf("tail batch %d: shipped model folded %d rows, want the batch's %d", i, folded, len(b.sessions))
+		}
+		if diff := teDiff(got, teDayPartials(shippedA, d2.Store.Rows())); diff != "" {
+			t.Fatalf("tail batch %d: %s", i, diff)
+		}
+	}
+	check("after tail", srv2)
+}
+
+// TestTEFoldReadsDuringIngest races TE readers — the store's own advice and
+// a shipped model, which keep resetting each other's fold — against ingest.
+// Every shipped answer equals a from-scratch fold of the rows it covers, and
+// readers scribble on what they got: it is a copy, not the fold's state.
+func TestTEFoldReadsDuringIngest(t *testing.T) {
+	recs := viewSessions(t, 9, 1500)
+	shipped, err := TrainMOSPredictor(ratedOnly(recs), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &Store{}
+	store.AddSessions(recs[:100])
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(shipModel bool) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if !shipModel {
+					advice, err := store.teAdvice()
+					if err == nil {
+						_, err = json.Marshal(advice)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				parts, n := store.te.partials(shipped, store.Rows())
+				cur := store.Rows()
+				if diff := teDiff(parts, teDayPartials(shipped, Rows{blocks: cur.blocks, n: n})); diff != "" {
+					t.Errorf("answer over %d rows: %s", n, diff)
+					return
+				}
+				for i := range parts {
+					parts[i].Affected[0], parts[i].Lift[0] = -1, math.NaN()
+				}
+				sort.Slice(parts, func(i, j int) bool { return parts[i].Day > parts[j].Day })
+			}
+		}(r%2 == 0)
+	}
+	for i := 100; i < len(recs); i += 37 {
+		store.AddSessions(recs[i:min(i+37, len(recs))])
+	}
+	close(done)
+	wg.Wait()
+}
+
+// TestModelPartialsRejectsMalformedModel: the model-phase body keys the
+// store's TE fold, so a shard decodes it strictly and refuses a model no
+// coordinator trains, while the request a coordinator builds still passes.
+func TestModelPartialsRejectsMalformedModel(t *testing.T) {
+	recs := viewSessions(t, 5, 400)
+	store := &Store{}
+	store.AddSessions(recs)
+	srv := NewServer(store, ServerOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	const coef = `[0.1,0.2,0.3,0.4,0.5,0.6,0.7]`
+	for _, tc := range []struct{ name, body string }{
+		{"unknown field", `{"model":{"Intercept":3,"Coef":` + coef + `},"sections":["te"],"shard":1}`},
+		{"unknown model field", `{"model":{"Intercept":3,"Coef":` + coef + `,"Lambda":1},"sections":["te"]}`},
+		{"no model", `{"sections":["te"]}`},
+		{"six coefficients", `{"model":{"Intercept":3,"Coef":[0.1,0.2,0.3,0.4,0.5,0.6]},"sections":["te"]}`},
+		{"eight coefficients", `{"model":{"Intercept":3,"Coef":[0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8]},"sections":["te"]}`},
+		{"out-of-range coefficient", `{"model":{"Intercept":3,"Coef":[1e999,0.2,0.3,0.4,0.5,0.6,0.7]},"sections":["te"]}`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/partials/model", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+	// JSON carries no NaN or ±Inf, so only an in-process caller can ship
+	// one; the model check refuses it there too.
+	for _, tc := range []struct {
+		name  string
+		model stats.LinearModel
+	}{
+		{"NaN intercept", stats.LinearModel{Intercept: math.NaN(), Coef: make([]float64, predictorFeatureCount)}},
+		{"infinite coefficient", stats.LinearModel{Intercept: 3, Coef: []float64{0, 0, math.Inf(-1), 0, 0, 0, 0}}},
+	} {
+		if _, err := srv.CollectModelPartials(ModelPartialsRequest{Model: tc.model, Sections: []string{ModelSectionTE}}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+
+	p, err := TrainMOSPredictor(ratedOnly(recs), 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mp, _, err := NewClient(ts.URL, nil).ModelPartials(context.Background(), ModelPartialsRequest{
+		Model:    *p.Model(),
+		Sections: []string{ModelSectionTE, ModelSectionExperience},
+	})
+	if err != nil {
+		t.Fatalf("coordinator-built request refused: %v", err)
+	}
+	if diff := teDiff(mp.TE, teDayPartials(p, store.Rows())); diff != "" || len(mp.Predicted) == 0 {
+		t.Fatalf("coordinator-built request: %s (%d predicted days)", diff, len(mp.Predicted))
 	}
 }
 

@@ -204,8 +204,11 @@ func buildReportFrom(src reportSource) OperatorReport {
 // day-major rated subsequence, and the social sections assemble the per-day
 // post accumulators — read with the analyzer and dictionary the store was
 // bound to (ServerOptions), so an and opts.OutageDict no longer take part.
-// The traffic-engineering advice is the store's one computation per session
-// generation, shared with /v1/advice/traffic-engineering.
+// The traffic-engineering advice retrains the predictor on the rated
+// subsequence and reads the store's TE fold (planning.go), shared with
+// /v1/advice/traffic-engineering and the model phase of
+// /v1/partials/model: it folds only the rows that arrived since the last
+// read, or every row when a rating changed the model.
 func BuildReport(store *Store, an *nlp.Analyzer, opts ServerOptions) OperatorReport {
 	rated, total := store.RatedSessions()
 	src := reportSource{

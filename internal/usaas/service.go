@@ -57,7 +57,7 @@ import (
 //
 // Lock order: ingestMu ≻ sessMu ≻ postMu ≻ textMu ≻ dedupMu (acquire left
 // to right, release any way; skipping levels is fine). te.mu (the
-// traffic-engineering memo) is taken with no store lock held. Apply workers take
+// traffic-engineering fold) is taken with no store lock held. Apply workers take
 // only their shard lock; readers take one shard RLock after an apply
 // fence (pipeline.go); nothing acquires ingestMu while holding any other
 // store lock.
@@ -126,9 +126,9 @@ type Store struct {
 	// (speeds, day hull) by postMu.
 	views viewState
 
-	// te memoises the traffic-engineering advice per session generation
-	// (planning.go).
-	te teMemo
+	// te is the traffic-engineering fold, kept current under the last model
+	// asked for (planning.go).
+	te teFold
 
 	// cols is the columnar mirror of sessions (internal/colstore),
 	// maintained under the same sessMu fold as the views so it is
@@ -1469,15 +1469,18 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 // the coordinator POSTs the canonical trained model and the shard answers
 // with per-day partials computed under it. POST, so never cached here; the
 // answer carries the state tag (read before the content, like cached does)
-// so the coordinator can hold it beside the phase-one partials.
+// so the coordinator can hold it beside the phase-one partials. The body
+// keys the store's traffic-engineering fold, so it is decoded strictly:
+// unknown fields and a malformed model answer 400.
 func (s *Server) handleModelPartials(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
 	w.Header().Set("ETag", s.stateTag())
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	dec.DisallowUnknownFields()
 	var req ModelPartialsRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "decoding model request: %v", err)
 		return
 	}
