@@ -55,8 +55,9 @@ type shardConn struct {
 	up      atomic.Bool
 	fanouts atomic.Uint64
 	errs    atomic.Uint64
-	// Partials exchanges: answered 304, answered with a body, body bytes.
-	revalidated, fetched, bytes atomic.Uint64
+	// Partials exchanges: answered 304, answered with a body, answered with
+	// a social delta, body bytes.
+	revalidated, fetched, deltas, bytes atomic.Uint64
 
 	mu  sync.Mutex
 	lat *stats.GeoHist // fan-out latency, ms
@@ -551,6 +552,7 @@ func (c *Coordinator) clusterStats() *usaas.ClusterStats {
 			Errors:        sc.errs.Load(),
 			Revalidated:   sc.revalidated.Load(),
 			Fetched:       sc.fetched.Load(),
+			Deltas:        sc.deltas.Load(),
 			PartialsBytes: sc.bytes.Load(),
 			LatencyMs:     hist,
 		})
@@ -670,10 +672,11 @@ func socialQuery(name string, render func(w http.ResponseWriter, p socialParts))
 			if !b.HavePosts {
 				continue
 			}
-			p.sent = append(p.sent, b.Sentiment)
-			p.kw = append(p.kw, b.Keywords)
-			p.clouds = append(p.clouds, b.Clouds)
-			p.terms = append(p.terms, b.Terms)
+			rows := b.SocialRows()
+			p.sent = append(p.sent, rows.Sentiment)
+			p.kw = append(p.kw, rows.Keywords)
+			p.clouds = append(p.clouds, rows.Clouds)
+			p.terms = append(p.terms, rows.Terms)
 			p.speeds = append(p.speeds, b.Speeds)
 		}
 		render(w, p)

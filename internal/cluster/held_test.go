@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -162,9 +163,10 @@ func generationsOf(t *testing.T, base string) (nonce, gens string) {
 	}
 	resp.Body.Close()
 	tag := strings.Trim(resp.Header.Get("ETag"), `"`)
-	nonce, gens, ok := strings.Cut(tag, ".")
-	if !ok {
-		t.Fatalf("shard %s sent tag %q, want nonce.sessGen.postGen", base, tag)
+	proto, rest, _ := strings.Cut(tag, ".")
+	nonce, gens, ok := strings.Cut(rest, ".")
+	if !ok || proto != fmt.Sprint(usaas.PartialsProtocol) {
+		t.Fatalf("shard %s sent tag %q, want protocol.nonce.sessGen.postGen", base, tag)
 	}
 	return nonce, gens
 }
@@ -212,7 +214,13 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 	t.Run("restart", func(t *testing.T) {
 		shard := &swapHandler{}
 		shard.set(newShardHandler(t, 0))
-		ts := httptest.NewServer(shard)
+		var since atomic.Int64 // partials requests naming a social base
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/partials" && r.URL.Query().Get("since") != "" {
+				since.Add(1)
+			}
+			shard.ServeHTTP(w, r)
+		}))
 		defer ts.Close()
 		cached, uncached := coordinatorOver(t, 0, ts.URL), coordinatorOver(t, -1, ts.URL)
 
@@ -227,6 +235,7 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 		// The process dies; its successor at the same address comes up on a
 		// different data set that happens to reach the same counters.
 		shard.set(newShardHandler(t, 0))
+		since.Store(0)
 		ingestOne(t, ts.URL, "b", all[1500:3500], c.Posts[3000:7000])
 		nonceB, gensB := generationsOf(t, ts.URL)
 		if gensA != gensB || nonceA == nonceB {
@@ -245,6 +254,12 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 		}
 		if changed < 10 {
 			t.Errorf("only %d of %d answers differ between the two data sets; the scenario proves little", changed, len(queryPaths(isp)))
+		}
+		// The held social days met the successor at the very counters they
+		// were fetched at: it must have answered them in full, not with an
+		// empty delta on the other process's days.
+		if st := shardStats(t, cached.URL); since.Load() == 0 || st.Deltas != 0 {
+			t.Errorf("%d requests named a social base, %d answers patched one; want some, and none", since.Load(), st.Deltas)
 		}
 	})
 
@@ -393,14 +408,26 @@ func TestCoordinatorCollapsesConcurrentColdQueries(t *testing.T) {
 
 // TestCoordinatorConcurrentReadsDuringWrites drives the held state from many
 // goroutines at once: four dashboards refresh in a loop while a producer
-// keeps writing straight to the shards. No read may fail while tags move
+// keeps writing straight to the shards — sessions, posts, and now and then a
+// post landing ahead of its day's folded ones — so social deltas are patched
+// onto held days while renders read them. No read may fail while tags move
 // under it, and once the producer stops every answer settles on the single
 // node's bytes.
 func TestCoordinatorConcurrentReadsDuringWrites(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	all := sessionData(t, 6)
 	cl := buildCluster(t, 2, 2, Options{})
-	ingestBoth(t, cl, all[:2000], c.Posts[:4000])
+	// Every 500th post is held back and delivered mid-run, behind later
+	// posts of its day.
+	var first, stragglers []social.Post
+	for i, p := range c.Posts[:4000] {
+		if i%500 == 250 && c.Posts[i+1].Day == p.Day {
+			stragglers = append(stragglers, p)
+		} else {
+			first = append(first, p)
+		}
+	}
+	ingestBoth(t, cl, all[:2000], first)
 	isp := all[0].ISP
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -439,6 +466,9 @@ func TestCoordinatorConcurrentReadsDuringWrites(t *testing.T) {
 		id := fmt.Sprintf("live-%d", i)
 		recs := all[2000+100*i : 2100+100*i]
 		posts := c.Posts[4000+100*i : 4100+100*i]
+		if i < len(stragglers) {
+			posts = append([]social.Post{stragglers[i]}, posts...)
+		}
 		if _, err := split.IngestSessionsBatch(ctx, id, recs); err != nil {
 			t.Fatal(err)
 		}
@@ -456,4 +486,205 @@ func TestCoordinatorConcurrentReadsDuringWrites(t *testing.T) {
 	readers.Wait()
 	refresh(t, cl, isp)
 	refresh(t, cl, isp)
+	deltas := uint64(0)
+	for _, st := range cl.coord.clusterStats().Shards {
+		deltas += st.Deltas
+	}
+	if len(stragglers) < 4 || deltas == 0 {
+		t.Errorf("%d stragglers, %d social deltas patched; the run raced no patch against a render", len(stragglers), deltas)
+	}
+}
+
+// shardStats reads the first shard's gauges from a coordinator's /v1/stats.
+func shardStats(t *testing.T, coord string) usaas.ShardStatus {
+	t.Helper()
+	_, body := get(t, coord, "/v1/stats")
+	var sr usaas.StatsResponse
+	if err := json.Unmarshal([]byte(body), &sr); err != nil || sr.Cluster == nil || len(sr.Cluster.Shards) == 0 {
+		t.Fatalf("coordinator /v1/stats: %v: %.300s", err, body)
+	}
+	return sr.Cluster.Shards[0]
+}
+
+// ingestStep sends one session batch and one post batch, either possibly
+// empty, through the coordinator and to the reference node.
+func ingestStep(t *testing.T, tc *testCluster, id string, recs []telemetry.SessionRecord, posts []social.Post) {
+	t.Helper()
+	for _, base := range []string{tc.coordTS.URL, tc.single.URL} {
+		ingestOne(t, base, id, recs, posts)
+	}
+}
+
+// TestCoordinatorSocialDeltaByteIdentical drives the social delta through
+// the batches that exercise it — one that moves only the session
+// generation, one that touches one day, and a post landing ahead of posts
+// its day already folded — and requires every answer to stay the single
+// node's, with the held social section intact and, squeezed to one entry,
+// evicted. With room to hold it, the one-day batch costs the shard that
+// owns the day a twentieth of a full social section, or less.
+func TestCoordinatorSocialDeltaByteIdentical(t *testing.T) {
+	c, _, _ := studyCorpus(t)
+	all := sessionData(t, 5)
+	tail := c.Posts[len(c.Posts)-3000:]
+	// A held-back post: its day gets a later post in the first ingest.
+	late := len(c.Posts) / 2
+	for c.Posts[late].Day != c.Posts[late+1].Day {
+		late++
+	}
+	first := append(append([]social.Post(nil), c.Posts[:late]...), c.Posts[late+1:len(c.Posts)-len(tail)]...)
+	var oneDay []social.Post
+	for _, p := range tail {
+		if p.Day == tail[0].Day {
+			oneDay = append(oneDay, p)
+		}
+	}
+	isp := all[0].ISP
+
+	for _, size := range []int{0, 1} {
+		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
+			cl := buildCluster(t, 2, 0, Options{ResultCacheSize: size})
+			ingestBoth(t, cl, all[:4000], first)
+			assertByteIdentical(t, cl, isp)
+
+			owner := cl.coord.pmap.ShardOf(oneDay[0].Day)
+			_, fullSocial := get(t, cl.shards[owner].URL, "/v1/partials?sections=social")
+			steps := []struct {
+				name  string
+				recs  []telemetry.SessionRecord
+				posts []social.Post
+			}{
+				{"sessions only", all[4000:4100], nil},
+				{"one day", nil, oneDay},
+				{"refold", nil, c.Posts[late : late+1]},
+				{"rest", all[4100:], tail[len(oneDay):]},
+			}
+			for _, st := range steps {
+				before := cl.coord.clusterStats()
+				ingestStep(t, cl, st.name, st.recs, st.posts)
+				// The social section alone first, so its exchange can be read
+				// off the gauges.
+				if status, body := get(t, cl.coordTS.URL, "/v1/insights/sentiment"); status != http.StatusOK {
+					t.Fatalf("%s: sentiment %d %.200s", st.name, status, body)
+				}
+				after := cl.coord.clusterStats()
+				assertByteIdentical(t, cl, isp)
+				if size != 0 {
+					continue
+				}
+				for i := range after.Shards {
+					b, a := before.Shards[i], after.Shards[i]
+					bytes, deltas := a.PartialsBytes-b.PartialsBytes, a.Deltas-b.Deltas
+					switch {
+					case a.Fetched == b.Fetched:
+						// Untouched: the shard's tag held still, a 304.
+					case deltas != 1:
+						t.Errorf("%s, shard %d: %d social deltas, want 1", st.name, i, deltas)
+					case st.posts == nil && bytes > 512:
+						t.Errorf("%s, shard %d: an empty delta cost %d bytes", st.name, i, bytes)
+					case st.name == "one day" && 20*bytes > uint64(len(fullSocial)):
+						t.Errorf("one day, shard %d: %d bytes, more than a twentieth of a full social section (%d)", i, bytes, len(fullSocial))
+					}
+				}
+				if b, a := before.Shards[owner], after.Shards[owner]; st.name == "one day" {
+					if a.Deltas == b.Deltas {
+						t.Errorf("one day: the owning shard %d answered no delta", owner)
+					}
+					t.Logf("one day: %d bytes from shard %d, whose full social section is %d", a.PartialsBytes-b.PartialsBytes, owner, len(fullSocial))
+				}
+			}
+		})
+	}
+}
+
+// TestCoordinatorRefusesOtherPartialsProtocol: a coordinator speaking
+// protocol N against a shard whose answers say N+1 — here a rewriting proxy
+// in front of an N shard, as in a half-finished rolling upgrade — treats
+// the shard as failed, naming it and both numbers; so does an answer with a
+// field the protocol lacks, on the first attempt. The clean answers return
+// with the shard.
+func TestCoordinatorRefusesOtherPartialsProtocol(t *testing.T) {
+	c, _, _ := studyCorpus(t)
+	all := sessionData(t, 5)
+	next := fmt.Sprint(usaas.PartialsProtocol + 1)
+	shard := newShardHandler(t, 0)
+	var mode atomic.Value
+	mode.Store("")
+	var partials atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/partials" {
+			partials.Add(1)
+		}
+		rec := httptest.NewRecorder()
+		shard.ServeHTTP(rec, r)
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		body := rec.Body.Bytes()
+		switch m := mode.Load().(string); {
+		case m == "protocol" || m == "model" && r.URL.Path == "/v1/partials/model":
+			if w.Header().Get(usaas.PartialsProtocolHeader) != "" {
+				w.Header().Set(usaas.PartialsProtocolHeader, next)
+			}
+		case m == "field" && r.URL.Path == "/v1/partials" && rec.Code == http.StatusOK:
+			body = append([]byte(`{"gram":[],`), body[1:]...)
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer ts.Close()
+	coord, reference := coordinatorOver(t, 0, ts.URL), coordinatorOver(t, -1, ts.URL)
+	ingestOne(t, ts.URL, "a", all[:1500], c.Posts[:3000])
+
+	both := []string{`protocol \"` + next + `\"`, fmt.Sprintf("speaks %d", usaas.PartialsProtocol)}
+	for _, tc := range []struct {
+		mode, path string
+		names      []string
+	}{
+		{"protocol", "/v1/insights/sentiment", both},
+		{"model", "/v1/advice/traffic-engineering", both},
+		{"field", "/v1/insights/trends", []string{`unknown field \"gram\"`}},
+	} {
+		mode.Store(tc.mode)
+		before := partials.Load()
+		status, body := get(t, coord.URL, tc.path)
+		if status != http.StatusServiceUnavailable || !strings.Contains(body, "shard s0 unavailable") {
+			t.Errorf("%s: %s answered (%d, %.300s), want a 503 naming the shard", tc.mode, tc.path, status, body)
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(body, name) {
+				t.Errorf("%s: %s does not name %s: %.300s", tc.mode, tc.path, name, body)
+			}
+		}
+		if got := partials.Load() - before; got != 1 {
+			t.Errorf("%s: %d partials requests, want 1 (a protocol violation is not retried)", tc.mode, got)
+		}
+	}
+
+	mode.Store("protocol")
+	_, body := get(t, coord.URL, "/v1/report")
+	var rep usaas.OperatorReport
+	if err := json.Unmarshal([]byte(body), &rep); err != nil || !rep.Degraded {
+		t.Fatalf("report against another protocol: degraded %v, err %v", rep.Degraded, err)
+	}
+	notes := 0
+	for _, e := range rep.Errors {
+		if strings.Contains(e, "shard s0 unavailable") {
+			notes++
+			if e = strings.ReplaceAll(e, `"`, `\"`); !strings.Contains(e, both[0]) || !strings.Contains(e, both[1]) {
+				t.Errorf("report note %q does not name both protocols", e)
+			}
+		}
+	}
+	if notes == 0 {
+		t.Errorf("report against another protocol names no failed shard: %q", rep.Errors)
+	}
+
+	mode.Store("")
+	for _, p := range []string{"/v1/insights/sentiment", "/v1/insights/trends", "/v1/advice/traffic-engineering", "/v1/report"} {
+		gotStatus, got := get(t, coord.URL, p)
+		wantStatus, want := get(t, reference.URL, p)
+		if gotStatus != wantStatus || got != want {
+			t.Errorf("%s once the shard speaks the protocol again: (%d, %.200s), want (%d, %.200s)", p, gotStatus, got, wantStatus, want)
+		}
+	}
 }

@@ -357,7 +357,7 @@ func storeFold(s *Store) foldReference {
 	v := s.social()
 	got := foldReference{
 		Sweep:  &Sweep{Sentiment: v.sentiment(), Keywords: v.keywords(), Trends: v.trends(TrendOptions{})},
-		Clouds: v.clouds(),
+		Clouds: socialRowsOf(v.dayPartials(0)).Clouds,
 		Speeds: v.monthlySpeeds(nil),
 	}
 	got.Pos, got.Neg, got.OutageMentions = v.experienceCounts()

@@ -11,13 +11,13 @@ import (
 
 // The result cache memoizes fully-rendered GET responses keyed by the query
 // (path + raw query string) and a generation string naming the state they
-// were rendered from. A single node's generation is its state tag (boot
-// nonce + store generations); a cluster coordinator's is the vector of shard
-// tags it merged. A write moves the generation, which retires every cached
-// entry at once — a cached body is therefore always byte-identical to
-// recomputing against the current state. Concurrent identical queries
-// collapse into one computation (singleflight): one leader renders,
-// followers replay its recorded response.
+// were rendered from. A single node's generation is its state tag (partials
+// protocol, boot nonce, store generations); a cluster coordinator's is the
+// vector of shard tags it merged. A write moves the generation, which
+// retires every cached entry at once — a cached body is therefore always
+// byte-identical to recomputing against the current state. Concurrent
+// identical queries collapse into one computation (singleflight): one leader
+// renders, followers replay its recorded response.
 //
 // The same tag is the HTTP validator: every cached GET carries it as a
 // strong ETag, and If-None-Match equal to the current tag answers 304
@@ -234,13 +234,14 @@ func newBootNonce() string {
 	return hex.EncodeToString(buf[:])
 }
 
-// stateTag is the strong ETag of the store state: boot nonce plus the
-// session and post generations, read through the apply fence so an acked
-// write is never hidden. Callers read it before the content it stamps, so
-// content is never older than its tag.
+// stateTag is the strong ETag of the store state,
+// "<protocol>.<nonce>.<sessGen>.<postGen>": the partials protocol, the boot
+// nonce, and the session and post generations read through the apply fence
+// so an acked write is never hidden. Callers read it before the content it
+// stamps, so content is never older than its tag.
 func (s *Server) stateTag() string {
 	sessGen, postGen := s.store.Generations()
-	return `"` + s.boot + "." + strconv.FormatUint(sessGen, 10) + "." + strconv.FormatUint(postGen, 10) + `"`
+	return `"` + partialsProtocol + "." + s.boot + "." + strconv.FormatUint(sessGen, 10) + "." + strconv.FormatUint(postGen, 10) + `"`
 }
 
 // cached wraps a GET handler with the state tag (ETag out, If-None-Match

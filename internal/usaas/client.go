@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,43 +229,51 @@ func (c *Client) nextBatchID() string {
 	return c.batchPre + "-" + strconv.FormatUint(c.batchSeq.Add(1), 10)
 }
 
-// post sends in as a JSON POST; v, when not nil, receives the response's
-// validator.
-func (c *Client) post(ctx context.Context, path string, batchID string, in, out any, v *Validation) error {
+// newPost builds a JSON POST of in.
+func (c *Client) newPost(ctx context.Context, path string, in any) (*http.Request, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return fmt.Errorf("usaas client: encoding %s request: %w", path, err)
+		return nil, fmt.Errorf("usaas client: encoding %s request: %w", path, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("usaas client: building %s request: %w", path, err)
+		return nil, fmt.Errorf("usaas client: building %s request: %w", path, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return req, nil
+}
+
+// post sends in as a JSON POST under an idempotency key.
+func (c *Client) post(ctx context.Context, path string, batchID string, in, out any) error {
+	req, err := c.newPost(ctx, path, in)
+	if err != nil {
+		return err
+	}
 	if batchID != "" {
 		req.Header.Set(BatchIDHeader, batchID)
 	}
-	return c.do(req, out, v)
+	return c.do(req, out, nil)
 }
 
-func (c *Client) get(ctx context.Context, path string, query url.Values, out any) error {
-	return c.getTagged(ctx, path, query, out, "", nil)
-}
-
-// getTagged is get as a conditional request: a non-empty held tag goes out
-// as If-None-Match, and v reports what the server answered.
-func (c *Client) getTagged(ctx context.Context, path string, query url.Values, out any, held string, v *Validation) error {
+// newGet builds a GET of path with query.
+func (c *Client) newGet(ctx context.Context, path string, query url.Values) (*http.Request, error) {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return fmt.Errorf("usaas client: building %s request: %w", path, err)
+		return nil, fmt.Errorf("usaas client: building %s request: %w", path, err)
 	}
-	if held != "" {
-		req.Header.Set("If-None-Match", held)
+	return req, nil
+}
+
+func (c *Client) get(ctx context.Context, path string, query url.Values, out any) error {
+	req, err := c.newGet(ctx, path, query)
+	if err != nil {
+		return err
 	}
-	return c.do(req, out, v)
+	return c.do(req, out, nil)
 }
 
 // Validation is what a tagged call learned about the state it read: the
@@ -422,6 +431,16 @@ func (c *Client) doOnce(req *http.Request, out any, v *Validation) error {
 		return fmt.Errorf("usaas client: %s %s: %w", req.Method, req.URL.Path, err)
 	}
 	defer resp.Body.Close()
+	// An answer to a request that named the partials protocol crosses the
+	// cluster's trust boundary: it must name the same protocol, and its body
+	// is read strictly and capped. Breaking any of these rules fails the call
+	// without a retry — asking again gets the same answer.
+	strict := req.Header.Get(PartialsProtocolHeader) != ""
+	if strict && (resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNotModified) {
+		if got := resp.Header.Get(PartialsProtocolHeader); got != partialsProtocol {
+			return fmt.Errorf("usaas client: %s %s: answer speaks partials protocol %q; this client speaks %d", req.Method, req.URL.Path, got, PartialsProtocol)
+		}
+	}
 	body := io.Reader(resp.Body)
 	if v != nil {
 		counted := &countingReader{r: resp.Body}
@@ -455,13 +474,31 @@ func (c *Client) doOnce(req *http.Request, out any, v *Validation) error {
 		_, _ = io.Copy(io.Discard, io.LimitReader(body, 1<<20))
 		return nil
 	}
-	if err := json.NewDecoder(body).Decode(out); err != nil {
+	dec := json.NewDecoder(body)
+	if strict {
+		dec = json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), MaxPartialsBytes))
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(out); err != nil {
 		if cerr := req.Context().Err(); cerr != nil {
 			return fmt.Errorf("usaas client: decoding %s response: %w", req.URL.Path, cerr)
 		}
-		return &transientError{fmt.Errorf("usaas client: decoding %s response: %w", req.URL.Path, err)}
+		err = fmt.Errorf("usaas client: decoding %s response: %w", req.URL.Path, err)
+		if strict && violatesPartials(err) {
+			return err
+		}
+		return &transientError{err}
 	}
 	return nil
+}
+
+// violatesPartials reports a decode failure that breaks the partials
+// protocol rather than the transfer: an answer over the cap, or a field the
+// protocol does not have (encoding/json reports that one only as text).
+// Retrying would read the same answer again.
+func violatesPartials(err error) bool {
+	var tooLarge *http.MaxBytesError
+	return errors.As(err, &tooLarge) || strings.Contains(err.Error(), "json: unknown field ")
 }
 
 // parseRetryAfter handles both delta-seconds and HTTP-date forms.
@@ -636,7 +673,7 @@ func (c *Client) IngestPosts(ctx context.Context, posts []social.Post) (IngestRe
 // IngestPostsBatch is IngestPosts under an explicit batch ID.
 func (c *Client) IngestPostsBatch(ctx context.Context, batchID string, posts []social.Post) (IngestResponse, error) {
 	var out IngestResponse
-	err := c.post(ctx, "/v1/posts", batchID, posts, &out, nil)
+	err := c.post(ctx, "/v1/posts", batchID, posts, &out)
 	return out, err
 }
 
@@ -786,16 +823,27 @@ func (c *Client) Experience(ctx context.Context, isp string) (ExperienceResponse
 
 // Partials fetches a shard's mergeable accumulator state for the requested
 // sections (the cluster coordinator's scatter half; see partials.go).
-// query carries the sections parameter plus any section-specific options.
-// held, when not empty, makes the request conditional: it is the tag of the
-// state the caller already holds, and a shard still at that tag answers 304
-// — Validation.NotModified, no body, zero partials. Validation.Tag is the
-// tag of whichever endpoint answered: reads rotate over a shard's
-// endpoints, and tags of different processes never match.
+// query carries the sections parameter plus any section-specific options,
+// since= included. held, when not empty, makes the request conditional: it
+// is the tag of the state the caller already holds, and a shard still at
+// that tag answers 304 — Validation.NotModified, no body, zero partials.
+// Validation.Tag is the tag of whichever endpoint answered: reads rotate
+// over a shard's endpoints, and tags of different processes never match.
+// The request names PartialsProtocol. An answer naming any other (or none),
+// carrying a field the protocol lacks, or longer than MaxPartialsBytes fails
+// the call and is not retried.
 func (c *Client) Partials(ctx context.Context, query url.Values, held string) (ShardPartials, Validation, error) {
 	var out ShardPartials
 	var v Validation
-	err := c.getTagged(ctx, "/v1/partials", query, &out, held, &v)
+	req, err := c.newGet(ctx, "/v1/partials", query)
+	if err != nil {
+		return out, v, err
+	}
+	if held != "" {
+		req.Header.Set("If-None-Match", held)
+	}
+	req.Header.Set(PartialsProtocolHeader, partialsProtocol)
+	err = c.do(req, &out, &v)
 	return out, v, err
 }
 
@@ -803,11 +851,17 @@ func (c *Client) Partials(ctx context.Context, query url.Values, held string) (S
 // coordinator-trained model, get back per-day partials computed under it.
 // Validation.Tag is the state tag the shard stamped on its answer, so the
 // caller can tell whether the model phase saw the same state as the
-// phase-one partials it holds.
-func (c *Client) ModelPartials(ctx context.Context, req ModelPartialsRequest) (ModelPartials, Validation, error) {
+// phase-one partials it holds. The exchange follows Partials' protocol
+// rules.
+func (c *Client) ModelPartials(ctx context.Context, mreq ModelPartialsRequest) (ModelPartials, Validation, error) {
 	var out ModelPartials
 	var v Validation
-	err := c.post(ctx, "/v1/partials/model", "", req, &out, &v)
+	req, err := c.newPost(ctx, "/v1/partials/model", mreq)
+	if err != nil {
+		return out, v, err
+	}
+	req.Header.Set(PartialsProtocolHeader, partialsProtocol)
+	err = c.do(req, &out, &v)
 	return out, v, err
 }
 

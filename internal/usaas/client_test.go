@@ -290,6 +290,7 @@ func TestClientConditionalPartials(t *testing.T) {
 	var calls, conns atomic.Int64
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
+		w.Header().Set(PartialsProtocolHeader, partialsProtocol)
 		switch {
 		case r.URL.Path == "/v1/stats":
 			w.WriteHeader(http.StatusNotModified) // unsolicited
@@ -345,6 +346,43 @@ func TestClientConditionalPartials(t *testing.T) {
 	}
 	if got := calls.Load() - before; got != 1 {
 		t.Fatalf("unsolicited 304 took %d attempts, want 1", got)
+	}
+}
+
+// TestClientPartialsTrustBoundary: a partials answer that names another
+// protocol (or none), or carries a field the protocol lacks, fails the call
+// on the first attempt — retrying would read the same answer — while one
+// cut off mid-body is still retried as transient.
+func TestClientPartialsTrustBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name, proto, body string
+		attempts          int64
+		want              string
+	}{
+		{"other protocol", "3", `{"sessions":7}`, 1, `protocol "3"; this client speaks 2`},
+		{"no protocol", "", `{"sessions":7}`, 1, `protocol ""`},
+		{"unknown field", partialsProtocol, `{"sessions":7,"terms":[]}`, 1, `unknown field "terms"`},
+		{"truncated", partialsProtocol, `{"sessions":7,"rated":[`, 3, "unexpected EOF"},
+	} {
+		var calls atomic.Int64
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			calls.Add(1)
+			if tc.proto != "" {
+				w.Header().Set(PartialsProtocolHeader, tc.proto)
+			}
+			io.WriteString(w, tc.body)
+		}))
+		_, _, err := fastRetry(ts, 3).Partials(context.Background(), url.Values{"sections": {SectionSessions}}, "")
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || calls.Load() != tc.attempts {
+			t.Errorf("%s: %d attempts, err %v; want %d naming %q", tc.name, calls.Load(), err, tc.attempts, tc.want)
+		}
+	}
+
+	// The cap is the same kind of violation, shown here on a 4-byte one.
+	_, err := io.ReadAll(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader("12345")), 4))
+	if err == nil || !violatesPartials(fmt.Errorf("decoding: %w", err)) {
+		t.Errorf("an answer over the cap: err %v, not a protocol violation", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"usersignals/internal/leo"
@@ -32,6 +33,29 @@ import (
 // rated subsequence, trains the one canonical model itself, and ships its
 // coefficients to every shard via POST /v1/partials/model; shards answer
 // with per-day partials computed under that exact model.
+//
+// Deltas: every published social day carries the post generation that last
+// folded it, so GET /v1/partials?since=<state tag> answers the social section
+// with only the days folded after that tag — when the tag is this process's,
+// of this protocol, and not ahead of it — and names the tag in SocialSince.
+// Anything else gets a full answer, never an error.
+
+// PartialsProtocol numbers the shape of the partials exchange: the sections,
+// their fields and the rules above. It travels in PartialsProtocolHeader on
+// every /v1/partials and /v1/partials/model request and answer and leads the
+// state tag, so content folded by code of another protocol can never be
+// revalidated or patched. Bump it with any change to this file's wire types.
+const PartialsProtocol = 2
+
+// PartialsProtocolHeader carries PartialsProtocol.
+const PartialsProtocolHeader = "X-Usaas-Partials-Protocol"
+
+// MaxPartialsBytes caps a partials answer body a client reads; a longer one
+// fails the exchange.
+const MaxPartialsBytes = 256 << 20
+
+// partialsProtocol is PartialsProtocol as it appears on the wire.
+var partialsProtocol = strconv.Itoa(PartialsProtocol)
 
 // Partial-section names accepted by GET /v1/partials.
 const (
@@ -40,7 +64,7 @@ const (
 	SectionDose        = "dose"        // one parameterized dose-response view
 	SectionDrops       = "drops"       // the report's four engagement-drop views
 	SectionConfounders = "confounders" // per-day confounder accumulators
-	SectionSocial      = "social"      // sweep day rows, term weights, clouds
+	SectionSocial      = "social"      // per-day sentiment, keywords, cloud and term rows
 	SectionSpeeds      = "speeds"      // per-month extracted speed observations
 	SectionExperience  = "experience"  // per-day per-ISP engagement + social counts
 )
@@ -57,10 +81,26 @@ type DoseDayPartial struct {
 	Bins stats.BinAccState `json:"bins"`
 }
 
-// DayCloud is one day's top word-cloud unigrams, shipped so the coordinator
-// can annotate sentiment peaks without the posts: each day's posts live
-// wholly on one shard, so the shipped cloud is the one the global corpus
-// would yield.
+// SocialDayPartial is one calendar day's social accumulator state: the
+// sentiment counts, the gated outage-keyword count, the ranked word cloud
+// and the day's trend terms as parallel arrays (spelling, summed post
+// weight, positive posts, posts). A day's posts live wholly on one shard, so
+// every field is the value the global corpus has for that day — the cloud
+// lets the coordinator annotate peaks without the posts.
+type SocialDayPartial struct {
+	Day       timeline.Day    `json:"day"`
+	Posts     int             `json:"posts"`
+	StrongPos int             `json:"strong_pos,omitempty"`
+	StrongNeg int             `json:"strong_neg,omitempty"`
+	Keywords  int             `json:"keywords,omitempty"`
+	Cloud     []nlp.WordCount `json:"cloud"`
+	Terms     []string        `json:"terms,omitempty"`
+	Weights   []float64       `json:"weights,omitempty"`
+	Pos       []int           `json:"pos,omitempty"`
+	Total     []int           `json:"total,omitempty"`
+}
+
+// DayCloud is one day's top word-cloud unigrams.
 type DayCloud struct {
 	Day   timeline.Day    `json:"day"`
 	Words []nlp.WordCount `json:"words"`
@@ -135,17 +175,133 @@ type ShardPartials struct {
 	Drops       [][]DoseDayPartial        `json:"drops,omitempty"`
 	Confounders []ConfounderDayPartial    `json:"confounders,omitempty"`
 
-	HavePosts  bool                `json:"have_posts,omitempty"`
-	Posts      int                 `json:"posts,omitempty"`
-	WindowFrom timeline.Day        `json:"window_from,omitempty"`
-	WindowTo   timeline.Day        `json:"window_to,omitempty"`
-	Sentiment  []DaySentiment      `json:"sentiment,omitempty"`
-	Keywords   []DayKeywords       `json:"keywords,omitempty"`
-	Clouds     []DayCloud          `json:"clouds,omitempty"`
-	Terms      []TermPartial       `json:"terms,omitempty"`
-	Speeds     []SpeedMonthPartial `json:"speeds,omitempty"`
+	HavePosts  bool         `json:"have_posts,omitempty"`
+	Posts      int          `json:"posts,omitempty"`
+	WindowFrom timeline.Day `json:"window_from,omitempty"`
+	WindowTo   timeline.Day `json:"window_to,omitempty"`
+	// SocialSince is set when Social is a delta: the state tag the request
+	// named in since=, whose days the receiver holds. Social then lists only
+	// the days folded after it.
+	SocialSince string              `json:"social_since,omitempty"`
+	Social      []SocialDayPartial  `json:"social,omitempty"`
+	Speeds      []SpeedMonthPartial `json:"speeds,omitempty"`
 
 	Experience *ExperiencePartial `json:"experience,omitempty"`
+
+	// rows is Social regrouped for the Merge* functions, derived once by
+	// PatchSocial; nil means derive on use.
+	rows *SocialRows
+}
+
+// SocialRows is one shard's social section regrouped into the series the
+// Merge* functions take: sentiment rows of the days with posts, keyword rows
+// of the days with gated hits, every day's cloud, and the term weights
+// regrouped by term (days ascending) and sorted by spelling.
+type SocialRows struct {
+	Sentiment []DaySentiment
+	Keywords  []DayKeywords
+	Clouds    []DayCloud
+	Terms     []TermPartial
+}
+
+// socialRowsOf regroups ascending, well-formed day partials (see
+// checkSocialDays).
+func socialRowsOf(days []SocialDayPartial) *SocialRows {
+	r := &SocialRows{
+		Sentiment: make([]DaySentiment, 0, len(days)),
+		Clouds:    make([]DayCloud, 0, len(days)),
+	}
+	index := map[string]int{}
+	for i := range days {
+		d := &days[i]
+		r.Sentiment = append(r.Sentiment, DaySentiment{Day: d.Day, Posts: d.Posts, StrongPos: d.StrongPos, StrongNeg: d.StrongNeg})
+		if d.Keywords > 0 {
+			r.Keywords = append(r.Keywords, DayKeywords{Day: d.Day, Count: d.Keywords})
+		}
+		r.Clouds = append(r.Clouds, DayCloud{Day: d.Day, Words: d.Cloud})
+		for j, term := range d.Terms {
+			k, ok := index[term]
+			if !ok {
+				k = len(r.Terms)
+				index[term] = k
+				r.Terms = append(r.Terms, TermPartial{Term: term})
+			}
+			tp := &r.Terms[k]
+			tp.Days = append(tp.Days, DayWeight{Day: d.Day, Weight: d.Weights[j]})
+			tp.Pos += d.Pos[j]
+			tp.Total += d.Total[j]
+		}
+	}
+	sort.Slice(r.Terms, func(i, j int) bool { return r.Terms[i].Term < r.Terms[j].Term })
+	return r
+}
+
+// checkSocialDays rejects day partials the merge cannot take: days out of
+// strictly ascending order, or term arrays of unequal length.
+func checkSocialDays(days []SocialDayPartial) error {
+	for i := range days {
+		d := &days[i]
+		if i > 0 && d.Day <= days[i-1].Day {
+			return fmt.Errorf("social day %v follows day %v", d.Day, days[i-1].Day)
+		}
+		if n := len(d.Terms); len(d.Weights) != n || len(d.Pos) != n || len(d.Total) != n {
+			return fmt.Errorf("social day %v: %d terms, %d weights, %d pos, %d total", d.Day, n, len(d.Weights), len(d.Pos), len(d.Total))
+		}
+	}
+	return nil
+}
+
+// patchDays returns held's days with delta's replacing or joining them by
+// day key, ascending. Neither input is written.
+func patchDays(held, delta []SocialDayPartial) []SocialDayPartial {
+	out := make([]SocialDayPartial, 0, len(held)+len(delta))
+	i := 0
+	for _, d := range delta {
+		for i < len(held) && held[i].Day < d.Day {
+			out = append(out, held[i])
+			i++
+		}
+		if i < len(held) && held[i].Day == d.Day {
+			i++
+		}
+		out = append(out, d)
+	}
+	return append(out, held[i:]...)
+}
+
+// PatchSocial makes p's freshly decoded social section whole and ready to
+// merge. A delta (SocialSince set) has its days patched onto base's by day
+// key; base must be the held section whose tag the request named, and is
+// only read, since concurrent readers may still hold it. Then the rows the
+// Merge* functions take are derived, once — or, for an empty delta, taken
+// from base. It reports whether p was a delta, and fails on day partials the
+// merge cannot take.
+func (p *ShardPartials) PatchSocial(base *ShardPartials) (delta bool, err error) {
+	if err := checkSocialDays(p.Social); err != nil {
+		return false, err
+	}
+	if delta = p.SocialSince != ""; delta {
+		if base == nil {
+			return true, fmt.Errorf("social delta since %q without the days it patches", p.SocialSince)
+		}
+		p.SocialSince = ""
+		if len(p.Social) == 0 && base.rows != nil {
+			p.Social, p.rows = base.Social, base.rows
+			return true, nil
+		}
+		p.Social = patchDays(base.Social, p.Social)
+	}
+	p.rows = socialRowsOf(p.Social)
+	return delta, nil
+}
+
+// SocialRows returns the social section regrouped for merging: the rows
+// PatchSocial derived, or — for partials collected in process — derived now.
+func (p *ShardPartials) SocialRows() *SocialRows {
+	if p.rows != nil {
+		return p.rows
+	}
+	return socialRowsOf(p.Social)
 }
 
 // Take copies the fields section contributes from src into p. The copy is
@@ -173,7 +329,7 @@ func (p *ShardPartials) Take(section string, src *ShardPartials) {
 			p.Speeds = src.Speeds
 			break
 		}
-		p.Sentiment, p.Keywords, p.Clouds, p.Terms = src.Sentiment, src.Keywords, src.Clouds, src.Terms
+		p.SocialSince, p.Social, p.rows = src.SocialSince, src.Social, src.rows
 	case SectionExperience:
 		p.Experience = src.Experience
 	}
@@ -315,10 +471,43 @@ func predictedDayPartials(p *MOSPredictor, rows Rows, isp string) []DayOnlinePar
 	return out
 }
 
-// CollectPartials builds the GET /v1/partials response for the requested
-// sections. Returns an error for unknown sections or missing parameters —
-// version skew between coordinator and shard must be loud, not silent.
+// CollectPartials builds the full GET /v1/partials response for the
+// requested sections. Returns an error for unknown sections or missing
+// parameters — version skew between coordinator and shard must be loud, not
+// silent.
 func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string) (*ShardPartials, error) {
+	return s.collectPartials(sections, doseKey, confEng, isp, nil)
+}
+
+// sinceBase is a since= tag that this process minted under this protocol:
+// the state a requester holds the social days of.
+type sinceBase struct {
+	tag     string
+	postGen uint64
+}
+
+// parseSince returns the base a since= value names, or nil for anything
+// that is not a state tag of this process and protocol — those get a full
+// answer.
+func (s *Server) parseSince(raw string) *sinceBase {
+	f := strings.Split(strings.Trim(raw, `"`), ".")
+	if len(f) != 4 || f[0] != partialsProtocol || f[1] != s.boot {
+		return nil
+	}
+	if _, err := strconv.ParseUint(f[2], 10, 64); err != nil {
+		return nil
+	}
+	postGen, err := strconv.ParseUint(f[3], 10, 64)
+	if err != nil {
+		return nil
+	}
+	return &sinceBase{tag: raw, postGen: postGen}
+}
+
+// collectPartials is CollectPartials with an optional since= base: with one
+// that the store has not moved behind (a future generation gets a full
+// answer), the social section ships only the days folded after it.
+func (s *Server) collectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string, since *sinceBase) (*ShardPartials, error) {
 	out := &ShardPartials{}
 	_, out.Sessions = s.store.RatedSessions()
 	var view *socialView
@@ -352,13 +541,14 @@ func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng
 				out.Speeds = v.speedPartials()
 				break
 			}
-			// Day rows that carry data (the coordinator zero-fills the rest
-			// of the global window), every such day's word cloud, and the
-			// term weights regrouped by term.
-			out.Sentiment = sentimentRows(v.days)
-			out.Keywords = keywordRows(v.days, true)
-			out.Clouds = v.clouds()
-			out.Terms = v.terms()
+			// The days that hold posts (the coordinator zero-fills the rest
+			// of the global window): all of them, or those folded since the
+			// requester's base.
+			var after uint64
+			if since != nil && since.postGen <= v.gen {
+				after, out.SocialSince = since.postGen, since.tag
+			}
+			out.Social = v.dayPartials(after)
 		case SectionExperience:
 			if isp == "" {
 				return nil, fmt.Errorf("section %q requires the isp parameter", SectionExperience)
@@ -826,10 +1016,11 @@ func AssembleClusterReport(in ClusterReportInput) OperatorReport {
 				continue
 			}
 			src.posts += b.Posts
-			sentParts = append(sentParts, b.Sentiment)
-			kwParts = append(kwParts, b.Keywords)
-			cloudParts = append(cloudParts, b.Clouds)
-			termParts = append(termParts, b.Terms)
+			rows := b.SocialRows()
+			sentParts = append(sentParts, rows.Sentiment)
+			kwParts = append(kwParts, rows.Keywords)
+			cloudParts = append(cloudParts, rows.Clouds)
+			termParts = append(termParts, rows.Terms)
 			speedParts = append(speedParts, b.Speeds)
 		}
 		// WeeklyAverages' exact arithmetic: posts / (window days / 7).

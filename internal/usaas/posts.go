@@ -71,9 +71,10 @@ func (b *dayBucket) insert(p *social.Post, r postRec) {
 	}
 }
 
-// fold brings acc up to date with recs. The previous accumulator is left
+// fold brings acc up to date with recs and stamps it with the post
+// generation gen of the batch folding it. The previous accumulator is left
 // untouched for the readers that hold it.
-func (b *dayBucket) fold(arena []nlp.TokenID, in *nlp.Interner) (refolded bool) {
+func (b *dayBucket) fold(arena []nlp.TokenID, in *nlp.Interner, gen uint64) (refolded bool) {
 	var a *socialDay
 	if b.folded > 0 {
 		a = b.acc.clone()
@@ -90,6 +91,7 @@ func (b *dayBucket) fold(arena []nlp.TokenID, in *nlp.Interner) (refolded bool) 
 		}
 	}
 	a.finish(in)
+	a.gen = gen
 	b.acc, b.folded = a, len(b.recs)
 	return refolded
 }
@@ -200,11 +202,11 @@ func (s *Store) applyPosts(posts []social.Post, st stagedPosts) {
 	// snapshot restore) shards them by canonical chunk.
 	s.textMu.RLock()
 	defer s.textMu.RUnlock()
-	n := len(touched)
+	n, gen := len(touched), s.postGen
 	refolds, _ := parallel.Map(0, (n+sweepDayChunk-1)/sweepDayChunk, func(ci int) (int, error) {
 		refolded := 0
 		for _, b := range touched[ci*sweepDayChunk : min((ci+1)*sweepDayChunk, n)] {
-			if b.fold(s.arena, s.text.in) {
+			if b.fold(s.arena, s.text.in, gen) {
 				refolded++
 			}
 		}
@@ -258,12 +260,14 @@ func (s *Store) Corpus() *social.Corpus {
 }
 
 // socialView is a consistent read of the post shard: the corpus window, the
-// post count and every day's published accumulator, ascending. Everything
-// the social endpoints serve is assembled from it, lock-free.
+// post count, the post generation and every day's published accumulator,
+// ascending. Everything the social endpoints serve is assembled from it,
+// lock-free.
 type socialView struct {
 	store  *Store
 	window timeline.Range
 	posts  int
+	gen    uint64
 	days   []*socialDay
 }
 
@@ -280,6 +284,7 @@ func (s *Store) social() *socialView {
 		store:  s,
 		window: timeline.Range{From: s.days[0].day, To: s.days[len(s.days)-1].day},
 		posts:  s.nPosts,
+		gen:    s.postGen,
 		days:   make([]*socialDay, len(s.days)),
 	}
 	for i, b := range s.days {
@@ -314,11 +319,31 @@ func (v *socialView) trends(opts TrendOptions) []Trend {
 	return scanTrends(v.window, v.terms(), opts.withDefaults())
 }
 
-// clouds exports every day's ranked word cloud.
-func (v *socialView) clouds() []DayCloud {
-	out := make([]DayCloud, len(v.days))
-	for i, a := range v.days {
-		out[i] = DayCloud{Day: a.Day, Words: a.cloud}
+// dayPartials exports the days folded by a post generation after the given
+// one (every day for 0), ascending, each with its term rows spelled through
+// the store's interner.
+func (v *socialView) dayPartials(after uint64) []SocialDayPartial {
+	var out []SocialDayPartial
+	v.store.textMu.RLock()
+	defer v.store.textMu.RUnlock()
+	in := v.store.text.in
+	for _, a := range v.days {
+		if a.gen <= after {
+			continue
+		}
+		d := SocialDayPartial{
+			Day: a.Day, Posts: a.Posts, StrongPos: a.StrongPos, StrongNeg: a.StrongNeg,
+			Keywords: a.gatedHits, Cloud: a.cloud,
+			Terms:   make([]string, len(a.terms)),
+			Weights: make([]float64, len(a.terms)),
+			Pos:     make([]int, len(a.terms)),
+			Total:   make([]int, len(a.terms)),
+		}
+		for i := range a.terms {
+			t := &a.terms[i]
+			d.Terms[i], d.Weights[i], d.Pos[i], d.Total[i] = termString(in, t.key), t.weight, int(t.pos), int(t.total)
+		}
+		out = append(out, d)
 	}
 	return out
 }

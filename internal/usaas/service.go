@@ -563,9 +563,10 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	s.mux.HandleFunc("/v1/insights/incidents", s.cached(s.handleIncidents))
 	// Cluster partial-state exchange (partials.go). The GET side is tagged
 	// and cached like any insight; the model phase is a POST and stays
-	// uncached, but stamps the same tag on its answer.
-	s.mux.HandleFunc("/v1/partials", s.cached(s.handleGetPartials))
-	s.mux.HandleFunc("/v1/partials/model", s.handleModelPartials)
+	// uncached, but stamps the same tag on its answer. Both speak one
+	// numbered protocol.
+	s.mux.HandleFunc("/v1/partials", speaksPartials(s.cached(s.handleGetPartials)))
+	s.mux.HandleFunc("/v1/partials/model", speaksPartials(s.handleModelPartials))
 	s.mux.HandleFunc(healthzPath, s.handleHealthz)
 	s.mux.HandleFunc(readyzPath, s.handleReadyz)
 	return s
@@ -1045,8 +1046,9 @@ type ClusterStats struct {
 
 // ShardStatus is one shard's health and fan-out gauges. Revalidated counts
 // partials requests the shard answered 304 (the coordinator's held state
-// was current), Fetched those it answered with a body, PartialsBytes the
-// body bytes transferred.
+// was current), Fetched those it answered with a body, Deltas those of them
+// whose social section patched held days, PartialsBytes the body bytes
+// transferred.
 type ShardStatus struct {
 	Name          string        `json:"name"`
 	Up            bool          `json:"up"`
@@ -1054,6 +1056,7 @@ type ShardStatus struct {
 	Errors        uint64        `json:"errors"`
 	Revalidated   uint64        `json:"revalidated"`
 	Fetched       uint64        `json:"fetched"`
+	Deltas        uint64        `json:"deltas,omitempty"`
 	PartialsBytes uint64        `json:"partials_bytes"`
 	LatencyMs     stats.GeoHist `json:"latency_ms"`
 }
@@ -1408,9 +1411,24 @@ func (s *Server) handleExperience(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MergeExperience(isp, []*ExperiencePartial{part}, predicted))
 }
 
+// speaksPartials stamps every answer of a partials endpoint with the protocol
+// this build speaks, and refuses a request that names another with a 400
+// naming both. A request naming none (curl, a direct fetch) is served.
+func speaksPartials(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(PartialsProtocolHeader, partialsProtocol)
+		if got := r.Header.Get(PartialsProtocolHeader); got != "" && got != partialsProtocol {
+			writeErr(w, http.StatusBadRequest, "partials protocol %q requested; this shard speaks %d", got, PartialsProtocol)
+			return
+		}
+		next(w, r)
+	}
+}
+
 // handleGetPartials serves the cluster partial-state exchange (partials.go):
-// the mergeable per-day accumulator state for the requested sections.
-// Answers are tagged and cached like any insight.
+// the mergeable per-day accumulator state for the requested sections — the
+// social section as a delta when since= names a base it can serve one
+// against. Answers are tagged and cached like any insight.
 func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
@@ -1457,7 +1475,7 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 			confEng = eng
 		}
 	}
-	out, err := s.CollectPartials(sections, doseKey, confEng, q.Get("isp"))
+	out, err := s.collectPartials(sections, doseKey, confEng, q.Get("isp"), s.parseSince(q.Get("since")))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

@@ -152,6 +152,10 @@ type socialDay struct {
 	speeds         []speedPoint
 	// cloud is the day's top word-cloud unigrams, set by finish.
 	cloud []nlp.WordCount
+	// gen is the store's post generation whose batch folded this
+	// accumulator (0 in an offline sweep): a coordinator holding the
+	// days of an older generation needs exactly the days with a greater one.
+	gen uint64
 }
 
 // cloudWords is how many unigrams a day's word cloud keeps: the peak
