@@ -23,6 +23,14 @@ import (
 // then the failure surfaces as degradation.
 var fastRetry = usaas.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}
 
+// reportSections are every section of the report, in guard-chain order: a
+// dead shard must be noted on each.
+var reportSections = []string{
+	"sessions", "engagement-drops", "mos-correlations", "mos-predictor",
+	"traffic-engineering", "posts", "social-sweep", "sentiment-peaks",
+	"outage-monitor", "trends", "speeds",
+}
+
 // fetchReport GETs /v1/report and decodes it alongside the raw bytes.
 func fetchReport(t *testing.T, base string) (usaas.OperatorReport, []byte) {
 	t.Helper()

@@ -65,11 +65,8 @@ func (c *Client) IngestPostsBatch(ctx context.Context, batchID string, posts []s
 }
 
 // ingest fans the batch to every shard concurrently and folds the acks
-// the way a single node would have answered: accepted counts and store
-// totals sum across shards, and the batch is a duplicate only if every
-// shard saw its sub-batch before. Any shard failure fails the whole
-// batch — the producer retries it, and per-shard dedup makes the retry
-// exact, never partial.
+// (foldAcks). Any shard failure fails the whole batch — the producer
+// retries it, and per-shard dedup makes the retry exact, never partial.
 func (c *Client) ingest(ctx context.Context, batchID string, send func(i int) (usaas.IngestResponse, error)) (usaas.IngestResponse, error) {
 	acks := make([]usaas.IngestResponse, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -87,14 +84,20 @@ func (c *Client) ingest(ctx context.Context, batchID string, send func(i int) (u
 			return usaas.IngestResponse{}, err
 		}
 	}
+	return foldAcks(batchID, acks), nil
+}
+
+// foldAcks is the acknowledgement one node would have given for the batch
+// the shards' sub-batch acks cover: accepted counts and store totals sum,
+// and the batch is a duplicate only if every shard saw its sub-batch before.
+// A shard replays its original ack, so replays fold to the original too.
+func foldAcks(batchID string, acks []usaas.IngestResponse) usaas.IngestResponse {
 	out := usaas.IngestResponse{BatchID: batchID, Duplicate: true}
 	for _, a := range acks {
 		out.Accepted += a.Accepted
 		out.TotalSessions += a.TotalSessions
 		out.TotalPosts += a.TotalPosts
-		if !a.Duplicate {
-			out.Duplicate = false
-		}
+		out.Duplicate = out.Duplicate && a.Duplicate
 	}
-	return out, nil
+	return out
 }

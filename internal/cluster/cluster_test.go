@@ -205,9 +205,32 @@ func buildCluster(t *testing.T, n, workers int, opts Options) *testCluster {
 	return tc
 }
 
+// postBody POSTs one ingest body with the given Content-Type and returns the
+// acknowledgement.
+func postBody(t *testing.T, ctx context.Context, base, path, contentType, batchID string, body []byte) usaas.IngestResponse {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	req.Header.Set(usaas.BatchIDHeader, batchID)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ack usaas.IngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s%s (%s): status %d, %v", base, path, contentType, resp.StatusCode, err)
+	}
+	return ack
+}
+
 // ingestBoth feeds the coordinator and the reference node the same ragged
 // batches (including a duplicate replay) and cross-checks the aggregated
-// acknowledgements.
+// acknowledgements. One session batch arrives as application/jsonl and one
+// post batch as NDJSON, the shapes a node accepts beside JSON arrays.
 func ingestBoth(t *testing.T, tc *testCluster, recs []telemetry.SessionRecord, posts []social.Post) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -225,13 +248,22 @@ func ingestBoth(t *testing.T, tc *testCluster, recs []telemetry.SessionRecord, p
 			continue
 		}
 		id := fmt.Sprintf("batch-%d", i)
-		cr, err := cc.IngestSessionsBatch(ctx, id, recs[prev:cut])
-		if err != nil {
-			t.Fatalf("coordinator ingest %s: %v", id, err)
-		}
-		sr, err := sc.IngestSessionsBatch(ctx, id, recs[prev:cut])
-		if err != nil {
-			t.Fatalf("single ingest %s: %v", id, err)
+		var cr, sr usaas.IngestResponse
+		if i == 2 {
+			body, err := telemetry.AppendNDJSON(nil, recs[prev:cut])
+			if err != nil {
+				t.Fatal(err)
+			}
+			cr = postBody(t, ctx, tc.coordTS.URL, "/v1/sessions", "application/jsonl", id, body)
+			sr = postBody(t, ctx, tc.single.URL, "/v1/sessions", "application/jsonl", id, body)
+		} else {
+			var err error
+			if cr, err = cc.IngestSessionsBatch(ctx, id, recs[prev:cut]); err != nil {
+				t.Fatalf("coordinator ingest %s: %v", id, err)
+			}
+			if sr, err = sc.IngestSessionsBatch(ctx, id, recs[prev:cut]); err != nil {
+				t.Fatalf("single ingest %s: %v", id, err)
+			}
 		}
 		if cr != sr {
 			t.Fatalf("ingest ack diverges for %s: coordinator %+v vs single %+v", id, cr, sr)
@@ -258,14 +290,22 @@ func ingestBoth(t *testing.T, tc *testCluster, recs []telemetry.SessionRecord, p
 
 	if len(posts) > 0 {
 		half := len(posts) / 2
-		for i, span := range [][]social.Post{posts[:half], posts[half:]} {
-			id := fmt.Sprintf("posts-%d", i)
-			if _, err := cc.IngestPostsBatch(ctx, id, span); err != nil {
-				t.Fatalf("coordinator post ingest: %v", err)
+		if _, err := cc.IngestPostsBatch(ctx, "posts-0", posts[:half]); err != nil {
+			t.Fatalf("coordinator post ingest: %v", err)
+		}
+		if _, err := sc.IngestPostsBatch(ctx, "posts-0", posts[:half]); err != nil {
+			t.Fatalf("single post ingest: %v", err)
+		}
+		var ndjson bytes.Buffer
+		enc := json.NewEncoder(&ndjson)
+		for i := range posts[half:] {
+			if err := enc.Encode(&posts[half+i]); err != nil {
+				t.Fatal(err)
 			}
-			if _, err := sc.IngestPostsBatch(ctx, id, span); err != nil {
-				t.Fatalf("single post ingest: %v", err)
-			}
+		}
+		cr := postBody(t, ctx, tc.coordTS.URL, "/v1/posts", "application/x-ndjson", "posts-1", ndjson.Bytes())
+		if sr := postBody(t, ctx, tc.single.URL, "/v1/posts", "application/x-ndjson", "posts-1", ndjson.Bytes()); cr != sr {
+			t.Fatalf("NDJSON post ack diverges: coordinator %+v vs single %+v", cr, sr)
 		}
 		// Replay the first half against the coordinator only; the shard-side
 		// dedup must swallow it.
@@ -336,11 +376,22 @@ func ingestPostsArrival(t *testing.T, tc *testCluster, posts []social.Post, perm
 // get fetches a path and returns (status, body bytes as string).
 func get(t *testing.T, base, path string) (int, string) {
 	t.Helper()
+	status, _, body := send(t, http.MethodGet, base+path, nil)
+	return status, body
+}
+
+// send makes one bodiless request and returns the status, the answer's
+// headers and its body.
+func send(t *testing.T, method, url string, header http.Header) (int, http.Header, string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for k, vs := range header {
+		req.Header[k] = vs
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -351,7 +402,7 @@ func get(t *testing.T, base, path string) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, string(body)
+	return resp.StatusCode, resp.Header, string(body)
 }
 
 // queryPaths is every read endpoint the coordinator must answer
@@ -595,6 +646,45 @@ func TestCoordinatorErrorPaths(t *testing.T) {
 		sStatus, sBody := get(t, cl.single.URL, p)
 		if cStatus != sStatus || cBody != sBody {
 			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q)", p, cStatus, cBody, sStatus, sBody)
+		}
+	}
+	// A wrong method: the same 405, message and Allow header.
+	for _, m := range [][2]string{{http.MethodPost, "/v1/report"}, {http.MethodGet, "/v1/sessions"}} {
+		cStatus, cHeader, cBody := send(t, m[0], cl.coordTS.URL+m[1], nil)
+		sStatus, sHeader, sBody := send(t, m[0], cl.single.URL+m[1], nil)
+		cAllow, sAllow := cHeader.Get("Allow"), sHeader.Get("Allow")
+		if cStatus != http.StatusMethodNotAllowed || cStatus != sStatus || cAllow == "" || cAllow != sAllow || cBody != sBody {
+			t.Errorf("%s %s: coordinator (%d, Allow %q, %q) vs single (%d, Allow %q, %q)", m[0], m[1], cStatus, cAllow, cBody, sStatus, sAllow, sBody)
+		}
+	}
+}
+
+// TestCoordinatorAuth: a coordinator with a token guards its routes as a node
+// does — a missing or wrong token gets a node's 401, byte for byte — and
+// health probes pass without one.
+func TestCoordinatorAuth(t *testing.T) {
+	shard := newShardServer(t, 0)
+	m := Map{Version: 1, Shards: []Shard{{Name: "s0", Endpoints: []string{shard.URL}}}}
+	coord := httptest.NewServer(New(m, Options{Token: "sekrit"}).Handler())
+	defer coord.Close()
+	node := httptest.NewServer(usaas.NewServer(nil, usaas.ServerOptions{AuthToken: "sekrit"}).Handler())
+	defer node.Close()
+	for _, auth := range []string{"", "Bearer nope", "sekrit"} {
+		header := http.Header{"Authorization": {auth}}
+		for _, p := range []string{"/v1/stats", "/v1/report", "/v1/insights/sentiment"} {
+			cStatus, _, cBody := send(t, http.MethodGet, coord.URL+p, header)
+			sStatus, _, sBody := send(t, http.MethodGet, node.URL+p, header)
+			if cStatus != http.StatusUnauthorized || cStatus != sStatus || cBody != sBody {
+				t.Errorf("%s with Authorization %q: coordinator (%d, %q) vs node (%d, %q)", p, auth, cStatus, cBody, sStatus, sBody)
+			}
+		}
+	}
+	if status, _, body := send(t, http.MethodGet, coord.URL+"/v1/stats", http.Header{"Authorization": {"Bearer sekrit"}}); status != http.StatusOK {
+		t.Errorf("/v1/stats with the token: %d %.200s", status, body)
+	}
+	for _, p := range []string{"/v1/healthz", "/v1/readyz"} {
+		if status, _, body := send(t, http.MethodGet, coord.URL+p, nil); status != http.StatusOK {
+			t.Errorf("%s without a token: %d %.200s", p, status, body)
 		}
 	}
 }

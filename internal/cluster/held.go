@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/url"
 	"slices"
-	"strings"
 	"sync"
 
 	"usersignals/internal/usaas"
@@ -48,32 +46,8 @@ import (
 //   - Bounded: at most max entries per shard, FIFO, the social base among
 //     them. Once it is evicted the next social fetch is a full one.
 
-// section names one piece of shard state a query needs: a /v1/partials
-// section plus the parameters that select it.
-type section struct {
-	name   string
-	params url.Values
-}
-
-func (s section) key() string { return s.name + "?" + s.params.Encode() }
-
 // socialKey holds the social section, which takes no parameters.
-var socialKey = section{name: usaas.SectionSocial}.key()
-
-// partialsQuery is the /v1/partials query fetching the sections in one
-// answer. No endpoint combines sections whose parameters collide.
-func partialsQuery(sections []section) url.Values {
-	names := make([]string, len(sections))
-	q := url.Values{}
-	for i, s := range sections {
-		names[i] = s.name
-		for k, v := range s.params {
-			q[k] = v
-		}
-	}
-	q.Set("sections", strings.Join(names, ","))
-	return q
-}
+var socialKey = usaas.Section{Name: usaas.SectionSocial}.Key()
 
 // modelKey identifies a model-phase request: its wire form.
 func modelKey(req usaas.ModelPartialsRequest) string {
@@ -112,13 +86,13 @@ func newHeld(max int) *held {
 // lookup composes the sections among need held at the held tag into a
 // bundle and lists the rest, with that tag and the social base (zero when
 // none is held).
-func (h *held) lookup(need []section) (tag string, bundle *usaas.ShardPartials, missing []section, base heldEntry) {
+func (h *held) lookup(need []usaas.Section) (tag string, bundle *usaas.ShardPartials, missing []usaas.Section, base heldEntry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	bundle = &usaas.ShardPartials{}
 	for _, s := range need {
-		if e, ok := h.entries[s.key()]; ok && e.tag == h.tag {
-			bundle.Take(s.name, e.part)
+		if e, ok := h.entries[s.Key()]; ok && e.tag == h.tag {
+			bundle.Take(s.Name, e.part)
 		} else {
 			missing = append(missing, s)
 		}
@@ -183,11 +157,11 @@ func (h *held) putLocked(key string, e heldEntry) {
 
 // putSections splits a multi-section answer into its sections and holds
 // each under tag.
-func (h *held) putSections(tag string, sections []section, p *usaas.ShardPartials) {
+func (h *held) putSections(tag string, sections []usaas.Section, p *usaas.ShardPartials) {
 	for _, s := range sections {
 		piece := &usaas.ShardPartials{}
-		piece.Take(s.name, p)
-		h.put(tag, s.key(), heldEntry{part: piece})
+		piece.Take(s.Name, p)
+		h.put(tag, s.Key(), heldEntry{part: piece})
 	}
 }
 
@@ -198,7 +172,7 @@ func (h *held) putSections(tag string, sections []section, p *usaas.ShardPartial
 // validates the held rest. If the tag moved in between, the held rest is
 // stale: one whole answer replaces it. Either way, social comes as the days
 // changed since the social base (fetch).
-func (sc *shardConn) partials(ctx context.Context, need []section) (*usaas.ShardPartials, string, error) {
+func (sc *shardConn) partials(ctx context.Context, need []usaas.Section) (*usaas.ShardPartials, string, error) {
 	h := sc.held
 	if h == nil {
 		p, v, err := sc.fetch(ctx, need, "", heldEntry{})
@@ -233,7 +207,7 @@ func (sc *shardConn) partials(ctx context.Context, need []section) (*usaas.Shard
 	}
 	h.putSections(v.Tag, ask, &p)
 	for _, s := range ask {
-		bundle.Take(s.name, &p)
+		bundle.Take(s.Name, &p)
 	}
 	return bundle, v.Tag, nil
 }
@@ -243,9 +217,9 @@ func (sc *shardConn) partials(ctx context.Context, need []section) (*usaas.Shard
 // since base's tag and a delta answer is patched onto them; either way the
 // social section comes back whole, with its merge rows derived once. An
 // answer the merge cannot take fails the exchange like an unreachable shard.
-func (sc *shardConn) fetch(ctx context.Context, sections []section, cond string, base heldEntry) (p usaas.ShardPartials, v usaas.Validation, err error) {
-	q := partialsQuery(sections)
-	social := slices.ContainsFunc(sections, func(s section) bool { return s.name == usaas.SectionSocial })
+func (sc *shardConn) fetch(ctx context.Context, sections []usaas.Section, cond string, base heldEntry) (p usaas.ShardPartials, v usaas.Validation, err error) {
+	q := usaas.PartialsQuery(sections)
+	social := slices.ContainsFunc(sections, func(s usaas.Section) bool { return s.Name == usaas.SectionSocial })
 	since := ""
 	if social && base.part != nil {
 		since = base.tag

@@ -1,5 +1,7 @@
 package nlp
 
+import "sort"
+
 // Matcher is a Dictionary compiled against an Interner into an
 // Aho-Corasick automaton over stem TokenIDs: one pass over a post's token
 // stream counts every word and phrase hit at once, replacing
@@ -27,9 +29,16 @@ type Matcher struct {
 }
 
 // InternInto interns every token of d's entries, so that a matcher compiled
-// against in afterwards keeps all its patterns however in grows.
+// against in afterwards keeps all its patterns however in grows. Words are
+// interned in sorted order, so the IDs they get — and everything ordered by
+// ID, such as a shard's per-day term rows — are the same in every process.
 func (d *Dictionary) InternInto(in *Interner) {
+	words := make([]string, 0, len(d.words))
 	for w := range d.words {
+		words = append(words, w)
+	}
+	sort.Strings(words)
+	for _, w := range words {
 		in.Intern(w)
 	}
 	for _, ph := range d.phrases {

@@ -142,7 +142,7 @@ func admissionLimiter(next http.Handler, a *admission) http.Handler {
 			if tenant == "" {
 				tenant = "(anonymous)"
 			}
-			writeErr(w, http.StatusTooManyRequests, "tenant %s over ingest budget (%g batches/sec)", tenant, a.rate)
+			WriteError(w, http.StatusTooManyRequests, "tenant %s over ingest budget (%g batches/sec)", tenant, a.rate)
 			return
 		}
 		next.ServeHTTP(w, r)

@@ -203,7 +203,10 @@ func TestOutOfOrderPostsLiveEqualsRecovered(t *testing.T) {
 // post batch lands in a preloaded store, the cold report, the five social
 // endpoints and the social partials are served without tokenising or
 // scoring a single post; an in-order batch folds no existing day again, and
-// an out-of-order one folds again exactly the days it touches.
+// an out-of-order one folds again exactly the days it touches. It pins what
+// the node's read path costs too: the cold pass regroups the term rows at
+// most once for its post generation, a warm pass collects no partials, and
+// sentiment, peaks and outages regroup no terms.
 func TestColdSocialReadsScoreNothing(t *testing.T) {
 	c, news, cfg := studyCorpus(t)
 	store := &Store{}
@@ -214,11 +217,27 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 	if err := store.AddPosts(c.Posts[:n]); err != nil {
 		t.Fatal(err)
 	}
-	h := NewServer(store, ServerOptions{News: news, Model: cfg.Model}).Handler()
+	srv := NewServer(store, ServerOptions{News: news, Model: cfg.Model})
+	h := srv.Handler()
 	refolds := func() int {
 		store.postMu.RLock()
 		defer store.postMu.RUnlock()
 		return store.refolds
+	}
+	regroups := func() int {
+		store.termRows.mu.Lock()
+		defer store.termRows.mu.Unlock()
+		return store.termRows.regroups
+	}
+	serve := func(pass string, paths ...string) {
+		t.Helper()
+		for _, p := range paths {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %.200s", pass, p, rec.Code, rec.Body.Bytes())
+			}
+		}
 	}
 
 	before := postsAnalyzed.Load()
@@ -232,8 +251,7 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 		t.Fatalf("in-order ingest folded %d existing day(s) again", got)
 	}
 
-	before = postsAnalyzed.Load()
-	for _, p := range []string{
+	paths := []string{
 		"/v1/report",
 		"/v1/insights/sentiment",
 		"/v1/insights/peaks",
@@ -242,15 +260,27 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 		"/v1/insights/trends",
 		experience,
 		"/v1/partials?sections=social,speeds",
-	} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, p, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: status %d: %.200s", p, rec.Code, rec.Body.Bytes())
-		}
 	}
+	before, grouped := postsAnalyzed.Load(), regroups()
+	serve("cold", paths...)
 	if got := postsAnalyzed.Load() - before; got != 0 {
 		t.Errorf("cold social reads analysed %d post(s); the read path must analyse none", got)
+	}
+	if got := regroups() - grouped; got > 1 {
+		t.Errorf("the cold pass regrouped the term rows %d times in one post generation", got)
+	}
+	merges, misses := srv.reads.Merges(), srv.CacheMetrics().Misses
+	serve("warm", paths...)
+	if got, missed := srv.reads.Merges()-merges, srv.CacheMetrics().Misses-misses; got != 0 || missed != 0 {
+		t.Errorf("the warm pass collected partials for %d reads and missed the cache %d times, want none", got, missed)
+	}
+	if err := store.AddPosts(c.Posts[n+20 : n+30]); err != nil {
+		t.Fatal(err)
+	}
+	grouped = regroups()
+	serve("after a post batch", "/v1/insights/sentiment", "/v1/insights/peaks", "/v1/insights/outages")
+	if got := regroups() - grouped; got != 0 {
+		t.Errorf("sentiment, peaks and outages regrouped the term rows %d times", got)
 	}
 
 	// Two posts that sort ahead of posts their days already hold: exactly
@@ -292,13 +322,11 @@ func TestTrafficEngineeringAdviceComputedOncePerGeneration(t *testing.T) {
 	arrived := append(append(append([]telemetry.SessionRecord(nil), recs[:1500]...), quiet...), rated...)
 
 	store := &Store{}
+	h := NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler()
 	ask := func(step string, n, wantFolded int) {
 		t.Helper()
 		before := store.te.visited
-		got, err := store.teAdvice()
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
+		got := servedAdvice(h)
 		rep := BuildReport(store, nil, ServerOptions{})
 		if folded := store.te.visited - before; folded != wantFolded {
 			t.Errorf("%s: advice and report folded %d rows, want %d", step, folded, wantFolded)
@@ -307,7 +335,7 @@ func TestTrafficEngineeringAdviceComputedOncePerGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if marshal(t, got) != marshal(t, want) || marshal(t, rep.TEAdvice) != marshal(t, want) {
+		if got != adviceAnswer(want, nil) || marshal(t, rep.TEAdvice) != marshal(t, want) {
 			t.Errorf("%s: advice differs from a from-scratch fold of the %d sessions", step, n)
 		}
 	}
@@ -353,15 +381,25 @@ func referenceFold(c *social.Corpus) foldReference {
 	return ref
 }
 
+// storeFold is what the store serves of the same: its read plans' social
+// parts, the clouds of its wire form and its experience counts.
 func storeFold(s *Store) foldReference {
 	v := s.social()
+	p := servedSocial(s)
 	got := foldReference{
-		Sweep:  &Sweep{Sentiment: v.sentiment(), Keywords: v.keywords(), Trends: v.trends(TrendOptions{})},
+		Sweep:  &Sweep{Sentiment: p.sentiment(), Keywords: p.keywords(), Trends: p.trends(TrendOptions{})},
 		Clouds: socialRowsOf(v.dayPartials(0)).Clouds,
-		Speeds: v.monthlySpeeds(nil),
+		Speeds: MergeSpeeds(p.window, p.speeds, nil, 1),
 	}
 	got.Pos, got.Neg, got.OutageMentions = v.experienceCounts()
 	return got
+}
+
+// servedSocial is the store's post-side state as its read plans see it (nil
+// without posts).
+func servedSocial(s *Store) *socialParts {
+	p, _ := socialPartsOf(s.gather([]Section{{Name: SectionSocial}, {Name: SectionSpeeds}}).Bundles)
+	return p
 }
 
 // FuzzPostFoldEquivalence: for random batch cuts, delivery orders and

@@ -206,7 +206,7 @@ func (c *ResultCache) Serve(w http.ResponseWriter, r *http.Request, gen string, 
 			// Leader's response was not cacheable; compute solo.
 			render(w)
 		case <-r.Context().Done():
-			writeErr(w, http.StatusServiceUnavailable, "request canceled while waiting for identical query")
+			WriteError(w, http.StatusServiceUnavailable, "request canceled while waiting for identical query")
 		}
 		return
 	}
@@ -244,21 +244,27 @@ func (s *Server) stateTag() string {
 	return `"` + partialsProtocol + "." + s.boot + "." + strconv.FormatUint(sessGen, 10) + "." + strconv.FormatUint(postGen, 10) + `"`
 }
 
-// cached wraps a GET handler with the state tag (ETag out, If-None-Match
-// in) and the tag-keyed result cache with singleflight collapsing.
+// serveTagged answers a GET for content read at or after tag: the tag is the
+// strong ETag, If-None-Match equal to it answers a bodiless 304 before any
+// lookup or render, and otherwise Serve runs with tag as the generation.
+func (c *ResultCache) serveTagged(w http.ResponseWriter, r *http.Request, tag string, render func(http.ResponseWriter) (storable bool)) {
+	w.Header().Set("ETag", tag)
+	if r.Header.Get("If-None-Match") == tag {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	c.Serve(w, r, tag, render)
+}
+
+// cached wraps a GET handler with the state tag and the tag-keyed result
+// cache (serveTagged).
 func (s *Server) cached(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			next(w, r)
 			return
 		}
-		tag := s.stateTag()
-		w.Header().Set("ETag", tag)
-		if r.Header.Get("If-None-Match") == tag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		s.cache.Serve(w, r, tag, func(w http.ResponseWriter) bool {
+		s.cache.serveTagged(w, r, s.stateTag(), func(w http.ResponseWriter) bool {
 			next(w, r)
 			return true
 		})

@@ -90,7 +90,7 @@ func TestCacheSingleflightCollapse(t *testing.T) {
 	handler := srv.cached(func(w http.ResponseWriter, r *http.Request) {
 		n := computations.Add(1) // leader-only: one flight per key
 		<-release
-		writeJSON(w, http.StatusOK, map[string]int64{"n": n})
+		WriteJSON(w, http.StatusOK, map[string]int64{"n": n})
 	})
 
 	ts := httptest.NewServer(handler)
@@ -173,10 +173,10 @@ func TestCacheErrorResponsesNotCached(t *testing.T) {
 	fail.Store(true)
 	handler := srv.cached(func(w http.ResponseWriter, r *http.Request) {
 		if fail.Load() {
-			writeErr(w, http.StatusInternalServerError, "transient")
+			WriteError(w, http.StatusInternalServerError, "transient")
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"ok": "yes"})
+		WriteJSON(w, http.StatusOK, map[string]string{"ok": "yes"})
 	})
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -201,7 +201,7 @@ func TestCacheErrorResponsesNotCached(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	srv := NewServer(nil, ServerOptions{ResultCacheSize: 2})
 	handler := srv.cached(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, r.URL.RawQuery)
+		WriteJSON(w, http.StatusOK, r.URL.RawQuery)
 	})
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
@@ -233,7 +233,7 @@ func TestCacheStateTagValidates(t *testing.T) {
 		var renders atomic.Int64
 		probe := httptest.NewServer(srv.cached(func(w http.ResponseWriter, r *http.Request) {
 			renders.Add(1)
-			writeJSON(w, http.StatusOK, "rendered")
+			WriteJSON(w, http.StatusOK, "rendered")
 		}))
 		defer probe.Close()
 		fetch := func(url, ifNoneMatch string) (int, string, string) {

@@ -109,11 +109,11 @@ func TestClientRetriesTransientStatuses(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch calls.Add(1) {
 		case 1:
-			writeErr(w, http.StatusServiceUnavailable, "warming up")
+			WriteError(w, http.StatusServiceUnavailable, "warming up")
 		case 2:
-			writeErr(w, http.StatusInternalServerError, "still warming")
+			WriteError(w, http.StatusInternalServerError, "still warming")
 		default:
-			writeJSON(w, http.StatusOK, StatsResponse{Sessions: 7})
+			WriteJSON(w, http.StatusOK, StatsResponse{Sessions: 7})
 		}
 	}))
 	defer ts.Close()
@@ -130,7 +130,7 @@ func TestClientDoesNotRetryCallerErrors(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeErr(w, http.StatusBadRequest, "bad query")
+		WriteError(w, http.StatusBadRequest, "bad query")
 	}))
 	defer ts.Close()
 	if _, err := fastRetry(ts, 5).Stats(context.Background()); err == nil {
@@ -147,7 +147,7 @@ func TestClientRetriesReplayIngestBody(t *testing.T) {
 	var calls atomic.Int64
 	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			writeErr(w, http.StatusServiceUnavailable, "first delivery lost")
+			WriteError(w, http.StatusServiceUnavailable, "first delivery lost")
 			return
 		}
 		srv.Handler().ServeHTTP(w, r)
@@ -173,10 +173,10 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "3")
-			writeErr(w, http.StatusTooManyRequests, "slow down")
+			WriteError(w, http.StatusTooManyRequests, "slow down")
 			return
 		}
-		writeJSON(w, http.StatusOK, StatsResponse{})
+		WriteJSON(w, http.StatusOK, StatsResponse{})
 	}))
 	defer ts.Close()
 
@@ -197,7 +197,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 
 func TestClientBackoffGrowsAndCaps(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusInternalServerError, "down")
+		WriteError(w, http.StatusInternalServerError, "down")
 	}))
 	defer ts.Close()
 
@@ -225,7 +225,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, "down hard")
+		WriteError(w, http.StatusServiceUnavailable, "down hard")
 	}))
 	defer ts.Close()
 
@@ -268,7 +268,7 @@ func TestClientCircuitBreaker(t *testing.T) {
 
 	// A successful probe closes it.
 	okts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, StatsResponse{})
+		WriteJSON(w, http.StatusOK, StatsResponse{})
 	}))
 	defer okts.Close()
 	clock = clock.Add(2 * time.Minute)
@@ -391,7 +391,7 @@ func TestClientStreamingBodyIsNotRetried(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		io.Copy(io.Discard, r.Body)
-		writeErr(w, http.StatusServiceUnavailable, "lost it")
+		WriteError(w, http.StatusServiceUnavailable, "lost it")
 	}))
 	defer ts.Close()
 
@@ -507,7 +507,7 @@ func TestServerInflightLimit(t *testing.T) {
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parked.Add(1)
 		<-release
-		writeJSON(w, http.StatusOK, StatsResponse{})
+		WriteJSON(w, http.StatusOK, StatsResponse{})
 	})
 	ts := httptest.NewServer(inflightLimiter(slow, 2))
 	defer ts.Close()

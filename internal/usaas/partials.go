@@ -1,8 +1,10 @@
 package usaas
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,7 +26,8 @@ import (
 // shards: the coordinator concatenates disjoint day rows and folds them
 // strictly ascending by day, exactly the computation a single store runs
 // over the same records. That is what makes an N-shard answer byte-identical
-// to a single node's.
+// to a single node's — and a node serves its own reads the same way, from
+// its one bundle collected in process (read.go).
 //
 // Two-phase queries: analyses that apply a trained model to every session
 // (traffic engineering, per-ISP predicted MOS) cannot be merged from
@@ -191,6 +194,9 @@ type ShardPartials struct {
 	// rows is Social regrouped for the Merge* functions, derived once by
 	// PatchSocial; nil means derive on use.
 	rows *SocialRows
+	// view stands in for Social in a bundle collected for this process's own
+	// plans: its rows come straight from the day accumulators.
+	view *socialView
 }
 
 // SocialRows is one shard's social section regrouped into the series the
@@ -329,7 +335,7 @@ func (p *ShardPartials) Take(section string, src *ShardPartials) {
 			p.Speeds = src.Speeds
 			break
 		}
-		p.SocialSince, p.Social, p.rows = src.SocialSince, src.Social, src.rows
+		p.SocialSince, p.Social, p.rows, p.view = src.SocialSince, src.Social, src.rows, src.view
 	case SectionExperience:
 		p.Experience = src.Experience
 	}
@@ -432,11 +438,11 @@ func experienceDayPartials(rows Rows, isp string) (int, []ExperienceDayPartial) 
 	return sessions, out
 }
 
-// experiencePartial builds one shard's experience contribution.
-func (s *Server) experiencePartial(isp string) *ExperiencePartial {
-	sessions, days := experienceDayPartials(s.store.Rows(), isp)
+// experiencePartial builds the store's experience contribution.
+func (s *Store) experiencePartial(isp string) *ExperiencePartial {
+	sessions, days := experienceDayPartials(s.Rows(), isp)
 	p := &ExperiencePartial{Sessions: sessions, Days: days}
-	if v := s.store.social(); v != nil {
+	if v := s.social(); v != nil {
 		p.SocialPos, p.SocialNeg, p.OutageMentions = v.experienceCounts()
 	}
 	return p
@@ -471,12 +477,105 @@ func predictedDayPartials(p *MOSPredictor, rows Rows, isp string) []DayOnlinePar
 	return out
 }
 
+// partialsRequest is a parsed /v1/partials query: the sections and the
+// parameters they take.
+type partialsRequest struct {
+	sections []string
+	dose     *engViewKey
+	confEng  telemetry.Engagement
+	isp      string
+}
+
+// check rejects unknown sections and sections missing their parameters —
+// version skew between coordinator and shard must be loud, not silent.
+func (req *partialsRequest) check() error {
+	for _, section := range req.sections {
+		switch section {
+		case SectionSessions, SectionDaily, SectionDrops, SectionConfounders, SectionSocial, SectionSpeeds:
+		case SectionDose:
+			if req.dose == nil {
+				return fmt.Errorf("section %q requires metric/engagement/bin parameters", SectionDose)
+			}
+		case SectionExperience:
+			if req.isp == "" {
+				return fmt.Errorf("section %q requires the isp parameter", SectionExperience)
+			}
+		default:
+			return fmt.Errorf("unknown partials section %q", section)
+		}
+	}
+	return nil
+}
+
+// parsePartials reads a /v1/partials query, or a plan's sections encoded by
+// PartialsQuery. The error is the message a shard answers 400 with.
+func parsePartials(q url.Values) (partialsRequest, error) {
+	req := partialsRequest{sections: ParseSections(q.Get("sections")), confEng: telemetry.Presence, isp: q.Get("isp")}
+	if len(req.sections) == 0 {
+		return req, errors.New("sections parameter required")
+	}
+	for _, section := range req.sections {
+		switch section {
+		case SectionDose:
+			key, err := parseDose(q)
+			if err != nil {
+				return req, err
+			}
+			req.dose = &key
+		case SectionConfounders:
+			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
+			if err != nil {
+				return req, err
+			}
+			req.confEng = eng
+		}
+	}
+	return req, req.check()
+}
+
+// parseDose reads one dose-response parameterization: metric, engagement,
+// binning (lo, hi, bins; 0, 300 and 10 when absent) and an optional isp.
+func parseDose(q url.Values) (engViewKey, error) {
+	metric, err := telemetry.ParseMetric(q.Get("metric"))
+	if err != nil {
+		return engViewKey{}, err
+	}
+	eng, err := telemetry.ParseEngagement(q.Get("engagement"))
+	if err != nil {
+		return engViewKey{}, err
+	}
+	f := queryForm{q: q}
+	lo, hi, bins := f.float("lo", 0), f.float("hi", 300), f.int("bins", 10)
+	if f.err != nil {
+		return engViewKey{}, f.err
+	}
+	if hi <= lo || bins < 1 || bins > 1000 {
+		return engViewKey{}, fmt.Errorf("invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
+	}
+	return engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}, nil
+}
+
+// params is the query parseDose reads k back from.
+func (k engViewKey) params() url.Values {
+	q := url.Values{
+		"metric": {k.metric.String()}, "engagement": {k.eng.String()},
+		"lo": {fmt.Sprint(k.b.Lo)}, "hi": {fmt.Sprint(k.b.Hi)}, "bins": {fmt.Sprint(k.b.NBins)},
+	}
+	if k.isp != "" {
+		q.Set("isp", k.isp)
+	}
+	return q
+}
+
 // CollectPartials builds the full GET /v1/partials response for the
 // requested sections. Returns an error for unknown sections or missing
-// parameters — version skew between coordinator and shard must be loud, not
-// silent.
+// parameters.
 func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string) (*ShardPartials, error) {
-	return s.collectPartials(sections, doseKey, confEng, isp, nil)
+	req := partialsRequest{sections: sections, dose: doseKey, confEng: confEng, isp: isp}
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	return s.store.partials(req, nil, false), nil
 }
 
 // sinceBase is a since= tag that this process minted under this protocol:
@@ -504,61 +603,56 @@ func (s *Server) parseSince(raw string) *sinceBase {
 	return &sinceBase{tag: raw, postGen: postGen}
 }
 
-// collectPartials is CollectPartials with an optional since= base: with one
-// that the store has not moved behind (a future generation gets a full
-// answer), the social section ships only the days folded after it.
-func (s *Server) collectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string, since *sinceBase) (*ShardPartials, error) {
+// partials collects the bundle of a checked request. A local bundle is for
+// this process's own plans: its social section is the store's view, read
+// without spelling every day's terms onto the wire. A wire bundle's social
+// section ships, with a since= base the store has not moved behind (a future
+// generation gets a full answer), only the days folded after it.
+func (s *Store) partials(req partialsRequest, since *sinceBase, local bool) *ShardPartials {
 	out := &ShardPartials{}
-	_, out.Sessions = s.store.RatedSessions()
+	_, out.Sessions = s.RatedSessions()
 	var view *socialView
-	for _, section := range sections {
+	for _, section := range req.sections {
 		switch section {
 		case SectionSessions:
-			out.Rated, out.Sessions = s.store.RatedSessions()
+			out.Rated, out.Sessions = s.RatedSessions()
 		case SectionDaily:
-			out.Daily = s.store.DailyEngagementView()
+			out.Daily = s.DailyEngagementView()
 		case SectionDose:
-			if doseKey == nil {
-				return nil, fmt.Errorf("section %q requires metric/engagement/bin parameters", SectionDose)
-			}
-			out.Dose = s.store.DosePartials(doseKey.metric, doseKey.eng, doseKey.b, doseKey.isp)
+			out.Dose = s.DosePartials(req.dose.metric, req.dose.eng, req.dose.b, req.dose.isp)
 		case SectionDrops:
-			out.Drops = s.store.dropPartials()
+			out.Drops = s.dropPartials()
 		case SectionConfounders:
-			out.Confounders = confounderDayPartials(s.store.Rows(), confEng)
+			out.Confounders = confounderDayPartials(s.Rows(), req.confEng)
 		case SectionSocial, SectionSpeeds:
 			if view == nil {
-				view = s.store.social() // one snapshot for both sections
+				view = s.social() // one snapshot for both sections
 			}
-			v := view
-			if v == nil {
+			if view == nil {
 				break
 			}
-			out.HavePosts = true
-			out.Posts = v.posts
-			out.WindowFrom, out.WindowTo = v.window.From, v.window.To
-			if section == SectionSpeeds {
-				out.Speeds = v.speedPartials()
-				break
+			out.HavePosts, out.Posts = true, view.posts
+			out.WindowFrom, out.WindowTo = view.window.From, view.window.To
+			switch {
+			case section == SectionSpeeds:
+				out.Speeds = view.speedPartials()
+			case local:
+				out.view = view
+			default:
+				// The days that hold posts (the coordinator zero-fills the
+				// rest of the global window): all of them, or those folded
+				// since the requester's base.
+				var after uint64
+				if since != nil && since.postGen <= view.gen {
+					after, out.SocialSince = since.postGen, since.tag
+				}
+				out.Social = view.dayPartials(after)
 			}
-			// The days that hold posts (the coordinator zero-fills the rest
-			// of the global window): all of them, or those folded since the
-			// requester's base.
-			var after uint64
-			if since != nil && since.postGen <= v.gen {
-				after, out.SocialSince = since.postGen, since.tag
-			}
-			out.Social = v.dayPartials(after)
 		case SectionExperience:
-			if isp == "" {
-				return nil, fmt.Errorf("section %q requires the isp parameter", SectionExperience)
-			}
-			out.Experience = s.experiencePartial(isp)
-		default:
-			return nil, fmt.Errorf("unknown partials section %q", section)
+			out.Experience = s.experiencePartial(req.isp)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // checkShippedModel rejects a model no coordinator trains: the wrong
@@ -584,17 +678,21 @@ func checkShippedModel(m *stats.LinearModel) error {
 // comes from the store's TE fold, so a model shipped again folds only the
 // rows that arrived since it was last asked for.
 func (s *Server) CollectModelPartials(req ModelPartialsRequest) (*ModelPartials, error) {
+	return s.store.modelPartials(req)
+}
+
+func (s *Store) modelPartials(req ModelPartialsRequest) (*ModelPartials, error) {
 	if err := checkShippedModel(&req.Model); err != nil {
 		return nil, err
 	}
 	model := req.Model
 	p := NewMOSPredictorFromModel(&model)
-	rows := s.store.Rows()
+	rows := s.Rows()
 	out := &ModelPartials{Sessions: rows.Len()}
 	for _, section := range req.Sections {
 		switch section {
 		case ModelSectionTE:
-			out.TE, _ = s.store.te.partials(p, rows)
+			out.TE, _ = s.te.partials(p, rows)
 		case ModelSectionExperience:
 			out.Predicted = predictedDayPartials(p, rows, req.ISP)
 		default:
@@ -608,8 +706,12 @@ func (s *Server) CollectModelPartials(req ModelPartialsRequest) (*ModelPartials,
 
 // MergeRated merges shards' day-major rated subsequences into the global
 // day-major order. Shards hold disjoint day sets, so a stable day sort of
-// the concatenation reproduces a single store's subsequence exactly.
+// the concatenation reproduces a single store's subsequence exactly. One
+// part is returned as it is: it is already in that order.
 func MergeRated(parts [][]telemetry.SessionRecord) []telemetry.SessionRecord {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	var n int
 	for _, p := range parts {
 		n += len(p)
@@ -623,8 +725,11 @@ func MergeRated(parts [][]telemetry.SessionRecord) []telemetry.SessionRecord {
 }
 
 // MergeDaily merges shards' per-day engagement rows (disjoint day sets)
-// into the global ascending series.
+// into the global ascending series. One part is already that series.
 func MergeDaily(parts [][]DayEngagement) []DayEngagement {
+	if len(parts) == 1 {
+		return parts[0]
+	}
 	var merged []DayEngagement
 	for _, p := range parts {
 		merged = append(merged, p...)
@@ -676,30 +781,6 @@ func MergeTE(total int, parts [][]TEDayPartial) []TERecommendation {
 		merged = append(merged, p...)
 	}
 	return assembleTE(total, merged)
-}
-
-// SocialWindow computes the global corpus window across shard bundles.
-// ok is false when no shard has posts.
-func SocialWindow(bundles []*ShardPartials) (timeline.Range, bool) {
-	var w timeline.Range
-	have := false
-	for _, b := range bundles {
-		if b == nil || !b.HavePosts {
-			continue
-		}
-		if !have {
-			w = timeline.Range{From: b.WindowFrom, To: b.WindowTo}
-			have = true
-			continue
-		}
-		if b.WindowFrom < w.From {
-			w.From = b.WindowFrom
-		}
-		if b.WindowTo > w.To {
-			w.To = b.WindowTo
-		}
-	}
-	return w, have
 }
 
 // MergeSentiment reconstructs the global daily sentiment series: shipped
@@ -849,10 +930,9 @@ func MergeSpeeds(window timeline.Range, parts [][]SpeedMonthPartial, model *leo.
 	return assembleMonthSpeeds(months, speeds, strong, model, seed)
 }
 
-// MergeExperience assembles the per-ISP experience answer from shards'
+// MergeExperience assembles the per-ISP experience answer from parts'
 // phase-1 partials and (optionally) phase-2 predicted accumulators. The
-// per-day accumulators merge strictly ascending by day — the same fold the
-// single-node handler runs.
+// per-day accumulators merge strictly ascending by day.
 func MergeExperience(isp string, parts []*ExperiencePartial, predicted [][]DayOnlinePartial) ExperienceResponse {
 	resp := ExperienceResponse{ISP: isp}
 	type dayRow struct {
@@ -910,139 +990,36 @@ func MergeExperience(isp string, parts []*ExperiencePartial, predicted [][]DayOn
 }
 
 // MOSFromRated computes the /v1/insights/mos answer from a day-major rated
-// subsequence and the total session count — shared by the single-node
-// handler and the coordinator (which feeds it MergeRated output).
+// subsequence and the total session count.
 func MOSFromRated(rated []telemetry.SessionRecord, total, bins int) (MOSResponse, error) {
-	report, err := mosReportRated(rated, bins, nil)
+	correlations, err := mosCorrelations(rated, bins)
 	if err != nil {
 		return MOSResponse{}, err
 	}
-	resp := MOSResponse{}
-	for _, em := range report {
-		resp.Correlations = append(resp.Correlations, MOSCorrelation{
-			Engagement:    em.Engagement.String(),
-			Pearson:       em.Pearson,
-			Spearman:      em.Spearman,
-			RatedSessions: em.RatedSessions,
-		})
-	}
+	resp := MOSResponse{Correlations: correlations}
 	if eval, err := evaluateMOSPredictorRated(rated, total, 0.7, 1.0); err == nil {
 		resp.Predictor = &eval
 	}
 	return resp, nil
 }
 
-// ClusterReportInput carries everything the coordinator gathered for one
-// /v1/report: per-shard bundles (sections "sessions,drops,social,speeds"),
-// a callback that runs the model phase for traffic engineering, per-section
-// degradation notes, and the coordinator's own annotation sources.
-type ClusterReportInput struct {
-	Bundles []*ShardPartials
-	// TEPartials runs the model phase: ship the trained model to every live
-	// shard, gather per-day TE partials. An error degrades the
-	// traffic-engineering section only.
-	TEPartials func(model stats.LinearModel) ([][]TEDayPartial, error)
-	// Notes maps report section names to degradation annotations ("shard X
-	// unavailable: ..."); they append to Errors after each section runs.
-	Notes map[string][]string
-	News  *newswire.Index
-	Model *leo.Model
-}
-
-// AssembleClusterReport folds gathered shard partials into the operator
-// report through the same guard chain BuildReport uses, so section order,
-// names, and error strings match a single node's byte for byte.
-func AssembleClusterReport(in ClusterReportInput) OperatorReport {
-	total := 0
-	var ratedParts [][]telemetry.SessionRecord
-	for _, b := range in.Bundles {
-		if b == nil {
-			continue
-		}
-		total += b.Sessions
-		ratedParts = append(ratedParts, b.Rated)
+// mosCorrelations is the wire form of the Fig. 4 correlations over a
+// day-major rated subsequence.
+func mosCorrelations(rated []telemetry.SessionRecord, bins int) ([]MOSCorrelation, error) {
+	report, err := mosReportRated(rated, bins, nil)
+	if err != nil {
+		return nil, err
 	}
-	rated := MergeRated(ratedParts)
-
-	src := reportSource{
-		rated:        rated,
-		total:        total,
-		sectionNotes: in.Notes,
-		dose: func(metric telemetry.Metric, b stats.Binner) stats.BinnedSeries {
-			idx := -1
-			for i, rr := range reportDropRanges {
-				if rr.metric == metric {
-					idx = i
-				}
-			}
-			var parts [][]DoseDayPartial
-			for _, bundle := range in.Bundles {
-				if bundle != nil && idx >= 0 && idx < len(bundle.Drops) {
-					parts = append(parts, bundle.Drops[idx])
-				}
-			}
-			series, err := MergeDosePartials(b, parts)
-			if err != nil {
-				panic(err) // caught by the section guard
-			}
-			return series
-		},
-		te: func() ([]TERecommendation, error) {
-			p, err := TrainMOSPredictor(rated, 1.0)
-			if err != nil {
-				return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
-			}
-			if in.TEPartials == nil {
-				return nil, fmt.Errorf("usaas: traffic-engineering advisor: no model phase")
-			}
-			parts, err := in.TEPartials(*p.Model())
-			if err != nil {
-				return nil, err
-			}
-			return MergeTE(total, parts), nil
-		},
+	out := make([]MOSCorrelation, 0, len(report))
+	for _, em := range report {
+		out = append(out, MOSCorrelation{
+			Engagement:    em.Engagement.String(),
+			Pearson:       em.Pearson,
+			Spearman:      em.Spearman,
+			RatedSessions: em.RatedSessions,
+		})
 	}
-
-	window, havePosts := SocialWindow(in.Bundles)
-	if havePosts {
-		src.havePosts = true
-		var sentParts [][]DaySentiment
-		var kwParts [][]DayKeywords
-		var cloudParts [][]DayCloud
-		var termParts [][]TermPartial
-		var speedParts [][]SpeedMonthPartial
-		for _, b := range in.Bundles {
-			if b == nil || !b.HavePosts {
-				continue
-			}
-			src.posts += b.Posts
-			rows := b.SocialRows()
-			sentParts = append(sentParts, rows.Sentiment)
-			kwParts = append(kwParts, rows.Keywords)
-			cloudParts = append(cloudParts, rows.Clouds)
-			termParts = append(termParts, rows.Terms)
-			speedParts = append(speedParts, b.Speeds)
-		}
-		// WeeklyAverages' exact arithmetic: posts / (window days / 7).
-		if weeks := float64(window.Len()) / 7; weeks > 0 {
-			src.weekly = float64(src.posts) / weeks
-		}
-		src.sweep = func() (*Sweep, error) {
-			return &Sweep{
-				Sentiment: MergeSentiment(window, sentParts),
-				Keywords:  MergeKeywords(window, kwParts),
-				Trends:    MergeTrends(window, termParts, TrendOptions{MaxTerms: 10}),
-			}, nil
-		}
-		clouds := MergeClouds(cloudParts)
-		src.peaks = func(sent []DaySentiment) ([]AnnotatedPeak, error) {
-			return MergePeaks(sent, clouds, in.News, 3), nil
-		}
-		src.speeds = func() ([]MonthSpeed, error) {
-			return MergeSpeeds(window, speedParts, in.Model, 1), nil
-		}
-	}
-	return buildReportFrom(src)
+	return out, nil
 }
 
 // ParseSections splits a comma-separated sections parameter.

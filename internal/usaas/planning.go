@@ -103,11 +103,11 @@ type teDay struct {
 // stays current until the model changes. The model is identified by the
 // exact bits of its coefficients; a different model resets the fold.
 //
-// The store keeps one (Store.te), shared by /v1/report, the advice endpoint
-// and the model phase of /v1/partials/model, so between rated arrivals —
-// the only batches that retrain the model — each read folds only the rows
-// that arrived since the last one. The first asker folds while holding mu;
-// a concurrent asker waits instead of folding again.
+// The store keeps one (Store.te), shared by the model phase of every read
+// that needs one — /v1/report, the advice endpoint, /v1/partials/model — so
+// between rated arrivals (the only batches that retrain the model) each
+// read folds only the rows that arrived since the last one. The first asker
+// folds while holding mu; a concurrent asker waits instead of folding again.
 type teFold struct {
 	mu      sync.Mutex
 	key     []uint64 // Float64bits of the model's Intercept, then Coef; nil before the first fold
@@ -238,41 +238,33 @@ func assembleTE(total int, parts []TEDayPartial) []TERecommendation {
 // on the rated subset (in canonical day-major order). It answers §6's "if
 // call latency is the discerning factor, could resource allocation be
 // tuned?" with a number per metric. The computation is the day-partitioned
-// fold assembleTE describes — the same one the cluster coordinator runs
-// over shard partials under a single shipped model.
+// fold assembleTE describes — the same one a node and a cluster coordinator
+// run over their parts under a single shipped model.
 func AdviseTrafficEngineering(records []telemetry.SessionRecord) ([]TERecommendation, error) {
 	var rs rowStore
 	rs.append(records)
-	return adviseTE(new(teFold), rs.snapshot(), ratedOnly(records))
+	return adviseTE(ratedOnly(records), len(records), func(m stats.LinearModel) ([][]TEDayPartial, error) {
+		parts, _ := new(teFold).partials(NewMOSPredictorFromModel(&m), rs.snapshot())
+		return [][]TEDayPartial{parts}, nil
+	})
 }
 
-// adviseTE is AdviseTrafficEngineering over a row snapshot and its
-// day-major rated subsequence: it catches fold up to the snapshot under the
-// model trained on rated, and the affected fractions divide by the rows the
-// fold covers, which is at least rows.Len().
-func adviseTE(fold *teFold, rows Rows, rated []telemetry.SessionRecord) ([]TERecommendation, error) {
-	if rows.Len() == 0 {
+// adviseTE ranks the interventions over total sessions whose day-major rated
+// subsequence is rated: it trains the model on rated, runs the model phase
+// under it and folds the per-day partials the parts return.
+func adviseTE(rated []telemetry.SessionRecord, total int, phase func(stats.LinearModel) ([][]TEDayPartial, error)) ([]TERecommendation, error) {
+	if total == 0 {
 		return nil, errors.New("usaas: no sessions to advise on")
 	}
 	p, err := TrainMOSPredictor(rated, 1.0)
 	if err != nil {
 		return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
 	}
-	parts, n := fold.partials(p, rows)
-	return assembleTE(n, parts), nil
-}
-
-// teAdvice answers AdviseTrafficEngineering over the store's sessions,
-// covering at least every batch applied before the call. The model is
-// retrained from the rated subsequence on every call (microseconds); the
-// row fold behind it is the store's TE fold, which only catches up while
-// ratings hold still.
-func (s *Store) teAdvice() ([]TERecommendation, error) {
-	s.fenceSessions()
-	s.sessMu.RLock()
-	rows, rated := s.sessions.snapshot(), s.views.rated
-	s.sessMu.RUnlock()
-	return adviseTE(&s.te, rows, rated)
+	parts, err := phase(*p.Model())
+	if err != nil {
+		return nil, err
+	}
+	return MergeTE(total, parts), nil
 }
 
 // DeploymentScenario is one candidate launch plan evaluated by the

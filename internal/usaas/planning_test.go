@@ -2,7 +2,6 @@ package usaas
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -75,6 +74,26 @@ func teDayPartials(p *MOSPredictor, rows Rows) []TEDayPartial {
 	return parts
 }
 
+// servedAdvice is a node's /v1/advice/traffic-engineering answer, status
+// and body.
+func servedAdvice(h http.Handler) string {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/advice/traffic-engineering", nil))
+	return fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+}
+
+// adviceAnswer is what /v1/advice/traffic-engineering answers for an
+// AdviseTrafficEngineering result.
+func adviceAnswer(advice []TERecommendation, err error) string {
+	rec := httptest.NewRecorder()
+	if err != nil {
+		WriteError(rec, http.StatusUnprocessableEntity, "%v", err)
+	} else {
+		WriteJSON(rec, http.StatusOK, advice)
+	}
+	return fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes())
+}
+
 // teDiff describes the first difference between two TE day-partial lists —
 // days, counts, and lift sums bit for bit — or returns "".
 func teDiff(got, want []TEDayPartial) string {
@@ -136,10 +155,8 @@ func TestModelFoldIncrementalEqualsFull(t *testing.T) {
 				t.Fatalf("%s, shipped model %d: %s", step, i, diff)
 			}
 		}
-		got, gotErr := srv.store.teAdvice()
-		want, wantErr := AdviseTrafficEngineering(rows.AppendTo(nil))
-		if g, w := marshal(t, []any{got, gotErr}), marshal(t, []any{want, wantErr}); g != w {
-			t.Fatalf("%s: store advice %s, want %s", step, g, w)
+		if got, want := servedAdvice(srv.Handler()), adviceAnswer(AdviseTrafficEngineering(rows.AppendTo(nil))); got != want {
+			t.Fatalf("%s: served advice %.300s, want %.300s", step, got, want)
 		}
 	}
 
@@ -202,6 +219,7 @@ func TestTEFoldReadsDuringIngest(t *testing.T) {
 	}
 	store := &Store{}
 	store.AddSessions(recs[:100])
+	h := NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler()
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -215,12 +233,8 @@ func TestTEFoldReadsDuringIngest(t *testing.T) {
 				default:
 				}
 				if !shipModel {
-					advice, err := store.teAdvice()
-					if err == nil {
-						_, err = json.Marshal(advice)
-					}
-					if err != nil {
-						t.Error(err)
+					if got := servedAdvice(h); !strings.HasPrefix(got, "200 ") {
+						t.Errorf("served advice: %.300s", got)
 						return
 					}
 					continue

@@ -2,8 +2,8 @@ package usaas
 
 import (
 	"sort"
+	"sync"
 
-	"usersignals/internal/leo"
 	"usersignals/internal/nlp"
 	"usersignals/internal/ocr"
 	"usersignals/internal/parallel"
@@ -293,30 +293,47 @@ func (s *Store) social() *socialView {
 	return v
 }
 
-// weeklyPosts is Corpus.WeeklyAverages' post rate: posts per window week.
-func (v *socialView) weeklyPosts() float64 {
-	return float64(v.posts) / (float64(v.window.Len()) / 7)
+// rows is the view's merge rows, straight from the day accumulators, but for
+// the term rows: regrouping those costs far more than the rest, so terms()
+// derives them only for a reader that needs them.
+func (v *socialView) rows() *SocialRows {
+	r := &SocialRows{
+		Sentiment: sentimentRows(v.days),
+		Keywords:  keywordRows(v.days, true),
+		Clouds:    make([]DayCloud, len(v.days)),
+	}
+	for i, a := range v.days {
+		r.Clouds[i] = DayCloud{Day: a.Day, Words: a.cloud}
+	}
+	return r
 }
 
-func (v *socialView) sentiment() []DaySentiment {
-	return MergeSentiment(v.window, [][]DaySentiment{sentimentRows(v.days)})
+// termRows memoizes the regrouped term rows of one post generation: every
+// view of a generation holds the same days, so their readers share one
+// regroup. The rows are read-only.
+type termRows struct {
+	mu       sync.Mutex
+	gen      uint64 // 0: none held (a store with posts is at generation 1 or later)
+	terms    []TermPartial
+	regroups int // regroups over the store's life: tests count work with it
 }
 
-func (v *socialView) keywords() []DayKeywords {
-	return MergeKeywords(v.window, [][]DayKeywords{keywordRows(v.days, true)})
-}
-
-// terms regroups the days' term weights by term; spellings come from the
-// store's interner, which only the naming step needs locked.
+// terms regroups the days' term weights by term, once per post generation;
+// spellings come from the store's interner, which only the naming step
+// needs locked.
 func (v *socialView) terms() []TermPartial {
-	terms, keys := groupTerms(v.days)
-	v.store.textMu.RLock()
-	defer v.store.textMu.RUnlock()
-	return nameTerms(v.store.text.in, terms, keys)
-}
-
-func (v *socialView) trends(opts TrendOptions) []Trend {
-	return scanTrends(v.window, v.terms(), opts.withDefaults())
+	m := &v.store.termRows
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.gen != v.gen {
+		terms, keys := groupTerms(v.days)
+		v.store.textMu.RLock()
+		m.terms = nameTerms(v.store.text.in, terms, keys)
+		v.store.textMu.RUnlock()
+		m.gen = v.gen
+		m.regroups++
+	}
+	return m.terms
 }
 
 // dayPartials exports the days folded by a post generation after the given
@@ -348,15 +365,6 @@ func (v *socialView) dayPartials(after uint64) []SocialDayPartial {
 	return out
 }
 
-// cloud returns day d's ranked word cloud (nil for a day without posts).
-func (v *socialView) cloud(d timeline.Day) []nlp.WordCount {
-	i := sort.Search(len(v.days), func(i int) bool { return v.days[i].Day >= d })
-	if i < len(v.days) && v.days[i].Day == d {
-		return v.days[i].cloud
-	}
-	return nil
-}
-
 // speedPartials exports the extracted speed observations per month, in
 // corpus order (days ascend, IDs ascend within a day), with the
 // strong-sentiment counts of the posts that carried them.
@@ -384,10 +392,6 @@ func (v *socialView) speedPartials() []SpeedMonthPartial {
 		}
 	}
 	return out
-}
-
-func (v *socialView) monthlySpeeds(model *leo.Model) []MonthSpeed {
-	return MergeSpeeds(v.window, [][]SpeedMonthPartial{v.speedPartials()}, model, 1)
 }
 
 // experienceCounts sums the experience query's social counts: the

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 
+	"usersignals/internal/leo"
+	"usersignals/internal/newswire"
 	"usersignals/internal/nlp"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
@@ -51,35 +53,31 @@ var reportDropRanges = []struct {
 	{telemetry.BandwidthMean, 0.25, 4},
 }
 
-// reportSource supplies each report section's inputs, so BuildReport (one
-// store) and the cluster coordinator (merged shard partials) share the one
-// guard chain — identical section order, section names, and error formats,
-// which is what keeps an N-shard report byte-identical to a single-node one.
-type reportSource struct {
-	rated []telemetry.SessionRecord // day-major rated subsequence
-	total int                       // total session count
-	dose  func(metric telemetry.Metric, b stats.Binner) stats.BinnedSeries
-	te    func() ([]TERecommendation, error)
-
-	havePosts bool
-	posts     int
-	weekly    float64
-	sweep     func() (*Sweep, error)
-	peaks     func(sent []DaySentiment) ([]AnnotatedPeak, error)
-	speeds    func() ([]MonthSpeed, error)
-
-	// sectionNotes carries per-section degradation annotations (a cluster
-	// coordinator's "shard X unavailable" notes); each section's notes are
-	// appended to Errors right after the section runs.
-	sectionNotes map[string][]string
+// ClusterReportInput carries everything gathered for one /v1/report: per-part
+// bundles of reportPartials (a node's own one, or one per shard), a callback
+// that runs the model phase for traffic engineering, per-section degradation
+// notes, and the annotation sources.
+type ClusterReportInput struct {
+	Bundles []*ShardPartials
+	// TEPartials runs the model phase: ship the trained model to every live
+	// part, gather per-day TE partials. An error degrades the
+	// traffic-engineering section only.
+	TEPartials func(model stats.LinearModel) ([][]TEDayPartial, error)
+	// Notes maps report section names to degradation annotations ("shard X
+	// unavailable: ..."); they append to Errors after each section runs.
+	Notes map[string][]string
+	News  *newswire.Index
+	Model *leo.Model
 }
 
-// buildReportFrom assembles the report from a source, degrading gracefully:
-// each section runs in isolation, and a section that fails — returns an
-// error, panics, or has no data to work from — is recorded in Errors while
-// every other section still lands. The report never takes the whole
-// response down with it.
-func buildReportFrom(src reportSource) OperatorReport {
+// AssembleClusterReport folds gathered partials into the operator report,
+// degrading gracefully: each section runs in isolation, and a section that
+// fails — returns an error, panics, or has no data to work from — is
+// recorded in Errors while every other section still lands. The report
+// never takes the whole response down with it. A node and a coordinator
+// both assemble here, so section order, names and error strings cannot
+// differ between them.
+func AssembleClusterReport(in ClusterReportInput) OperatorReport {
 	rep := OperatorReport{EngagementDrops: map[string]float64{}}
 
 	// guard runs one section, converting errors and panics into Errors
@@ -90,83 +88,75 @@ func buildReportFrom(src reportSource) OperatorReport {
 			if p := recover(); p != nil {
 				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: panic: %v", section, p))
 			}
-			rep.Errors = append(rep.Errors, src.sectionNotes[section]...)
+			rep.Errors = append(rep.Errors, in.Notes[section]...)
 		}()
 		if err := f(); err != nil {
 			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", section, err))
 		}
 	}
 
-	rep.Sessions = src.total
-	if src.total == 0 {
+	rated, total := ratedOf(in.Bundles)
+	rep.Sessions = total
+	if total == 0 {
 		rep.Errors = append(rep.Errors, "sessions: none ingested")
-		rep.Errors = append(rep.Errors, src.sectionNotes["sessions"]...)
-	} else {
-		// With data present the notes still land: the session count itself
-		// may be partial (a cluster's dead shard held some of the days).
-		rep.Errors = append(rep.Errors, src.sectionNotes["sessions"]...)
+	}
+	// The notes land with data present too: the session count itself may be
+	// partial (a cluster's dead shard held some of the days).
+	rep.Errors = append(rep.Errors, in.Notes["sessions"]...)
+	if total > 0 {
 		guard("engagement-drops", func() error {
-			for _, rr := range reportDropRanges {
-				s := src.dose(rr.metric, stats.NewBinner(rr.lo, rr.hi, 8))
+			for i, rr := range reportDropRanges {
+				var parts [][]DoseDayPartial
+				for _, b := range in.Bundles {
+					if b != nil && i < len(b.Drops) {
+						parts = append(parts, b.Drops[i])
+					}
+				}
+				s, err := MergeDosePartials(stats.NewBinner(rr.lo, rr.hi, 8), parts)
+				if err != nil {
+					return err
+				}
 				if drop := RelativeDrop(s); !math.IsNaN(drop) {
 					rep.EngagementDrops[rr.metric.String()] = drop
 				}
 			}
 			return nil
 		})
-		guard("mos-correlations", func() error {
-			mosReport, err := mosReportRated(src.rated, 10, nil)
-			if err != nil {
-				return err
-			}
-			for _, em := range mosReport {
-				rep.MOS = append(rep.MOS, MOSCorrelation{
-					Engagement:    em.Engagement.String(),
-					Pearson:       em.Pearson,
-					Spearman:      em.Spearman,
-					RatedSessions: em.RatedSessions,
-				})
-			}
-			return nil
+		guard("mos-correlations", func() (err error) {
+			rep.MOS, err = mosCorrelations(rated, 10)
+			return err
 		})
 		guard("mos-predictor", func() error {
-			eval, err := evaluateMOSPredictorRated(src.rated, src.total, 0.7, 1.0)
+			eval, err := evaluateMOSPredictorRated(rated, total, 0.7, 1.0)
 			if err != nil {
 				return err
 			}
 			rep.Predictor = &eval
 			return nil
 		})
-		guard("traffic-engineering", func() error {
-			advice, err := src.te()
-			if err != nil {
-				return err
-			}
-			rep.TEAdvice = advice
-			return nil
+		guard("traffic-engineering", func() (err error) {
+			rep.TEAdvice, err = adviseTE(rated, total, in.TEPartials)
+			return err
 		})
 	}
 
-	if !src.havePosts {
+	p, havePosts := socialPartsOf(in.Bundles)
+	if !havePosts {
 		rep.Errors = append(rep.Errors, "posts: none ingested")
-		rep.Errors = append(rep.Errors, src.sectionNotes["posts"]...)
-	} else {
-		rep.Errors = append(rep.Errors, src.sectionNotes["posts"]...)
-		rep.Posts = src.posts
-		rep.WeeklyPosts = src.weekly
+	}
+	rep.Errors = append(rep.Errors, in.Notes["posts"]...)
+	if havePosts {
+		rep.Posts = p.posts
+		// WeeklyAverages' exact arithmetic: posts / (window days / 7).
+		rep.WeeklyPosts = float64(p.posts) / (float64(p.window.Len()) / 7)
 		var sw *Sweep
 		guard("social-sweep", func() error {
-			var err error
-			sw, err = src.sweep()
-			return err
+			sw = &Sweep{Sentiment: p.sentiment(), Keywords: p.keywords(), Trends: p.trends(TrendOptions{MaxTerms: 10})}
+			return nil
 		})
 		if sw != nil {
 			guard("sentiment-peaks", func() error {
-				peaks, err := src.peaks(sw.Sentiment)
-				if err != nil {
-					return err
-				}
-				rep.Peaks = peaks
+				rep.Peaks = MergePeaks(sw.Sentiment, p.clouds(), in.News, 3)
 				return nil
 			})
 			guard("outage-monitor", func() error {
@@ -179,10 +169,7 @@ func buildReportFrom(src reportSource) OperatorReport {
 			})
 		}
 		guard("speeds", func() error {
-			months, err := src.speeds()
-			if err != nil {
-				return err
-			}
+			months := MergeSpeeds(p.window, p.speeds, in.Model, 1)
 			for _, m := range months {
 				if m.Reports > 0 {
 					rep.SpeedMonths++
@@ -198,46 +185,15 @@ func buildReportFrom(src reportSource) OperatorReport {
 	return rep
 }
 
-// BuildReport assembles the report from a store's contents. Every section
-// reads state the store folded at ingest (views.go, posts.go): dose-response
-// curves come from per-day accumulators, the MOS paths scan only the
-// day-major rated subsequence, and the social sections assemble the per-day
-// post accumulators — read with the analyzer and dictionary the store was
-// bound to (ServerOptions), so an and opts.OutageDict no longer take part.
-// The traffic-engineering advice retrains the predictor on the rated
-// subsequence and reads the store's TE fold (planning.go), shared with
-// /v1/advice/traffic-engineering and the model phase of
-// /v1/partials/model: it folds only the rows that arrived since the last
+// BuildReport assembles the report from a store's contents: the node's own
+// /v1/report, its one bundle assembled as a coordinator assembles N. Every
+// section reads state the store folded at ingest (views.go, posts.go) with
+// the analyzer and dictionary the store was bound to (ServerOptions), so an
+// takes no part. The traffic-engineering advice reads the store's TE fold
+// (planning.go), which folds only the rows that arrived since the last
 // read, or every row when a rating changed the model.
 func BuildReport(store *Store, an *nlp.Analyzer, opts ServerOptions) OperatorReport {
-	rated, total := store.RatedSessions()
-	src := reportSource{
-		rated: rated,
-		total: total,
-		dose: func(metric telemetry.Metric, b stats.Binner) stats.BinnedSeries {
-			return store.DoseResponseSeries(metric, telemetry.Presence, b, "")
-		},
-		te: store.teAdvice,
-	}
-	if v := store.social(); v != nil {
-		src.havePosts = true
-		src.posts = v.posts
-		src.weekly = v.weeklyPosts()
-		src.sweep = func() (*Sweep, error) {
-			return &Sweep{
-				Sentiment: v.sentiment(),
-				Keywords:  v.keywords(),
-				Trends:    v.trends(TrendOptions{MaxTerms: 10}),
-			}, nil
-		}
-		src.peaks = func(sent []DaySentiment) ([]AnnotatedPeak, error) {
-			return annotatePeaksWith(sent, opts.News, 3, v.cloud), nil
-		}
-		src.speeds = func() ([]MonthSpeed, error) {
-			return v.monthlySpeeds(opts.Model), nil
-		}
-	}
-	return buildReportFrom(src)
+	return reportFrom(store.gather(reportPartials), opts.News, opts.Model)
 }
 
 // Render produces the human-readable version.

@@ -64,10 +64,10 @@ func annotatePeaks(c *social.Corpus, daily []DaySentiment, news *newswire.Index,
 }
 
 // annotatePeaksWith is annotatePeaks with the day word cloud abstracted: an
-// offline corpus counts each peak day's cloud, a store reads the one it
-// ranked when the day was last folded, and the cluster coordinator looks up
-// clouds its shards shipped (each day's posts live wholly on one shard, so
-// the shipped cloud is the same one the corpus would yield).
+// offline corpus counts each peak day's cloud, and the read plans look up
+// the one each part ranked when the day was last folded (each day's posts
+// live wholly on one part, so its cloud is the same one the corpus would
+// yield).
 func annotatePeaksWith(daily []DaySentiment, news *newswire.Index, k int, cloud func(timeline.Day) []nlp.WordCount) []AnnotatedPeak {
 	series := make([]float64, len(daily))
 	for i, d := range daily {

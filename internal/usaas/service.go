@@ -25,7 +25,6 @@ import (
 	"usersignals/internal/social"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
-	"usersignals/internal/timeline"
 )
 
 // Store is the service's ingested-signal repository: session telemetry
@@ -129,6 +128,9 @@ type Store struct {
 	// te is the traffic-engineering fold, kept current under the last model
 	// asked for (planning.go).
 	te teFold
+	// termRows is the regrouped term rows of the latest post generation a
+	// reader asked for (posts.go). Its lock is taken with no store lock held.
+	termRows termRows
 
 	// cols is the columnar mirror of sessions (internal/colstore),
 	// maintained under the same sessMu fold as the views so it is
@@ -514,8 +516,9 @@ type Server struct {
 	opts  ServerOptions
 	mux   *http.ServeMux
 	cache *ResultCache // nil when disabled
-	admit *admission   // nil when admission control is disabled
-	boot  string       // per-server half of the state tag (cache.go)
+	reads *ReadPath
+	admit *admission // nil when admission control is disabled
+	boot  string     // per-server half of the state tag (cache.go)
 }
 
 // NewServer builds a service around a store (a fresh one if nil).
@@ -543,26 +546,15 @@ func NewServer(store *Store, opts ServerOptions) *Server {
 	if opts.Admission.Rate > 0 {
 		s.admit = newAdmission(opts.Admission)
 	}
-	// Ingest and store-stats endpoints stay uncached; every insight/query
-	// endpoint goes through the tag-keyed result cache.
+	// Ingest and store-stats endpoints stay uncached; the read endpoints are
+	// the plans of read.go over this node's own store.
 	s.mux.HandleFunc("/v1/sessions", s.handleSessions)
 	s.mux.HandleFunc("/v1/posts", s.handlePosts)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/insights/engagement", s.cached(s.handleEngagement))
-	s.mux.HandleFunc("/v1/insights/mos", s.cached(s.handleMOS))
-	s.mux.HandleFunc("/v1/insights/sentiment", s.cached(s.handleSentiment))
-	s.mux.HandleFunc("/v1/insights/peaks", s.cached(s.handlePeaks))
-	s.mux.HandleFunc("/v1/insights/outages", s.cached(s.handleOutages))
-	s.mux.HandleFunc("/v1/insights/speeds", s.cached(s.handleSpeeds))
-	s.mux.HandleFunc("/v1/insights/trends", s.cached(s.handleTrends))
-	s.mux.HandleFunc("/v1/query/experience", s.cached(s.handleExperience))
-	s.mux.HandleFunc("/v1/insights/confounders", s.cached(s.handleConfounders))
-	s.mux.HandleFunc("/v1/advice/traffic-engineering", s.cached(s.handleTEAdvice))
-	s.mux.HandleFunc("/v1/advice/deployment", s.cached(s.handleDeploymentAdvice))
-	s.mux.HandleFunc("/v1/report", s.cached(s.handleReport))
-	s.mux.HandleFunc("/v1/insights/incidents", s.cached(s.handleIncidents))
+	s.reads = NewReadPath(localSource{s}, s.cache, opts.News, opts.Model)
+	s.reads.Mount(s.mux)
 	// Cluster partial-state exchange (partials.go). The GET side is tagged
-	// and cached like any insight; the model phase is a POST and stays
+	// and cached like any read; the model phase is a POST and stays
 	// uncached, but stamps the same tag on its answer. Both speak one
 	// numbered protocol.
 	s.mux.HandleFunc("/v1/partials", speaksPartials(s.cached(s.handleGetPartials)))
@@ -590,23 +582,23 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ok"})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	if s.opts.Ready != nil {
 		if err := s.opts.Ready(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "not ready", Error: err.Error()})
+			WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "not ready", Error: err.Error()})
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Status: "ready"})
+	WriteJSON(w, http.StatusOK, HealthResponse{Status: "ready"})
 }
 
 // IncidentResponse pairs the daily series with detected incidents.
@@ -614,44 +606,6 @@ type IncidentResponse struct {
 	Engagement string          `json:"engagement"`
 	Days       []DayEngagement `json:"days"`
 	Incidents  []Incident      `json:"incidents"`
-}
-
-func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f := formOf(r)
-	minDrop := f.float("min_drop", 0)
-	if f.reject(w) {
-		return
-	}
-	days := s.store.DailyEngagementView()
-	if len(days) == 0 {
-		writeErr(w, http.StatusNotFound, "no sessions ingested")
-		return
-	}
-	incidents := EngagementIncidents(days, eng, IncidentOptions{MinDrop: minDrop})
-	writeJSON(w, http.StatusOK, IncidentResponse{
-		Engagement: eng.String(), Days: days, Incidents: incidents,
-	})
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	rep := BuildReport(s.store, s.opts.Analyzer, s.opts)
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, rep.Render())
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 // Handler returns the HTTP handler, wrapped (outermost first) with
@@ -673,7 +627,7 @@ func (s *Server) Handler() http.Handler {
 		h = admissionLimiter(h, s.admit)
 	}
 	if s.opts.AuthToken != "" {
-		h = bearerAuth(h, s.opts.AuthToken)
+		h = BearerAuth(h, s.opts.AuthToken)
 	}
 	wrapped := h
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -685,12 +639,15 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// bearerAuth rejects requests without the expected bearer token.
-func bearerAuth(next http.Handler, token string) http.Handler {
-	want := "Bearer " + token
+// BearerAuth rejects requests that do not carry "Authorization: Bearer
+// <token>", compared in constant time. The health endpoints pass without
+// credentials: probes carry none.
+func BearerAuth(next http.Handler, token string) http.Handler {
+	want := []byte("Bearer " + token)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), []byte(want)) != 1 {
-			writeErr(w, http.StatusUnauthorized, "missing or invalid bearer token")
+		if r.URL.Path != healthzPath && r.URL.Path != readyzPath &&
+			subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) != 1 {
+			WriteError(w, http.StatusUnauthorized, "missing or invalid bearer token")
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -731,7 +688,7 @@ func timeoutHandler(next http.Handler, d time.Duration) http.Handler {
 			tw.timedOut = true
 			tw.mu.Unlock()
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "request timed out")
+			WriteError(w, http.StatusServiceUnavailable, "request timed out")
 		}
 	})
 }
@@ -781,33 +738,39 @@ func inflightLimiter(next http.Handler, max int) http.Handler {
 			next.ServeHTTP(w, r)
 		default:
 			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusTooManyRequests, "server at capacity (%d in flight)", max)
+			WriteError(w, http.StatusTooManyRequests, "server at capacity (%d in flight)", max)
 		}
 	})
 }
 
-// --- helpers ---
+// --- wire helpers, shared by every usaasd front end ---
 
 type apiError struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // the status is sent; a failed write has no one left to tell
 }
 
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
+// WriteError answers status with the formatted message as the JSON error
+// body.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		writeErr(w, http.StatusMethodNotAllowed, "method %s not allowed; use %s", r.Method, method)
-		return false
+// RequireMethod answers 405, naming method in the message and in Allow,
+// unless r uses it.
+func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
 	}
-	return true
+	w.Header().Set("Allow", method)
+	WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed; use %s", r.Method, method)
+	return false
 }
 
 // queryForm parses typed query parameters, remembering the first
@@ -857,7 +820,7 @@ func (f *queryForm) reject(w http.ResponseWriter) bool {
 	if f.err == nil {
 		return false
 	}
-	writeErr(w, http.StatusBadRequest, "%v", f.err)
+	WriteError(w, http.StatusBadRequest, "%v", f.err)
 	return true
 }
 
@@ -902,7 +865,13 @@ func (c *bodyCapture) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *bodyCapture) bytes() []byte { return *c.buf }
+// wire is the body as received: nil for a body that was not captured.
+func (c *bodyCapture) wire() []byte {
+	if c == nil {
+		return nil
+	}
+	return *c.buf
+}
 
 // release returns the buffer to the pool. The journal copies the frame
 // before the ingest call returns, so the bytes are dead by handler exit.
@@ -910,111 +879,136 @@ func (c *bodyCapture) release() {
 	ndjsonBufs.Put(c.buf)
 }
 
+// DecodeSessions reads a POST /v1/sessions body, appending to dst: JSON
+// Lines when r's Content-Type names them, a JSON array otherwise. The error
+// is the message a node answers 400 with.
+func DecodeSessions(r *http.Request, body io.Reader, dst []telemetry.SessionRecord) ([]telemetry.SessionRecord, error) {
+	if !isNDJSON(r) {
+		if err := json.NewDecoder(body).Decode(&dst); err != nil {
+			return dst, fmt.Errorf("decoding sessions: %w", err)
+		}
+		return dst, nil
+	}
+	err := telemetry.ReadJSONL(body, func(rec *telemetry.SessionRecord) error {
+		dst = append(dst, *rec)
+		return nil
+	})
+	if err != nil {
+		return dst, fmt.Errorf("decoding NDJSON sessions: %w", err)
+	}
+	return dst, nil
+}
+
+// scanBufs pools the bufio.Scanner work buffers of DecodePosts.
+var scanBufs = sync.Pool{New: func() any { return make([]byte, 64*1024) }}
+
+// DecodePosts reads a POST /v1/posts body the way DecodeSessions reads
+// sessions.
+func DecodePosts(r *http.Request, body io.Reader, dst []social.Post) ([]social.Post, error) {
+	if !isNDJSON(r) {
+		if err := json.NewDecoder(body).Decode(&dst); err != nil {
+			return dst, fmt.Errorf("decoding posts: %w", err)
+		}
+		return dst, nil
+	}
+	sc := bufio.NewScanner(body)
+	scanBuf := scanBufs.Get().([]byte)
+	defer scanBufs.Put(scanBuf) //nolint:staticcheck // []byte header is fine to pool here
+	sc.Buffer(scanBuf[:0], 8*1024*1024)
+	line := 0
+	for sc.Scan() {
+		line++
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var p social.Post
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			return dst, fmt.Errorf("decoding NDJSON posts line %d: %w", line, err)
+		}
+		dst = append(dst, p)
+	}
+	if err := sc.Err(); err != nil {
+		return dst, fmt.Errorf("reading NDJSON posts: %w", err)
+	}
+	return dst, nil
+}
+
+// handleSessions parses an NDJSON body into a pooled slice (the hot
+// load-generator path would otherwise allocate, and the GC zero, a fresh one
+// per request) while bodyCapture keeps its wire bytes for the journal.
+// Ownership of the slice transfers to the apply job on acceptance; on any
+// other outcome the handler releases it. handlePosts does the same.
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	in := io.Reader(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	var recs []telemetry.SessionRecord
-	var wire []byte // NDJSON body as received, journaled verbatim
-	pooled := false
+	var capture *bodyCapture
 	if isNDJSON(r) {
-		// Parse into a pooled slice: the hot load-generator path would
-		// otherwise allocate (and the GC zero) a fresh record slice per
-		// request. Ownership transfers to the applyJob on acceptance; on
-		// any other outcome the handler releases it below.
-		pooled = true
-		recs = getSessionSlice()
-		cap := newBodyCapture(body)
-		defer cap.release()
-		if err := telemetry.ReadJSONL(cap, func(rec *telemetry.SessionRecord) error {
-			recs = append(recs, *rec)
-			return nil
-		}); err != nil {
+		recs, capture = getSessionSlice(), newBodyCapture(in)
+		defer capture.release()
+		in = capture
+	}
+	recs, err := DecodeSessions(r, in, recs)
+	if err != nil {
+		if capture != nil {
 			putSessionSlice(recs)
-			writeErr(w, http.StatusBadRequest, "decoding NDJSON sessions: %v", err)
-			return
 		}
-		wire = cap.bytes()
-	} else if err := json.NewDecoder(body).Decode(&recs); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding sessions: %v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// The async shape releases the sequencing lock before the fsync wait,
 	// so concurrent ingest handlers coalesce into shared commit groups —
 	// and before the apply, so they overlap the fold work too.
 	batchID := r.Header.Get(BatchIDHeader)
-	resp, _, t, job, err := s.store.addSessionsBatchAsync(batchID, recs, wire, pooled)
-	if pooled && job == nil {
+	resp, _, t, job, err := s.store.addSessionsBatchAsync(batchID, recs, capture.wire(), capture != nil)
+	if capture != nil && job == nil {
 		putSessionSlice(recs) // duplicate or journal error: ownership stays here
 	}
 	if err == nil {
 		err = s.store.finishIngest(batchID, t)
 	}
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "persisting sessions: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "persisting sessions: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// scanBufs pools the bufio.Scanner work buffers of the posts handler.
-var scanBufs = sync.Pool{New: func() any { return make([]byte, 64*1024) }}
-
 func (s *Server) handlePosts(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	in := io.Reader(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	var posts []social.Post
-	var wire []byte // JSONL body as received, journaled verbatim
-	pooled := false
+	var capture *bodyCapture
 	if isNDJSON(r) {
-		pooled = true
-		posts = getPostSlice()
-		cap := newBodyCapture(body)
-		defer cap.release()
-		sc := bufio.NewScanner(cap)
-		scanBuf := scanBufs.Get().([]byte)
-		defer scanBufs.Put(scanBuf) //nolint:staticcheck // []byte header is fine to pool here
-		sc.Buffer(scanBuf[:0], 8*1024*1024)
-		line := 0
-		for sc.Scan() {
-			line++
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			var p social.Post
-			if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-				putPostSlice(posts)
-				writeErr(w, http.StatusBadRequest, "decoding NDJSON posts line %d: %v", line, err)
-				return
-			}
-			posts = append(posts, p)
-		}
-		if err := sc.Err(); err != nil {
+		posts, capture = getPostSlice(), newBodyCapture(in)
+		defer capture.release()
+		in = capture
+	}
+	posts, err := DecodePosts(r, in, posts)
+	if err != nil {
+		if capture != nil {
 			putPostSlice(posts)
-			writeErr(w, http.StatusBadRequest, "reading NDJSON posts: %v", err)
-			return
 		}
-		wire = cap.bytes()
-	} else if err := json.NewDecoder(body).Decode(&posts); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding posts: %v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	batchID := r.Header.Get(BatchIDHeader)
-	resp, _, t, job, err := s.store.addPostsBatchAsync(batchID, posts, wire, pooled)
-	if pooled && job == nil {
+	resp, _, t, job, err := s.store.addPostsBatchAsync(batchID, posts, capture.wire(), capture != nil)
+	if capture != nil && job == nil {
 		putPostSlice(posts)
 	}
 	if err == nil {
 		err = s.store.finishIngest(batchID, t)
 	}
 	if err != nil {
-		writeErr(w, http.StatusServiceUnavailable, "persisting posts: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "persisting posts: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // StatsResponse reports store contents, plus — when the corresponding
@@ -1090,7 +1084,7 @@ type commitMetricsSource interface {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	sessions, posts := s.store.Counts()
@@ -1122,7 +1116,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		m := s.cache.Metrics()
 		resp.Cache = &m
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // --- insights ---
@@ -1151,8 +1145,7 @@ type EngagementResponse struct {
 }
 
 // EngagementFromSeries is the /v1/insights/engagement answer for a merged
-// dose-response series — shared by the single-node handler and the
-// coordinator (which feeds it MergeDosePartials output).
+// dose-response series (MergeDosePartials output).
 func EngagementFromSeries(metric telemetry.Metric, eng telemetry.Engagement, series stats.BinnedSeries) EngagementResponse {
 	return EngagementResponse{
 		Metric:     metric.String(),
@@ -1162,35 +1155,6 @@ func EngagementFromSeries(metric telemetry.Metric, eng telemetry.Engagement, ser
 		Normalized: zeroNaNs(Normalize100(series).Y),
 		Count:      series.Count,
 	}
-}
-
-func (s *Server) handleEngagement(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	metric, err := telemetry.ParseMetric(r.URL.Query().Get("metric"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f := formOf(r)
-	lo := f.float("lo", 0)
-	hi := f.float("hi", 300)
-	bins := f.int("bins", 10)
-	if f.reject(w) {
-		return
-	}
-	if hi <= lo || bins < 1 || bins > 1000 {
-		writeErr(w, http.StatusBadRequest, "invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
-		return
-	}
-	series := s.store.DoseResponseSeries(metric, eng, stats.NewBinner(lo, hi, bins), r.URL.Query().Get("isp"))
-	writeJSON(w, http.StatusOK, EngagementFromSeries(metric, eng, series))
 }
 
 // MOSResponse carries the Fig. 4 correlations and the predictor evaluation.
@@ -1205,167 +1169,6 @@ type MOSCorrelation struct {
 	Pearson       float64 `json:"pearson"`
 	Spearman      float64 `json:"spearman"`
 	RatedSessions int     `json:"rated_sessions"`
-}
-
-func (s *Server) handleMOS(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	f := formOf(r)
-	bins := f.int("bins", 10)
-	if f.reject(w) {
-		return
-	}
-	rated, total := s.store.RatedSessions()
-	report, err := mosReportRated(rated, bins, nil)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	resp := MOSResponse{}
-	for _, em := range report {
-		resp.Correlations = append(resp.Correlations, MOSCorrelation{
-			Engagement:    em.Engagement.String(),
-			Pearson:       em.Pearson,
-			Spearman:      em.Spearman,
-			RatedSessions: em.RatedSessions,
-		})
-	}
-	if eval, err := evaluateMOSPredictorRated(rated, total, 0.7, 1.0); err == nil {
-		resp.Predictor = &eval
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// socialOr404 snapshots the post shard, answering 404 when it is empty.
-func (s *Server) socialOr404(w http.ResponseWriter) *socialView {
-	v := s.store.social()
-	if v == nil {
-		writeErr(w, http.StatusNotFound, "no posts ingested")
-	}
-	return v
-}
-
-func (s *Server) handleSentiment(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if v := s.socialOr404(w); v != nil {
-		writeJSON(w, http.StatusOK, v.sentiment())
-	}
-}
-
-func (s *Server) handlePeaks(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	f := formOf(r)
-	k := f.int("k", 3)
-	if f.reject(w) {
-		return
-	}
-	if k < 1 || k > 50 {
-		writeErr(w, http.StatusBadRequest, "k out of range")
-		return
-	}
-	if v := s.socialOr404(w); v != nil {
-		writeJSON(w, http.StatusOK, annotatePeaksWith(v.sentiment(), s.opts.News, k, v.cloud))
-	}
-}
-
-func (s *Server) handleOutages(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	f := formOf(r)
-	threshold := f.int("threshold", 0)
-	if f.reject(w) {
-		return
-	}
-	v := s.socialOr404(w)
-	if v == nil {
-		return
-	}
-	series := v.keywords()
-	if threshold > 0 {
-		writeJSON(w, http.StatusOK, AlertsFromSeries(series, threshold))
-		return
-	}
-	writeJSON(w, http.StatusOK, series)
-}
-
-func (s *Server) handleSpeeds(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if v := s.socialOr404(w); v != nil {
-		writeJSON(w, http.StatusOK, v.monthlySpeeds(s.opts.Model))
-	}
-}
-
-func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if v := s.socialOr404(w); v != nil {
-		writeJSON(w, http.StatusOK, v.trends(TrendOptions{}))
-	}
-}
-
-func (s *Server) handleConfounders(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The day-partial fold the coordinator runs over shard partials, so a
-	// single node and a cluster compute the identical answer.
-	effects, err := assembleConfounders(confounderDayPartials(s.store.Rows(), eng))
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, effects)
-}
-
-func (s *Server) handleTEAdvice(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	advice, err := s.store.teAdvice()
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, advice)
-}
-
-func (s *Server) handleDeploymentAdvice(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	f := formOf(r)
-	from := timeline.Day(f.int("from", int(timeline.Date(2022, 6, 1))))
-	horizon := timeline.Day(f.int("horizon", int(timeline.Date(2022, 12, 1))))
-	maxExtra := f.int("max", 8)
-	sats := f.int("sats", 50)
-	target := f.float("target", 0)
-	if f.reject(w) {
-		return
-	}
-	if s.opts.Model == nil {
-		writeErr(w, http.StatusNotFound, "no constellation model configured")
-		return
-	}
-	advice, err := AdviseDeployment(s.opts.Model, from, horizon, maxExtra, sats, target)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, advice)
 }
 
 // ExperienceResponse answers the §5 cross-source query: how users of one
@@ -1384,33 +1187,6 @@ type ExperienceResponse struct {
 	OutageMentions int     `json:"outage_mentions"`
 }
 
-func (s *Server) handleExperience(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	isp := r.URL.Query().Get("isp")
-	if isp == "" {
-		writeErr(w, http.StatusBadRequest, "isp parameter required")
-		return
-	}
-	// The day-partial fold the coordinator runs over shard partials: per-day
-	// engagement accumulators merged ascending, ratings as exact integer
-	// sums, and predicted MOS from a model trained on the day-major rated
-	// subsequence of the full population (engagement generalizes across
-	// access networks).
-	part := s.experiencePartial(isp)
-	if part.Sessions == 0 {
-		writeErr(w, http.StatusNotFound, "no sessions for isp %q", isp)
-		return
-	}
-	var predicted [][]DayOnlinePartial
-	rated, _ := s.store.RatedSessions()
-	if p, err := TrainMOSPredictor(rated, 1.0); err == nil {
-		predicted = append(predicted, predictedDayPartials(p, s.store.Rows(), isp))
-	}
-	writeJSON(w, http.StatusOK, MergeExperience(isp, []*ExperiencePartial{part}, predicted))
-}
-
 // speaksPartials stamps every answer of a partials endpoint with the protocol
 // this build speaks, and refuses a request that names another with a 400
 // naming both. A request naming none (curl, a direct fetch) is served.
@@ -1418,7 +1194,7 @@ func speaksPartials(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(PartialsProtocolHeader, partialsProtocol)
 		if got := r.Header.Get(PartialsProtocolHeader); got != "" && got != partialsProtocol {
-			writeErr(w, http.StatusBadRequest, "partials protocol %q requested; this shard speaks %d", got, PartialsProtocol)
+			WriteError(w, http.StatusBadRequest, "partials protocol %q requested; this shard speaks %d", got, PartialsProtocol)
 			return
 		}
 		next(w, r)
@@ -1428,59 +1204,18 @@ func speaksPartials(next http.HandlerFunc) http.HandlerFunc {
 // handleGetPartials serves the cluster partial-state exchange (partials.go):
 // the mergeable per-day accumulator state for the requested sections — the
 // social section as a delta when since= names a base it can serve one
-// against. Answers are tagged and cached like any insight.
+// against. Answers are tagged and cached like any read.
 func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
-	sections := ParseSections(q.Get("sections"))
-	if len(sections) == 0 {
-		writeErr(w, http.StatusBadRequest, "sections parameter required")
-		return
-	}
-	var doseKey *engViewKey
-	confEng := telemetry.Presence
-	for _, section := range sections {
-		switch section {
-		case SectionDose:
-			metric, err := telemetry.ParseMetric(q.Get("metric"))
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			f := formOf(r)
-			lo := f.float("lo", 0)
-			hi := f.float("hi", 300)
-			bins := f.int("bins", 10)
-			if f.reject(w) {
-				return
-			}
-			if hi <= lo || bins < 1 || bins > 1000 {
-				writeErr(w, http.StatusBadRequest, "invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
-				return
-			}
-			doseKey = &engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}
-		case SectionConfounders:
-			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			confEng = eng
-		}
-	}
-	out, err := s.collectPartials(sections, doseKey, confEng, q.Get("isp"), s.parseSince(q.Get("since")))
+	req, err := parsePartials(q)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, s.store.partials(req, s.parseSince(q.Get("since")), false))
 }
 
 // handleModelPartials serves the model phase of two-phase cluster queries:
@@ -1491,7 +1226,7 @@ func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 // keys the store's traffic-engineering fold, so it is decoded strictly:
 // unknown fields and a malformed model answer 400.
 func (s *Server) handleModelPartials(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	w.Header().Set("ETag", s.stateTag())
@@ -1499,13 +1234,13 @@ func (s *Server) handleModelPartials(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var req ModelPartialsRequest
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding model request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding model request: %v", err)
 		return
 	}
 	out, err := s.CollectModelPartials(req)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

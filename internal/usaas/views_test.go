@@ -162,11 +162,11 @@ func TestSpeedsViewByteIdenticalToRecompute(t *testing.T) {
 	}
 
 	want := MonthlySpeeds(store.Corpus(), analyzer, cfg.Model, 1)
-	v := store.social()
-	if v == nil {
+	p := servedSocial(store)
+	if p == nil {
 		t.Fatal("social view reported no posts")
 	}
-	if marshal(t, v.monthlySpeeds(cfg.Model)) != marshal(t, want) {
+	if marshal(t, MergeSpeeds(p.window, p.speeds, cfg.Model, 1)) != marshal(t, want) {
 		t.Error("monthly speeds from the day accumulators diverge from MonthlySpeeds over corpus")
 	}
 }
