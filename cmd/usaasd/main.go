@@ -94,7 +94,6 @@ type serverConfig struct {
 	groupDelay     time.Duration
 	snapshotEvery  int
 	applyWorkers   int
-	columnar       bool
 	admitRate      float64
 	admitBurst     float64
 	pprofAddr      string
@@ -130,7 +129,6 @@ func main() {
 	flag.IntVar(&cfg.snapshotEvery, "snapshot-every", 1024, "snapshot after this many logged batches and on shutdown; 0 disables snapshots")
 	flag.IntVar(&cfg.applyWorkers, "apply-workers", 0, "apply-pipeline workers: journal and ack under the sequencing lock, fold batches into memory on this many workers (0 = apply inline; report bytes are identical either way)")
 	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-	flag.BoolVar(&cfg.columnar, "columnar", true, "maintain the columnar session mirror for fast analyses (false = row path only)")
 	flag.StringVar(&cfg.role, "role", "", "node role: leader (serve the WAL frame feed), follower (tail a leader), or coordinator (storeless scatter-gather front end over -shards); empty = standalone")
 	flag.StringVar(&cfg.leaderURL, "leader", "", "leader base URL (e.g. http://10.0.0.1:8080); required with -role=follower")
 	flag.StringVar(&cfg.shards, "shards", "", "shard fleet for -role=coordinator: semicolon-separated name=url[,url] (comma = replicated pair)")
@@ -185,14 +183,13 @@ func run(cfg serverConfig, sessionsPath, postsPath string) error {
 			return err
 		}
 		dstore, err = usaas.OpenDurableStore(usaas.DurabilityOptions{
-			Dir:             cfg.dataDir,
-			Fsync:           policy,
-			FsyncInterval:   cfg.fsyncInterval,
-			GroupCommit:     cfg.groupCommit,
-			MaxGroupDelay:   cfg.groupDelay,
-			SnapshotEvery:   cfg.snapshotEvery,
-			ApplyWorkers:    cfg.applyWorkers,
-			DisableColumnar: !cfg.columnar,
+			Dir:           cfg.dataDir,
+			Fsync:         policy,
+			FsyncInterval: cfg.fsyncInterval,
+			GroupCommit:   cfg.groupCommit,
+			MaxGroupDelay: cfg.groupDelay,
+			SnapshotEvery: cfg.snapshotEvery,
+			ApplyWorkers:  cfg.applyWorkers,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("usaasd: "+format+"\n", args...)
 			},
@@ -216,9 +213,6 @@ func run(cfg serverConfig, sessionsPath, postsPath string) error {
 			snap, rs.ReplayedBatches, rs.Elapsed.Round(time.Millisecond), torn, policy)
 	} else {
 		store = &usaas.Store{}
-		if !cfg.columnar {
-			store.DisableColumnar()
-		}
 		store.StartApplyPipeline(cfg.applyWorkers)
 	}
 	if cfg.pprofAddr != "" {

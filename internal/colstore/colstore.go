@@ -84,8 +84,7 @@ const (
 
 // Dictionary capacity limits: platform and country codes are uint16 on the
 // wire between partitions and predicates, ISP codes uint32. Overflowing a
-// dictionary is an Append error; the owning store drops the mirror and
-// falls back to row scans rather than failing ingest.
+// dictionary is an Append error; the caller discards the store.
 const (
 	maxSmallDict = 1 << 16
 	maxISPDict   = 1 << 31
@@ -346,10 +345,9 @@ func (pt *Partition) StartNanos(i int) int64 {
 	return pt.open.startNS[i]
 }
 
-// Store is the columnar mirror. Append, Snapshot, SealTail, and Stats rely
-// on the owner's store lock for synchronization (the usaas store calls them
-// under its mutex); only the dictionaries carry their own locks, because
-// they are read after snapshot release.
+// Store is a columnar copy of a record sequence. Append, Snapshot, SealTail,
+// and Stats rely on the caller for synchronization; only the dictionaries
+// carry their own locks, because they are read after snapshot release.
 type Store struct {
 	platform dict
 	country  dict
@@ -364,9 +362,8 @@ func New() *Store { return &Store{} }
 // Len returns the mirrored record count. Caller synchronizes.
 func (s *Store) Len() int { return s.total }
 
-// Append mirrors a batch. Caller holds the owner's write lock. On error
-// (dictionary overflow) the mirror is inconsistent and must be discarded;
-// ingest itself is unaffected.
+// Append copies a batch in. Caller holds the owner's write lock. On error
+// (dictionary overflow) the store is inconsistent and must be discarded.
 func (s *Store) Append(recs []telemetry.SessionRecord) error {
 	for i := range recs {
 		r := &recs[i]
@@ -564,9 +561,6 @@ func (s Snapshot) Scan(lo, hi int, fn func(pt *Partition, from, to int)) {
 		fn(pt, from, to)
 	}
 }
-
-// PlatformName resolves a platform dictionary code.
-func (s Snapshot) PlatformName(c uint32) string { return s.store.platform.name(c) }
 
 // AppendRecords materializes the snapshot back into row records, appending
 // to dst. This is the cold path (fuzz verification, export); it decodes the

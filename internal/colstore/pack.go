@@ -1,4 +1,4 @@
-// Package colstore is the columnar mirror of the session corpus: a
+// Package colstore is a columnar layout for session records: a
 // struct-of-arrays copy of every hot SessionRecord field, partitioned into
 // contiguous ingest-order runs — single calendar days when ingest arrives
 // day-ordered, bounded mixed runs otherwise (see the boundary policy in

@@ -9,10 +9,9 @@
 // therefore does nothing exotic — it fetches the leader's sealed frames
 // verbatim, re-verifies the same CRCs crash recovery checks, and applies
 // each record through ApplyReplicated (the ingest path, journaling the
-// same payload). Every view, cache generation, dedup entry, and columnar
-// mirror falls out identical, and the follower's own WAL is byte-for-byte
-// the leader's log: replicas are byte-identical by construction, not by
-// comparison.
+// same payload). Every view, cache generation, and dedup entry falls out
+// identical, and the follower's own WAL is byte-for-byte the leader's log:
+// replicas are byte-identical by construction, not by comparison.
 //
 // Followers bootstrap from the leader's newest snapshot (Bootstrap), tail
 // the frame feed with a long poll, serve reads with an explicit staleness

@@ -1,7 +1,6 @@
 package usaas
 
 import (
-	"fmt"
 	"math/bits"
 
 	"usersignals/internal/colstore"
@@ -10,16 +9,15 @@ import (
 	"usersignals/internal/telemetry"
 )
 
-// This file holds the columnar counterparts of the hot row analyses
-// (engagement.go, confounders.go): the same canonical chunk fold — identical
-// chunk boundaries, identical merge order, identical Adds — executed over
-// the colstore mirror's dense columns instead of 248-byte row structs. The
-// filter arrives as a telemetry.FilterSpec and compiles to a per-partition
-// predicate (colstore.Pred) evaluated over dictionary codes, bitsets, and
-// float columns; accepted records' metric/engagement values are read
-// straight out of the float columns. Every function returns ok=false when
-// the parameterization has no column plan (an invalid metric), in which
-// case callers fall back to the row reference path.
+// This file holds the columnar counterpart of DoseResponseN over a
+// colstore snapshot: the same canonical chunk fold — identical chunk
+// boundaries, identical merge order, identical Adds — executed over dense
+// columns instead of 248-byte row structs. The store keeps no columnar copy
+// of its sessions; colstore is a library the benchmark times against the row
+// sweep. The filter arrives as a telemetry.FilterSpec and compiles to a
+// per-partition predicate (colstore.Pred) evaluated over dictionary codes,
+// bitsets, and float columns. DoseResponseCols returns ok=false when the
+// parameterization has no column plan (an invalid metric).
 
 // selWords is the selection-bitset size covering one canonical chunk.
 const selWords = (parallel.ChunkSize + 63) / 64
@@ -32,62 +30,7 @@ func StudyFilterSpec(vary telemetry.Metric) telemetry.FilterSpec {
 	return spec
 }
 
-// specFilter turns a spec into the row path's closure form (nil spec = no
-// filter), for the fallback arms below.
-func specFilter(spec *telemetry.FilterSpec) telemetry.Filter {
-	if spec == nil {
-		return nil
-	}
-	return spec.Filter()
-}
-
-// DoseResponseSpec computes DoseResponseN for a declarative filter,
-// preferring the columnar mirror and falling back to the row scan when the
-// mirror is off or the parameterization has no column plan. Both paths
-// produce bit-identical output.
-func (s *Store) DoseResponseSpec(metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, spec *telemetry.FilterSpec, workers int) (stats.BinnedSeries, error) {
-	if snap, ok := s.ColumnarSnapshot(); ok {
-		if series, ok, err := DoseResponseCols(snap, metric, eng, b, spec, workers); ok || err != nil {
-			return series, err
-		}
-	}
-	return doseResponseRows(s.Rows(), metric, eng, b, specFilter(spec), workers)
-}
-
-// CompoundingSpec is CompoundingN with the same columnar-first contract as
-// DoseResponseSpec.
-func (s *Store) CompoundingSpec(xMetric, yMetric telemetry.Metric, eng telemetry.Engagement, xb, yb stats.Binner, spec *telemetry.FilterSpec, workers int) (stats.Grid2D, error) {
-	if snap, ok := s.ColumnarSnapshot(); ok {
-		if grid, ok, err := CompoundingCols(snap, xMetric, yMetric, eng, xb, yb, spec, workers); ok || err != nil {
-			return grid, err
-		}
-	}
-	return compoundingRows(s.Rows(), xMetric, yMetric, eng, xb, yb, specFilter(spec), workers)
-}
-
-// ByPlatformSpec is ByPlatformN with the same columnar-first contract as
-// DoseResponseSpec.
-func (s *Store) ByPlatformSpec(metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, spec *telemetry.FilterSpec, workers int) (map[string]stats.BinnedSeries, error) {
-	if snap, ok := s.ColumnarSnapshot(); ok {
-		if out, ok, err := ByPlatformCols(snap, metric, eng, b, spec, workers); ok || err != nil {
-			return out, err
-		}
-	}
-	return byPlatformRows(s.Rows(), metric, eng, b, specFilter(spec), workers)
-}
-
-// ByMeetingSizeSpec is ByMeetingSizeN with the same columnar-first contract
-// as DoseResponseSpec.
-func (s *Store) ByMeetingSizeSpec(metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, buckets []SizeBucket, spec *telemetry.FilterSpec, workers int) (map[string]stats.BinnedSeries, error) {
-	if snap, ok := s.ColumnarSnapshot(); ok {
-		if out, ok, err := ByMeetingSizeCols(snap, metric, eng, b, buckets, spec, workers); ok || err != nil {
-			return out, err
-		}
-	}
-	return byMeetingSizeRows(s.Rows(), metric, eng, b, buckets, specFilter(spec), workers)
-}
-
-// DoseResponseCols is DoseResponseN over the columnar mirror. Byte-identical
+// DoseResponseCols is DoseResponseN over a colstore snapshot. Byte-identical
 // to the row scan at any worker count.
 func DoseResponseCols(snap colstore.Snapshot, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, spec *telemetry.FilterSpec, workers int) (stats.BinnedSeries, bool, error) {
 	mcol, ok1 := colstore.MetricCol(metric)
@@ -130,168 +73,4 @@ func DoseResponseCols(snap colstore.Snapshot, metric telemetry.Metric, eng telem
 		}
 	}
 	return total.Series(), true, nil
-}
-
-// CompoundingCols is CompoundingN over the columnar mirror.
-func CompoundingCols(snap colstore.Snapshot, xMetric, yMetric telemetry.Metric, eng telemetry.Engagement, xb, yb stats.Binner, spec *telemetry.FilterSpec, workers int) (stats.Grid2D, bool, error) {
-	xcol, ok1 := colstore.MetricCol(xMetric)
-	ycol, ok2 := colstore.MetricCol(yMetric)
-	ecol, ok3 := colstore.EngagementCol(eng)
-	pred, ok4 := snap.Compile(spec)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return stats.Grid2D{}, false, nil
-	}
-	shards, err := parallel.Map(workers, parallel.Chunks(snap.Len()), func(i int) (*stats.Grid2DAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, snap.Len())
-		acc := stats.NewGrid2DAcc(xb, yb)
-		var selArr [selWords]uint64
-		snap.Scan(lo, hi, func(pt *colstore.Partition, from, to int) {
-			xs, ys, es := pt.Floats(xcol), pt.Floats(ycol), pt.Floats(ecol)
-			if pred == nil {
-				for j := from; j < to; j++ {
-					acc.Add(xs[j], ys[j], es[j])
-				}
-				return
-			}
-			sel := selArr[:(to-from+63)/64]
-			pred.Select(pt, from, to, sel)
-			for k, w := range sel {
-				base := from + k<<6
-				for m := w; m != 0; m &= m - 1 {
-					j := base + bits.TrailingZeros64(m)
-					acc.Add(xs[j], ys[j], es[j])
-				}
-			}
-		})
-		return acc, nil
-	})
-	if err != nil {
-		return stats.Grid2D{}, false, err
-	}
-	total := stats.NewGrid2DAcc(xb, yb)
-	for _, s := range shards {
-		if err := total.Merge(s); err != nil {
-			return stats.Grid2D{}, false, err
-		}
-	}
-	return total.Grid(), true, nil
-}
-
-// ByPlatformCols is ByPlatformN over the columnar mirror: per-chunk
-// accumulators keyed by platform dictionary code, merged in chunk order,
-// names resolved once at the end.
-func ByPlatformCols(snap colstore.Snapshot, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, spec *telemetry.FilterSpec, workers int) (map[string]stats.BinnedSeries, bool, error) {
-	mcol, ok1 := colstore.MetricCol(metric)
-	ecol, ok2 := colstore.EngagementCol(eng)
-	pred, ok3 := snap.Compile(spec)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, false, nil
-	}
-	shards, err := parallel.Map(workers, parallel.Chunks(snap.Len()), func(i int) (map[uint32]*stats.BinAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, snap.Len())
-		accs := map[uint32]*stats.BinAcc{}
-		var selArr [selWords]uint64
-		snap.Scan(lo, hi, func(pt *colstore.Partition, from, to int) {
-			xs, ys := pt.Floats(mcol), pt.Floats(ecol)
-			sel := selArr[:(to-from+63)/64]
-			pred.Select(pt, from, to, sel)
-			for k, w := range sel {
-				base := from + k<<6
-				for m := w; m != 0; m &= m - 1 {
-					j := base + bits.TrailingZeros64(m)
-					code := pt.PlatformCode(j)
-					acc := accs[code]
-					if acc == nil {
-						acc = stats.NewBinAcc(b)
-						accs[code] = acc
-					}
-					acc.Add(xs[j], ys[j])
-				}
-			}
-		})
-		return accs, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	merged := map[uint32]*stats.BinAcc{}
-	for _, shard := range shards {
-		for code, acc := range shard {
-			if total := merged[code]; total != nil {
-				if err := total.Merge(acc); err != nil {
-					return nil, false, err
-				}
-			} else {
-				merged[code] = acc
-			}
-		}
-	}
-	out := make(map[string]stats.BinnedSeries, len(merged))
-	for code, acc := range merged {
-		out[snap.PlatformName(code)] = acc.Series()
-	}
-	return out, true, nil
-}
-
-// ByMeetingSizeCols is ByMeetingSizeN over the columnar mirror: one
-// accumulator per stratum per chunk, first-match bucket assignment, strata
-// merged in chunk order.
-func ByMeetingSizeCols(snap colstore.Snapshot, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, buckets []SizeBucket, spec *telemetry.FilterSpec, workers int) (map[string]stats.BinnedSeries, bool, error) {
-	if len(buckets) == 0 {
-		buckets = DefaultSizeBuckets()
-	}
-	mcol, ok1 := colstore.MetricCol(metric)
-	ecol, ok2 := colstore.EngagementCol(eng)
-	pred, ok3 := snap.Compile(spec)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, false, nil
-	}
-	shards, err := parallel.Map(workers, parallel.Chunks(snap.Len()), func(i int) ([]*stats.BinAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, snap.Len())
-		accs := make([]*stats.BinAcc, len(buckets))
-		var selArr [selWords]uint64
-		snap.Scan(lo, hi, func(pt *colstore.Partition, from, to int) {
-			xs, ys := pt.Floats(mcol), pt.Floats(ecol)
-			sel := selArr[:(to-from+63)/64]
-			pred.Select(pt, from, to, sel)
-			for k, w := range sel {
-				base := from + k<<6
-				for m := w; m != 0; m &= m - 1 {
-					j := base + bits.TrailingZeros64(m)
-					size := pt.MeetingSize(j)
-					for bi, bk := range buckets {
-						if size >= bk.Lo && size <= bk.Hi {
-							if accs[bi] == nil {
-								accs[bi] = stats.NewBinAcc(b)
-							}
-							accs[bi].Add(xs[j], ys[j])
-							break
-						}
-					}
-				}
-			}
-		})
-		return accs, nil
-	})
-	if err != nil {
-		return nil, false, fmt.Errorf("usaas: meeting-size strata: %w", err)
-	}
-	out := make(map[string]stats.BinnedSeries, len(buckets))
-	for bi, bk := range buckets {
-		var total *stats.BinAcc
-		for _, shard := range shards {
-			if shard[bi] == nil {
-				continue
-			}
-			if total == nil {
-				total = shard[bi]
-			} else if err := total.Merge(shard[bi]); err != nil {
-				return nil, false, fmt.Errorf("usaas: meeting-size strata: %w", err)
-			}
-		}
-		if total != nil {
-			out[bk.Name] = total.Series()
-		}
-	}
-	return out, true, nil
 }

@@ -3,21 +3,21 @@ package usaas
 import (
 	"sync"
 	"testing"
-	"unsafe"
 
+	"usersignals/internal/colstore"
 	"usersignals/internal/conference"
 	"usersignals/internal/parallel"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 )
 
-// colBenchState is the shared benchmark fixture: one generated corpus, one
-// store with the live (mostly open) mirror, and one with every partition
-// sealed. Built once — generation dominates otherwise.
+// colBenchState is the shared benchmark fixture: one generated corpus and
+// its colstore copy, once with the tail partition open and once with every
+// partition sealed. Built once — generation dominates otherwise.
 type colBenchState struct {
 	recs   []telemetry.SessionRecord
-	open   *Store
-	sealed *Store
+	open   colstore.Snapshot
+	sealed colstore.Snapshot
 }
 
 var (
@@ -39,19 +39,16 @@ func colBenchSetup(b *testing.B) *colBenchState {
 			panic(err)
 		}
 		colBench.recs = recs
-		colBench.open = &Store{}
-		if _, _, err := colBench.open.AddSessionsBatch("bench", recs); err != nil {
+		open, sealed := colstore.New(), colstore.New()
+		if err := open.Append(recs); err != nil {
 			panic(err)
 		}
-		colBench.sealed = &Store{}
-		if _, _, err := colBench.sealed.AddSessionsBatch("bench", recs); err != nil {
+		if err := sealed.Append(recs); err != nil {
 			panic(err)
 		}
-		colBench.sealed.SealColumnar()
+		sealed.SealTail()
+		colBench.open, colBench.sealed = open.Snapshot(), sealed.Snapshot()
 	})
-	if _, ok := colBench.open.ColumnarSnapshot(); !ok {
-		b.Fatal("bench store has no columnar mirror")
-	}
 	return &colBench
 }
 
@@ -110,18 +107,16 @@ func BenchmarkDoseResponse(b *testing.B) {
 	})
 	b.Run("columnar", func(b *testing.B) {
 		b.ReportAllocs()
-		snap, _ := st.open.ColumnarSnapshot()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := DoseResponseCols(snap, telemetry.LatencyMean, telemetry.Presence, bn, &spec, 1); !ok || err != nil {
+			if _, ok, err := DoseResponseCols(st.open, telemetry.LatencyMean, telemetry.Presence, bn, &spec, 1); !ok || err != nil {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
 		}
 	})
 	b.Run("columnar-sealed", func(b *testing.B) {
 		b.ReportAllocs()
-		snap, _ := st.sealed.ColumnarSnapshot()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := DoseResponseCols(snap, telemetry.LatencyMean, telemetry.Presence, bn, &spec, 1); !ok || err != nil {
+			if _, ok, err := DoseResponseCols(st.sealed, telemetry.LatencyMean, telemetry.Presence, bn, &spec, 1); !ok || err != nil {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
 		}
@@ -144,96 +139,10 @@ func BenchmarkDoseResponse(b *testing.B) {
 	})
 	b.Run("columnar-unfiltered", func(b *testing.B) {
 		b.ReportAllocs()
-		snap, _ := st.sealed.ColumnarSnapshot()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := DoseResponseCols(snap, telemetry.LatencyMean, telemetry.Presence, bn, nil, 1); !ok || err != nil {
+			if _, ok, err := DoseResponseCols(st.sealed, telemetry.LatencyMean, telemetry.Presence, bn, nil, 1); !ok || err != nil {
 				b.Fatalf("ok=%v err=%v", ok, err)
 			}
 		}
 	})
-}
-
-// BenchmarkCompounding is the same comparison for the Fig. 2 grid.
-func BenchmarkCompounding(b *testing.B) {
-	st := colBenchSetup(b)
-	xb := stats.NewBinner(0, 300, 6)
-	yb := stats.NewBinner(0, 4, 6)
-	spec := StudyFilterSpec(telemetry.LatencyMean)
-	filter := spec.Filter()
-
-	b.Run("row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := CompoundingN(st.recs, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, xb, yb, filter, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		snap, _ := st.open.ColumnarSnapshot()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := CompoundingCols(snap, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, xb, yb, &spec, 1); !ok || err != nil {
-				b.Fatalf("ok=%v err=%v", ok, err)
-			}
-		}
-	})
-	b.Run("columnar-sealed", func(b *testing.B) {
-		b.ReportAllocs()
-		snap, _ := st.sealed.ColumnarSnapshot()
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := CompoundingCols(snap, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, xb, yb, &spec, 1); !ok || err != nil {
-				b.Fatalf("ok=%v err=%v", ok, err)
-			}
-		}
-	})
-}
-
-// BenchmarkColumnarFold measures what the mirror costs the ingest path: the
-// per-batch columnar append, isolated from parsing, dedup, and views.
-func BenchmarkColumnarFold(b *testing.B) {
-	st := colBenchSetup(b)
-	const batch = 512
-	recs := st.recs
-	if len(recs) > 8*batch {
-		recs = recs[:8*batch]
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(batch) * int64(unsafe.Sizeof(telemetry.SessionRecord{})))
-	s := &Store{}
-	i := 0
-	for n := 0; n < b.N; n++ {
-		lo := i * batch
-		if lo+batch > len(recs) {
-			b.StopTimer()
-			s = &Store{}
-			i, lo = 0, 0
-			b.StartTimer()
-		}
-		s.sessMu.Lock()
-		s.sessions.append(recs[lo : lo+batch])
-		s.appendColumnar(recs[lo : lo+batch])
-		s.sessMu.Unlock()
-		i++
-	}
-}
-
-// BenchmarkColumnarMemory reports resident bytes: the row slice versus the
-// mirror's open and sealed forms (b.N is irrelevant; the numbers are the
-// point — see BENCH_columnar.json).
-func BenchmarkColumnarMemory(b *testing.B) {
-	st := colBenchSetup(b)
-	rowBytes := int64(len(st.recs)) * int64(unsafe.Sizeof(telemetry.SessionRecord{}))
-	for i := range st.recs {
-		r := &st.recs[i]
-		rowBytes += int64(len(r.Platform) + len(r.Country) + len(r.ISP))
-	}
-	openStats := st.open.ColumnarStats()
-	sealedStats := st.sealed.ColumnarStats()
-	for i := 0; i < b.N; i++ {
-	}
-	b.ReportMetric(float64(len(st.recs)), "sessions")
-	b.ReportMetric(float64(rowBytes), "row-bytes")
-	b.ReportMetric(float64(openStats.OpenBytes+openStats.SealedBytes+openStats.DictBytes), "open-mirror-bytes")
-	b.ReportMetric(float64(sealedStats.OpenBytes+sealedStats.SealedBytes+sealedStats.DictBytes), "sealed-mirror-bytes")
 }

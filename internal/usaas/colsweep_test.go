@@ -1,17 +1,13 @@
 package usaas
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"testing"
 	"time"
 
 	"usersignals/internal/colstore"
-	"usersignals/internal/durable"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
@@ -39,10 +35,20 @@ func colsweepSpecs(recs []telemetry.SessionRecord) map[string]*telemetry.FilterS
 	}
 }
 
-// TestColumnarSweepsMatchRow is the tentpole identity property: every
-// columnar sweep must render byte-identically to its row reference over the
-// same records, for every filter spec, at every worker count, on both the
-// open mirror and the fully sealed one.
+// specFilter turns a spec into the row path's closure form (nil spec = no
+// filter), for the row references below.
+func specFilter(spec *telemetry.FilterSpec) telemetry.Filter {
+	if spec == nil {
+		return nil
+	}
+	return spec.Filter()
+}
+
+// TestColumnarSweepsMatchRow is the columnar identity property: the
+// columnar dose-response sweep must render byte-identically to its row
+// reference over the same records, for every filter spec, at every worker
+// count, on both the open colstore and the fully sealed one. A spec with no
+// column plan (an invalid band metric) must answer ok=false.
 func TestColumnarSweepsMatchRow(t *testing.T) {
 	seeds := []uint64{21, 22, 23}
 	if testing.Short() {
@@ -51,225 +57,98 @@ func TestColumnarSweepsMatchRow(t *testing.T) {
 	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			recs := viewSessions(t, seed, 5000)
-			store := &Store{}
-			ingestUnevenly(t, store, recs)
-			if _, ok := store.ColumnarSnapshot(); !ok {
-				t.Fatal("columnar mirror not built by ingest")
+			cs := colstore.New()
+			for _, batch := range unevenBatches(recs) {
+				if err := cs.Append(batch); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			b := stats.NewBinner(0, 300, 8)
-			xb := stats.NewBinner(0, 300, 6)
-			yb := stats.NewBinner(0, 4, 6)
+			bad := telemetry.FilterSpec{Bands: []telemetry.MetricBand{{Metric: telemetry.Metric(99), Lo: 0, Hi: 1e12}}}
 			check := func(shape string) {
+				snap := cs.Snapshot()
 				for name, spec := range colsweepSpecs(recs) {
-					filter := specFilter(spec)
-					wantDose, err := DoseResponseN(recs, telemetry.LatencyMean, telemetry.Presence, b, filter, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantGrid, err := CompoundingN(recs, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, xb, yb, filter, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantPlat, err := ByPlatformN(recs, telemetry.LatencyMean, telemetry.MicOn, b, filter, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantSize, err := ByMeetingSizeN(recs, telemetry.LatencyMean, telemetry.Presence, b, nil, filter, 1)
+					want, err := DoseResponseN(recs, telemetry.LatencyMean, telemetry.Presence, b, specFilter(spec), 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, workers := range []int{1, 4, 16} {
 						tag := fmt.Sprintf("%s/%s/w%d", shape, name, workers)
-						gotDose, err := store.DoseResponseSpec(telemetry.LatencyMean, telemetry.Presence, b, spec, workers)
-						if err != nil {
-							t.Fatal(err)
+						got, ok, err := DoseResponseCols(snap, telemetry.LatencyMean, telemetry.Presence, b, spec, workers)
+						if err != nil || !ok {
+							t.Fatalf("%s: ok=%v err=%v", tag, ok, err)
 						}
-						if marshal(t, gotDose) != marshal(t, wantDose) {
-							t.Errorf("%s: DoseResponseSpec diverges from row path", tag)
-						}
-						gotGrid, err := store.CompoundingSpec(telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, xb, yb, spec, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if marshal(t, gotGrid) != marshal(t, wantGrid) {
-							t.Errorf("%s: CompoundingSpec diverges from row path", tag)
-						}
-						gotPlat, err := store.ByPlatformSpec(telemetry.LatencyMean, telemetry.MicOn, b, spec, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if marshal(t, gotPlat) != marshal(t, wantPlat) {
-							t.Errorf("%s: ByPlatformSpec diverges from row path", tag)
-						}
-						gotSize, err := store.ByMeetingSizeSpec(telemetry.LatencyMean, telemetry.Presence, b, nil, spec, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if marshal(t, gotSize) != marshal(t, wantSize) {
-							t.Errorf("%s: ByMeetingSizeSpec diverges from row path", tag)
+						if marshal(t, got) != marshal(t, want) {
+							t.Errorf("%s: DoseResponseCols diverges from row path", tag)
 						}
 					}
 				}
+				if _, ok, err := DoseResponseCols(snap, telemetry.LatencyMean, telemetry.Presence, b, &bad, 4); ok || err != nil {
+					t.Errorf("%s: invalid-band spec compiled: ok=%v err=%v", shape, ok, err)
+				}
 			}
 			check("open")
-			store.SealColumnar()
-			st := store.ColumnarStats()
+			cs.SealTail()
+			st := cs.Stats()
 			if st.SealedPartitions != st.Partitions {
-				t.Fatalf("SealColumnar left %d of %d partitions open", st.Partitions-st.SealedPartitions, st.Partitions)
+				t.Fatalf("SealTail left %d of %d partitions open", st.Partitions-st.SealedPartitions, st.Partitions)
 			}
 			check("sealed")
 		})
 	}
 }
 
-// TestColumnarFallsBackToRow: parameterizations without a column plan (an
-// invalid band metric) and stores without a mirror must silently take the
-// row path and still agree with it.
+// TestColumnarFallsBackToRow: a parameterization without a column plan (an
+// invalid band metric) must answer ok=false with no error, so a caller falls
+// back to the row scan and gets the row answer; a spec that compiles (the
+// study filter) must take the column plan and agree with the row scan.
 func TestColumnarFallsBackToRow(t *testing.T) {
 	recs := viewSessions(t, 24, 3000)
 	b := stats.NewBinner(0, 300, 8)
-	bad := telemetry.FilterSpec{Bands: []telemetry.MetricBand{{Metric: telemetry.Metric(99), Lo: 0, Hi: 1e12}}}
+	cs := colstore.New()
+	for _, batch := range unevenBatches(recs) {
+		if err := cs.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sweep := func(spec *telemetry.FilterSpec) (stats.BinnedSeries, bool) {
+		got, ok, err := DoseResponseCols(cs.Snapshot(), telemetry.LatencyMean, telemetry.Presence, b, spec, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if got, err = DoseResponseN(recs, telemetry.LatencyMean, telemetry.Presence, b, spec.Filter(), 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got, ok
+	}
 
-	store := &Store{}
-	ingestUnevenly(t, store, recs)
+	bad := telemetry.FilterSpec{Bands: []telemetry.MetricBand{{Metric: telemetry.Metric(99), Lo: 0, Hi: 1e12}}}
 	want, err := DoseResponseN(recs, telemetry.LatencyMean, telemetry.Presence, b, bad.Filter(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.DoseResponseSpec(telemetry.LatencyMean, telemetry.Presence, b, &bad, 4)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := sweep(&bad)
+	if ok {
+		t.Error("invalid-band spec compiled to a column plan")
 	}
 	if marshal(t, got) != marshal(t, want) {
 		t.Error("invalid-band spec did not fall back to an identical row scan")
 	}
 
-	off := &Store{}
-	off.DisableColumnar()
-	ingestUnevenly(t, off, recs)
-	if _, ok := off.ColumnarSnapshot(); ok {
-		t.Fatal("DisableColumnar store still built a mirror")
-	}
 	study := StudyFilterSpec(telemetry.LatencyMean)
 	want, err = DoseResponseN(recs, telemetry.LatencyMean, telemetry.Presence, b, study.Filter(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = off.DoseResponseSpec(telemetry.LatencyMean, telemetry.Presence, b, &study, 4)
-	if err != nil {
-		t.Fatal(err)
+	got, ok = sweep(&study)
+	if !ok {
+		t.Error("study spec fell back to the row scan")
 	}
 	if marshal(t, got) != marshal(t, want) {
-		t.Error("mirror-off store diverges from row path")
-	}
-}
-
-// reportHTTPBytes fetches /v1/report over HTTP, literally.
-func reportHTTPBytes(t testing.TB, store *Store) []byte {
-	t.Helper()
-	srv := httptest.NewServer(NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/v1/report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("report: %d %v", resp.StatusCode, err)
-	}
-	return body
-}
-
-// TestReportIdenticalColumnarOnOff: the operator report served over HTTP
-// must be byte-identical with the mirror on and off — the columnar path is
-// an optimization, never a semantic.
-func TestReportIdenticalColumnarOnOff(t *testing.T) {
-	seeds := []uint64{31, 32, 33}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			recs, posts := crashDataset(t, seed)
-			on := &Store{}
-			off := &Store{}
-			off.DisableColumnar()
-			for _, b := range raggedBatches(recs, posts, seed) {
-				applyBatch(t, on, b)
-				applyBatch(t, off, b)
-			}
-			if _, ok := on.ColumnarSnapshot(); !ok {
-				t.Fatal("columnar mirror not built")
-			}
-			onBytes := reportHTTPBytes(t, on)
-			if !bytes.Equal(onBytes, reportHTTPBytes(t, off)) {
-				t.Fatal("/v1/report differs between columnar and row stores")
-			}
-			// Sealing every partition must not change a byte either.
-			on.SealColumnar()
-			if !bytes.Equal(reportHTTPBytes(t, on), onBytes) {
-				t.Fatal("/v1/report changed after sealing the mirror")
-			}
-		})
-	}
-}
-
-// TestReportIdenticalAfterRecovery: a durable store recovered from disk
-// rebuilds the mirror and must serve the same report bytes as (a) its own
-// pre-crash self and (b) a columnar-off store fed the same batches.
-func TestReportIdenticalAfterRecovery(t *testing.T) {
-	recs, posts := crashDataset(t, 34)
-	batches := raggedBatches(recs, posts, 34)
-	dir := t.TempDir()
-	d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff, SnapshotEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range batches {
-		applyBatch(t, d.Store, b)
-	}
-	live := reportHTTPBytes(t, d.Store)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if _, ok := rec.Store.ColumnarSnapshot(); !ok {
-		t.Fatal("recovery did not rebuild the columnar mirror")
-	}
-	if snap, _ := rec.Store.ColumnarSnapshot(); snap.Len() != len(recs) {
-		t.Fatalf("rebuilt mirror holds %d records, want %d", snap.Len(), len(recs))
-	}
-	if !bytes.Equal(reportHTTPBytes(t, rec.Store), live) {
-		t.Fatal("recovered report differs from pre-crash report")
-	}
-
-	off := &Store{}
-	off.DisableColumnar()
-	for _, b := range batches {
-		applyBatch(t, off, b)
-	}
-	if !bytes.Equal(reportHTTPBytes(t, off), live) {
-		t.Fatal("recovered columnar report differs from row-only reference")
-	}
-
-	// And a recovery with the mirror disabled must agree too.
-	recOff, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff, DisableColumnar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recOff.Close()
-	if _, ok := recOff.Store.ColumnarSnapshot(); ok {
-		t.Fatal("DisableColumnar recovery still built a mirror")
-	}
-	if !bytes.Equal(reportHTTPBytes(t, recOff.Store), live) {
-		t.Fatal("mirror-off recovery differs from pre-crash report")
+		t.Error("study spec column plan diverges from row path")
 	}
 }
 
@@ -342,7 +221,7 @@ func fuzzRecordsEqual(a, b *telemetry.SessionRecord) bool {
 
 // FuzzColumnarRoundTrip: arbitrary records → columnar encode → seal →
 // materialize must reproduce the records bit for bit, and the columnar
-// sweeps over the mirror must match the row sweeps over the originals.
+// dose-response sweep must match the row sweep over the originals.
 func FuzzColumnarRoundTrip(f *testing.F) {
 	f.Add([]byte{1})
 	f.Add([]byte{200, 7, 7, 7})
@@ -381,17 +260,6 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 				}
 				if fmt.Sprintf("%+v", gotS) != fmt.Sprintf("%+v", want) {
 					t.Fatalf("%s: dose-response diverges from row path", shape)
-				}
-				wantG, err := CompoundingN(recs, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, b, b, specFilter(spec), 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotG, ok, err := CompoundingCols(snap, telemetry.LatencyMean, telemetry.LossMean, telemetry.CamOn, b, b, spec, 3)
-				if err != nil || !ok {
-					t.Fatalf("%s: columnar compounding: ok=%v err=%v", shape, ok, err)
-				}
-				if fmt.Sprintf("%+v", gotG) != fmt.Sprintf("%+v", wantG) {
-					t.Fatalf("%s: compounding diverges from row path", shape)
 				}
 			}
 		}

@@ -90,57 +90,6 @@ func ByMeetingSizeN(records []telemetry.SessionRecord, metric telemetry.Metric, 
 	return out, nil
 }
 
-// byMeetingSizeRows is ByMeetingSizeN over a chunked row snapshot; see
-// doseResponseRows for the equivalence argument.
-func byMeetingSizeRows(rows Rows, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, buckets []SizeBucket, filter telemetry.Filter, workers int) (map[string]stats.BinnedSeries, error) {
-	if len(buckets) == 0 {
-		buckets = DefaultSizeBuckets()
-	}
-	mf, ef := metric.Accessor(), eng.Accessor()
-	shards, err := parallel.Map(workers, parallel.Chunks(rows.Len()), func(i int) ([]*stats.BinAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, rows.Len())
-		records := rows.Chunk(lo, hi)
-		accs := make([]*stats.BinAcc, len(buckets))
-		for j := range records {
-			r := &records[j]
-			if filter != nil && !filter(r) {
-				continue
-			}
-			for k, bk := range buckets {
-				if r.MeetingSize >= bk.Lo && r.MeetingSize <= bk.Hi {
-					if accs[k] == nil {
-						accs[k] = stats.NewBinAcc(b)
-					}
-					accs[k].Add(mf(&r.Net), ef(r))
-					break
-				}
-			}
-		}
-		return accs, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("usaas: meeting-size strata: %w", err)
-	}
-	out := make(map[string]stats.BinnedSeries, len(buckets))
-	for k, bk := range buckets {
-		var total *stats.BinAcc
-		for _, shard := range shards {
-			if shard[k] == nil {
-				continue
-			}
-			if total == nil {
-				total = shard[k]
-			} else if err := total.Merge(shard[k]); err != nil {
-				return nil, fmt.Errorf("usaas: meeting-size strata: %w", err)
-			}
-		}
-		if total != nil {
-			out[bk.Name] = total.Series()
-		}
-	}
-	return out, nil
-}
-
 // ConfounderEffect quantifies one confounder's marginal impact on an
 // engagement metric, holding network conditions in the control bands.
 type ConfounderEffect struct {

@@ -84,13 +84,6 @@ type DurabilityOptions struct {
 	// snapshot path has no request to answer errors on). Defaults to
 	// discarding them; Close still reports the final snapshot's error.
 	Logf func(format string, args ...any)
-	// DisableColumnar skips rebuilding the columnar mirror during recovery
-	// and keeps it off afterwards; analyses use the row path. The mirror is
-	// not persisted — it is derived state, rebuilt from the recovered rows
-	// (snapshot restore appends the whole prefix; log replay extends it
-	// batch by batch) — so disabling it trades query speed for a cheaper
-	// recovery and a smaller resident set.
-	DisableColumnar bool
 }
 
 // RecoveryStats reports what opening a durable store found on disk.
@@ -156,7 +149,7 @@ func OpenDurableStore(opts DurabilityOptions) (*DurableStore, error) {
 		opts.FsyncInterval = time.Second
 	}
 	start := time.Now()
-	store := &Store{colsOff: opts.DisableColumnar}
+	store := &Store{}
 	d := &DurableStore{
 		Store:  store,
 		opts:   opts,
@@ -331,10 +324,9 @@ func (d *DurableStore) AppendSignal() <-chan struct{} {
 // path, journaling the payload verbatim. Because the leader journals wire
 // bytes and never logs duplicates, a follower applying the leader's
 // records in sequence order writes a WAL that is byte-identical to the
-// leader's — and rebuilds the same views, dedup table, caches, and
-// columnar mirror, since this IS the ingest path. dup reports a batch the
-// follower had already applied (a retransmitted delivery); it is skipped
-// without journaling.
+// leader's — and rebuilds the same views, dedup table, and caches, since
+// this IS the ingest path. dup reports a batch the follower had already
+// applied (a retransmitted delivery); it is skipped without journaling.
 func (d *DurableStore) ApplyReplicated(rec durable.Record) (dup bool, err error) {
 	switch rec.Type {
 	case recSessions:
@@ -624,11 +616,10 @@ func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int,
 	return hdr.Sessions, hdr.Posts, nil
 }
 
-// restoreSnapshot installs decoded snapshot state into the store,
-// re-folding views through the same per-record folds live ingest uses —
-// folds are per-record and chunk boundaries are absolute indices, so one
-// big fold of the restored prefix equals the original batch-by-batch
-// folds bit for bit.
+// restoreSnapshot installs decoded snapshot state into the store through
+// the same applies live ingest and log replay use — folds are per-record
+// and chunk boundaries are absolute indices, so one big fold of the
+// restored prefix equals the original batch-by-batch folds bit for bit.
 func (s *Store) restoreSnapshot(sessions []telemetry.SessionRecord, posts []social.Post, batches map[string]IngestResponse) {
 	// Reading the posts is the one per-record cost a restore pays that a
 	// snapshot does not carry; it needs no store lock, so it runs beside
@@ -641,14 +632,7 @@ func (s *Store) restoreSnapshot(sessions []telemetry.SessionRecord, posts []soci
 	// acknowledgement must report totals continuing from the restored state.
 	s.seqSessions = len(sessions)
 	s.seqPosts = len(posts)
-	s.sessMu.Lock()
-	s.sessions.append(sessions)
-	if len(sessions) > 0 {
-		s.sessGen++
-		s.views.foldSessions(sessions)
-		s.appendColumnar(sessions)
-	}
-	s.sessMu.Unlock()
+	s.applySessions(sessions)
 	s.applyPosts(posts, <-staged)
 	if len(batches) > 0 {
 		s.dedupMu.Lock()

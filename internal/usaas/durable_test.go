@@ -717,3 +717,57 @@ func TestCrashInCompactionWindow(t *testing.T) {
 		t.Fatal("report differs after converged re-compaction")
 	}
 }
+
+// reportHTTPBytes fetches /v1/report over HTTP, literally.
+func reportHTTPBytes(t testing.TB, store *Store) []byte {
+	t.Helper()
+	srv := httptest.NewServer(NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("report: %d %v", resp.StatusCode, err)
+	}
+	return body
+}
+
+// TestReportIdenticalAfterRecovery: a durable store recovered from disk
+// must serve the same report bytes as (a) its own pre-crash self and (b) a
+// plain store fed the same batches once.
+func TestReportIdenticalAfterRecovery(t *testing.T) {
+	recs, posts := crashDataset(t, 34)
+	batches := raggedBatches(recs, posts, 34)
+	dir := t.TempDir()
+	d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff, SnapshotEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		applyBatch(t, d.Store, b)
+	}
+	live := reportHTTPBytes(t, d.Store)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if !bytes.Equal(reportHTTPBytes(t, rec.Store), live) {
+		t.Fatal("recovered report differs from pre-crash report")
+	}
+
+	once := &Store{}
+	for _, b := range batches {
+		applyBatch(t, once, b)
+	}
+	if !bytes.Equal(reportHTTPBytes(t, once), live) {
+		t.Fatal("recovered report differs from a store fed the batches once")
+	}
+}

@@ -71,37 +71,6 @@ func DoseResponseN(records []telemetry.SessionRecord, metric telemetry.Metric, e
 	return total.Series(), nil
 }
 
-// doseResponseRows is DoseResponseN over a chunked row snapshot. The block
-// size is a multiple of the canonical chunk size, so every chunk is one
-// contiguous sub-slice and the per-chunk loop (and therefore every float)
-// is identical to the flat-slice run.
-func doseResponseRows(rows Rows, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, filter telemetry.Filter, workers int) (stats.BinnedSeries, error) {
-	mf, ef := metric.Accessor(), eng.Accessor()
-	shards, err := parallel.Map(workers, parallel.Chunks(rows.Len()), func(i int) (*stats.BinAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, rows.Len())
-		records := rows.Chunk(lo, hi)
-		acc := stats.NewBinAcc(b)
-		for j := range records {
-			r := &records[j]
-			if filter != nil && !filter(r) {
-				continue
-			}
-			acc.Add(mf(&r.Net), ef(r))
-		}
-		return acc, nil
-	})
-	if err != nil {
-		return stats.BinnedSeries{}, err
-	}
-	total := stats.NewBinAcc(b)
-	for _, s := range shards {
-		if err := total.Merge(s); err != nil {
-			return stats.BinnedSeries{}, err
-		}
-	}
-	return total.Series(), nil
-}
-
 // dayBins is the per-calendar-day accumulator map behind the daily
 // dose-response fold: sessions accumulate into their start day's bin
 // accumulator in arrival order, and foldDayBins merges the days ascending.
@@ -249,35 +218,6 @@ func CompoundingN(records []telemetry.SessionRecord, xMetric, yMetric telemetry.
 	return total.Grid(), nil
 }
 
-// compoundingRows is CompoundingN over a chunked row snapshot; see
-// doseResponseRows for the equivalence argument.
-func compoundingRows(rows Rows, xMetric, yMetric telemetry.Metric, eng telemetry.Engagement, xb, yb stats.Binner, filter telemetry.Filter, workers int) (stats.Grid2D, error) {
-	xf, yf, ef := xMetric.Accessor(), yMetric.Accessor(), eng.Accessor()
-	shards, err := parallel.Map(workers, parallel.Chunks(rows.Len()), func(i int) (*stats.Grid2DAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, rows.Len())
-		records := rows.Chunk(lo, hi)
-		acc := stats.NewGrid2DAcc(xb, yb)
-		for j := range records {
-			r := &records[j]
-			if filter != nil && !filter(r) {
-				continue
-			}
-			acc.Add(xf(&r.Net), yf(&r.Net), ef(r))
-		}
-		return acc, nil
-	})
-	if err != nil {
-		return stats.Grid2D{}, err
-	}
-	total := stats.NewGrid2DAcc(xb, yb)
-	for _, s := range shards {
-		if err := total.Merge(s); err != nil {
-			return stats.Grid2D{}, err
-		}
-	}
-	return total.Grid(), nil
-}
-
 // ByPlatform computes one dose-response series per platform — Fig. 3 —
 // sharded across one worker per CPU.
 func ByPlatform(records []telemetry.SessionRecord, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, filter telemetry.Filter) (map[string]stats.BinnedSeries, error) {
@@ -293,50 +233,6 @@ func ByPlatformN(records []telemetry.SessionRecord, metric telemetry.Metric, eng
 		lo, hi := parallel.ChunkBounds(i, len(records))
 		accs := map[string]*stats.BinAcc{}
 		for j := lo; j < hi; j++ {
-			r := &records[j]
-			if filter != nil && !filter(r) {
-				continue
-			}
-			acc := accs[r.Platform]
-			if acc == nil {
-				acc = stats.NewBinAcc(b)
-				accs[r.Platform] = acc
-			}
-			acc.Add(mf(&r.Net), ef(r))
-		}
-		return accs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := map[string]*stats.BinAcc{}
-	for _, shard := range shards {
-		for platform, acc := range shard {
-			if total := merged[platform]; total != nil {
-				if err := total.Merge(acc); err != nil {
-					return nil, err
-				}
-			} else {
-				merged[platform] = acc
-			}
-		}
-	}
-	out := make(map[string]stats.BinnedSeries, len(merged))
-	for platform, acc := range merged {
-		out[platform] = acc.Series()
-	}
-	return out, nil
-}
-
-// byPlatformRows is ByPlatformN over a chunked row snapshot; see
-// doseResponseRows for the equivalence argument.
-func byPlatformRows(rows Rows, metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, filter telemetry.Filter, workers int) (map[string]stats.BinnedSeries, error) {
-	mf, ef := metric.Accessor(), eng.Accessor()
-	shards, err := parallel.Map(workers, parallel.Chunks(rows.Len()), func(i int) (map[string]*stats.BinAcc, error) {
-		lo, hi := parallel.ChunkBounds(i, rows.Len())
-		records := rows.Chunk(lo, hi)
-		accs := map[string]*stats.BinAcc{}
-		for j := range records {
 			r := &records[j]
 			if filter != nil && !filter(r) {
 				continue

@@ -13,13 +13,13 @@ import (
 // Sequencing (addSessionsBatchAsync / addPostsBatchAsync, under ingestMu)
 // performs only the serialized work: the dedup check, the WAL frame write,
 // and the acknowledgement bookkeeping. Applying the batch to the in-memory
-// state — the row append, the materialized-view folds, and the columnar
-// mirror append — is packaged into an applyJob and executed OUTSIDE the
-// sequencing lock, either inline on the ingesting goroutine (no pipeline
-// attached: plain stores, tests, recovery replay) or by a bounded worker
-// pool (StartApplyPipeline / DurabilityOptions.ApplyWorkers), so concurrent
-// HTTP handlers overlap parsing, the group-commit fsync wait, and the apply
-// work instead of convoying on one store mutex.
+// state — the row append and the materialized-view folds — is packaged
+// into an applyJob and executed OUTSIDE the sequencing lock, either inline
+// on the ingesting goroutine (no pipeline attached: plain stores, tests,
+// recovery replay) or by a bounded worker pool (StartApplyPipeline /
+// DurabilityOptions.ApplyWorkers), so concurrent HTTP handlers overlap
+// parsing, the group-commit fsync wait, and the apply work instead of
+// convoying on one store mutex.
 //
 // Byte-identity is preserved by construction: jobs of the same kind form a
 // turn chain (each job waits for the previous same-kind job's done channel
@@ -135,9 +135,10 @@ func (s *Store) runJob(job *applyJob) {
 	close(job.done)
 }
 
-// applySessions folds a sequenced session batch into the row store, the
-// session views, and the columnar mirror. Jobs arrive here in sequence
-// order (turn chain), so the fold stream is identical to serial ingest.
+// applySessions folds a sequenced session batch into the row store and the
+// session views. Jobs arrive here in sequence order (turn chain), so the
+// fold stream is identical to serial ingest; recovery restores a snapshot's
+// sessions through the same call.
 // The chunked row store (rows.go) makes the append copy only the batch:
 // published rows are never reallocated, zeroed, or moved again.
 func (s *Store) applySessions(recs []telemetry.SessionRecord) {
@@ -147,7 +148,6 @@ func (s *Store) applySessions(recs []telemetry.SessionRecord) {
 	if len(recs) > 0 {
 		s.sessGen++
 		s.views.foldSessions(recs)
-		s.appendColumnar(recs)
 	}
 }
 

@@ -10,17 +10,12 @@ import (
 // Storing rows in fixed-size blocks makes append allocate one new block
 // and copy only the incoming batch — published rows are never moved or
 // re-zeroed again, which is also what lets readers hold a Rows snapshot
-// while ingest keeps appending.
-//
-// The block size is an exact multiple of parallel.ChunkSize (2048), so a
-// canonical analysis chunk never straddles a block boundary: chunked
-// analyses take a contiguous sub-slice per chunk and run the identical
-// per-chunk loop the flat slice ran, keeping every result byte-identical
-// to the flat layout.
+// while ingest keeps appending. This is the only in-memory copy of a
+// session: every fold, snapshot and read goes through it.
 
 const (
 	rowBlockShift = 12
-	rowBlockSize  = 1 << rowBlockShift // 4096 = 2 × parallel.ChunkSize
+	rowBlockSize  = 1 << rowBlockShift // 4096
 	rowBlockMask  = rowBlockSize - 1
 )
 
@@ -68,19 +63,6 @@ func (r Rows) Len() int { return r.n }
 // At returns the i-th row (read-only).
 func (r Rows) At(i int) *telemetry.SessionRecord {
 	return &r.blocks[i>>rowBlockShift][i&rowBlockMask]
-}
-
-// Chunk returns rows [lo, hi) as a contiguous slice. The range must not
-// straddle a block boundary; parallel.Chunks ranges never do, because the
-// block size is a multiple of the canonical chunk size.
-func (r Rows) Chunk(lo, hi int) []telemetry.SessionRecord {
-	if lo >= hi {
-		return nil
-	}
-	if lo>>rowBlockShift != (hi-1)>>rowBlockShift {
-		panic("usaas: Rows.Chunk range straddles a block boundary")
-	}
-	return r.blocks[lo>>rowBlockShift][lo&rowBlockMask : (hi-1)&rowBlockMask+1]
 }
 
 // AppendTo materializes the snapshot into dst (flat copy), block by block.

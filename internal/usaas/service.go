@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"usersignals/internal/colstore"
 	"usersignals/internal/durable"
 	"usersignals/internal/leo"
 	"usersignals/internal/newswire"
@@ -44,8 +43,8 @@ import (
 //   - ingestMu — the SEQUENCING lock: dedup check, WAL frame write, ack
 //     prediction, turn-chain registration. Holding it pins WAL append
 //     order == apply order (per kind) == ack order.
-//   - sessMu — the session shard: sessions, sessGen, session views
-//     (rated/daily/eng), and the columnar mirror.
+//   - sessMu — the session shard: sessions, sessGen, and the session
+//     views (rated/daily/eng).
 //   - postMu — the post shard: day buckets, their accumulators, the stem
 //     arena, postGen (posts.go).
 //   - textMu — the text engine posts are read with (interner, scorer
@@ -131,91 +130,6 @@ type Store struct {
 	// termRows is the regrouped term rows of the latest post generation a
 	// reader asked for (posts.go). Its lock is taken with no store lock held.
 	termRows termRows
-
-	// cols is the columnar mirror of sessions (internal/colstore),
-	// maintained under the same sessMu fold as the views so it is
-	// always generation-consistent with the row store. Lazily created on
-	// the first accepted batch; nil when disabled (colsOff) or dropped
-	// after a dictionary overflow. The durable store rebuilds it on
-	// recovery by replaying batches through the normal ingest path.
-	cols    *colstore.Store
-	colsOff bool
-}
-
-// DisableColumnar drops the columnar mirror and stops maintaining it; every
-// analysis serves from the row store. The cmd/usaasd -columnar=false escape
-// hatch and DurabilityOptions.DisableColumnar land here.
-func (s *Store) DisableColumnar() {
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	s.cols, s.colsOff = nil, true
-}
-
-// ColumnarSnapshot captures the mirror for a columnar sweep. ok is false
-// when the mirror is disabled, dropped, or has seen no sessions yet.
-func (s *Store) ColumnarSnapshot() (colstore.Snapshot, bool) {
-	s.fenceSessions()
-	s.sessMu.RLock()
-	defer s.sessMu.RUnlock()
-	if s.cols == nil {
-		return colstore.Snapshot{}, false
-	}
-	return s.cols.Snapshot(), true
-}
-
-// SealColumnar compresses the mirror's open tail partition. Sealing
-// otherwise happens on day transitions; tests and benchmarks call this to
-// measure the all-sealed shape.
-func (s *Store) SealColumnar() {
-	s.fenceSessions()
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	if s.cols != nil {
-		s.cols.SealTail()
-	}
-}
-
-// ColumnarStats reports the mirror's resident footprint (zero when the
-// mirror is off).
-func (s *Store) ColumnarStats() colstore.Stats {
-	s.fenceSessions()
-	s.sessMu.RLock()
-	defer s.sessMu.RUnlock()
-	if s.cols == nil {
-		return colstore.Stats{}
-	}
-	return s.cols.Stats()
-}
-
-// appendColumnar folds an accepted batch into the mirror. Caller holds
-// sessMu and has already appended recs to s.sessions. The first call
-// mirrors the whole session slice, so a mirror enabled on a store restored
-// from a snapshot starts complete. A dictionary overflow drops the mirror —
-// row ingest is never failed for the mirror's sake.
-func (s *Store) appendColumnar(recs []telemetry.SessionRecord) {
-	if s.colsOff || len(recs) == 0 {
-		return
-	}
-	if s.cols == nil {
-		s.cols = colstore.New()
-		// First call: mirror everything already in the row store, block
-		// by block (the blocks are contiguous slices).
-		snap := s.sessions.snapshot()
-		for lo := 0; lo < snap.Len(); lo += rowBlockSize {
-			hi := lo + rowBlockSize
-			if hi > snap.Len() {
-				hi = snap.Len()
-			}
-			if err := s.cols.Append(snap.Chunk(lo, hi)); err != nil {
-				s.cols, s.colsOff = nil, true
-				return
-			}
-		}
-		return
-	}
-	if err := s.cols.Append(recs); err != nil {
-		s.cols, s.colsOff = nil, true
-	}
 }
 
 // AddSessions ingests session records unconditionally (no dedup). The

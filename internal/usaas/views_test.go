@@ -30,29 +30,33 @@ func viewSessions(t *testing.T, seed uint64, n int) []telemetry.SessionRecord {
 	return recs
 }
 
+// unevenBatches cuts recs into ragged batches: a one-record batch, batches
+// on both sides of a chunk boundary, and the tail.
+func unevenBatches(recs []telemetry.SessionRecord) [][]telemetry.SessionRecord {
+	var out [][]telemetry.SessionRecord
+	prev := 0
+	for _, cut := range []int{1, 600, 2047, 2048, 2049, 4500, len(recs)} {
+		cut = min(cut, len(recs))
+		out = append(out, recs[prev:cut])
+		prev = cut
+	}
+	return out
+}
+
 // ingestUnevenly loads records into a store through ragged batches, duplicate
 // replays, and an empty batch — the shapes at-least-once delivery produces.
 func ingestUnevenly(t *testing.T, s *Store, recs []telemetry.SessionRecord) {
 	t.Helper()
-	cuts := []int{1, 600, 2047, 2048, 2049, 4500, len(recs)}
-	prev := 0
-	for i, cut := range cuts {
-		if cut > len(recs) {
-			cut = len(recs)
-		}
-		if cut < prev {
-			continue
-		}
+	for i, batch := range unevenBatches(recs) {
 		id := fmt.Sprintf("uneven-%d", i)
-		if _, dup, _ := s.AddSessionsBatch(id, recs[prev:cut]); dup {
+		if _, dup, _ := s.AddSessionsBatch(id, batch); dup {
 			t.Fatalf("batch %s unexpectedly duplicate", id)
 		}
 		// Replay every batch once; the dedup layer must drop it before the
 		// views fold, or every accumulator double-counts.
-		if _, dup, _ := s.AddSessionsBatch(id, recs[prev:cut]); !dup {
+		if _, dup, _ := s.AddSessionsBatch(id, batch); !dup {
 			t.Fatalf("replay of batch %s not detected", id)
 		}
-		prev = cut
 	}
 	if _, dup, _ := s.AddSessionsBatch("uneven-empty", nil); dup {
 		t.Fatal("empty batch reported duplicate")
