@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 
 	"usersignals/internal/conference"
@@ -33,8 +34,13 @@ func runConfounders(c *runCtx) (string, error) {
 			return "", err
 		}
 		for _, e := range effects {
-			for level, v := range e.Levels {
-				rows = append(rows, []string{eng.String(), e.Confounder, level, f2s(v)})
+			levels := make([]string, 0, len(e.Levels))
+			for level := range e.Levels {
+				levels = append(levels, level)
+			}
+			sort.Strings(levels)
+			for _, level := range levels {
+				rows = append(rows, []string{eng.String(), e.Confounder, level, f2s(e.Levels[level])})
 			}
 			summary = append(summary, fmt.Sprintf("%s/%s spread %.0f%%", eng, e.Confounder, 100*e.Spread))
 		}

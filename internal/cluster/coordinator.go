@@ -51,7 +51,7 @@ type shardConn struct {
 	fanouts atomic.Uint64
 	errs    atomic.Uint64
 	// Partials exchanges: answered 304, answered with a body, answered with
-	// a social delta, body bytes.
+	// a delta, body bytes.
 	revalidated, fetched, deltas, bytes atomic.Uint64
 
 	mu  sync.Mutex

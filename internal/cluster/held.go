@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync"
 
 	"usersignals/internal/usaas"
@@ -16,25 +15,29 @@ import (
 // it fetched — by section and by model-phase request — each with the tag it
 // was fetched at, and revalidates instead of refetching: a query whose
 // sections are all held at the shard's current tag costs one bodiless 304
-// per shard, a section is transferred and decoded at most once per shard
-// generation, and the social section costs only the days that changed.
+// per shard, and a section whose shard moved costs only the elements (days,
+// months, rated runs) that changed.
 //
 // Invariants:
 //   - A shard stamps the tag it read before the content, so held content is
 //     never older than its tag — at worst a later write is already in it.
-//   - The held tag is the last one the shard answered under. Every entry but
-//     the social one was fetched under it; an answer under any other tag
-//     drops them all.
-//   - The social entry is a base that survives a tag change: the shard's
-//     social days, and the tag of the answer that last brought them up to
-//     date. It is served from memory only while that tag is the held one,
-//     but every request that includes social names it in since=, and the
-//     shard answers either the days folded after it (a delta naming that
-//     tag, patched onto the held days by day key) or everything (a restarted
-//     shard, another protocol), which replaces them. Because the tag is read
-//     before the content, a delta may already carry days newer than its own
-//     tag; the next since= ships those again, so no day is ever skipped.
-//     Patching is copy-on-write: renders may still hold the old days.
+//   - The held tag is the last one the shard answered under. A section held
+//     at it is served from memory; model-phase answers are held only at it,
+//     and an answer under any other tag drops them.
+//   - Every held section is a base that survives a tag change: its content
+//     and the tag of the answer that last brought it up to date. A request
+//     whose sections all have bases names the oldest of their tags in
+//     since= — oldest in fetch order, which within one shard process is
+//     generation order, so no tag is parsed here. The shard answers either
+//     the elements changed after that tag (a delta naming it) or everything
+//     (a restarted shard, another protocol). Each section of a delta is
+//     patched onto its own base by key (usaas.ShardPartials.Patch): the
+//     elements changed since the oldest tag include every one changed since
+//     a newer base's, and each is replaced with current content, so patching
+//     a newer base is exact too. Because the tag is read before the content,
+//     a delta may already carry elements newer than its own tag; the next
+//     since= ships those again, so none is ever skipped. Patching is
+//     copy-on-write: renders may still hold the old sections.
 //   - Invalidation never depends on the coordinator seeing the write: it is
 //     the shard's tag that moves. An empty sub-batch leaves it in place.
 //   - Tags of different processes never match (the nonce), so a restarted
@@ -43,11 +46,8 @@ import (
 //     over its endpoints, each under its own nonce, so nothing is held for
 //     it (New leaves shardConn.held nil) until replicas share a
 //     content-addressed tag: it costs what it cost without the caches.
-//   - Bounded: at most max entries per shard, FIFO, the social base among
-//     them. Once it is evicted the next social fetch is a full one.
-
-// socialKey holds the social section, which takes no parameters.
-var socialKey = usaas.Section{Name: usaas.SectionSocial}.Key()
+//   - Bounded: at most max entries per shard, FIFO, bases among them. Once a
+//     base is evicted the next fetch of its section is a full one.
 
 // modelKey identifies a model-phase request: its wire form.
 func modelKey(req usaas.ModelPartialsRequest) string {
@@ -58,10 +58,11 @@ func modelKey(req usaas.ModelPartialsRequest) string {
 	return "model " + string(body)
 }
 
-// heldEntry is one decoded answer and the tag it was fetched at: a
+// heldEntry is one decoded answer, the tag it was fetched at and when: a
 // section's slice of the phase-one partials, or a model-phase result.
 type heldEntry struct {
 	tag   string
+	seq   uint64 // fetch order: a lower seq was fetched earlier
 	part  *usaas.ShardPartials
 	model *usaas.ModelPartials
 }
@@ -75,6 +76,7 @@ type held struct {
 	mu      sync.Mutex
 	max     int
 	tag     string
+	seq     uint64
 	entries map[string]heldEntry
 	order   []string // FIFO eviction order
 }
@@ -84,20 +86,24 @@ func newHeld(max int) *held {
 }
 
 // lookup composes the sections among need held at the held tag into a
-// bundle and lists the rest, with that tag and the social base (zero when
-// none is held).
-func (h *held) lookup(need []usaas.Section) (tag string, bundle *usaas.ShardPartials, missing []usaas.Section, base heldEntry) {
+// bundle and lists the rest, with that tag and every base among need's
+// sections, by key.
+func (h *held) lookup(need []usaas.Section) (tag string, bundle *usaas.ShardPartials, missing []usaas.Section, bases map[string]heldEntry) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	bundle = &usaas.ShardPartials{}
+	bundle, bases = &usaas.ShardPartials{}, map[string]heldEntry{}
 	for _, s := range need {
-		if e, ok := h.entries[s.Key()]; ok && e.tag == h.tag {
+		e, ok := h.entries[s.Key()]
+		if ok {
+			bases[s.Key()] = e
+		}
+		if ok && e.tag == h.tag {
 			bundle.Take(s.Name, e.part)
 		} else {
 			missing = append(missing, s)
 		}
 	}
-	return h.tag, bundle, missing, h.entries[socialKey]
+	return h.tag, bundle, missing, bases
 }
 
 // model returns the held model-phase answer for key, if the shard is still
@@ -111,24 +117,31 @@ func (h *held) model(tag, key string) *usaas.ModelPartials {
 	return h.entries[key].model
 }
 
-// put records an answer fetched under tag. A tag other than the held one
-// retires everything held first but the social base; an untagged answer (a
-// shard that predates tags) retires that too and is not held at all.
-func (h *held) put(tag, key string, e heldEntry) {
+// putSections holds each section of an answer fetched under tag. A tag
+// other than the held one first retires the model-phase answers; an
+// untagged answer (a shard that predates tags) retires everything and is
+// not held at all.
+func (h *held) putSections(tag string, sections []usaas.Section, pieces []*usaas.ShardPartials) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.tag != tag {
-		base, ok := h.entries[socialKey]
 		h.tag = tag
-		h.entries = map[string]heldEntry{}
-		h.order = h.order[:0]
-		if ok && tag != "" {
-			h.putLocked(socialKey, base)
+		kept := h.order[:0]
+		for _, key := range h.order {
+			if tag != "" && h.entries[key].part != nil {
+				kept = append(kept, key)
+			} else {
+				delete(h.entries, key)
+			}
 		}
+		h.order = kept
 	}
-	if tag != "" {
-		e.tag = tag
-		h.putLocked(key, e)
+	if tag == "" {
+		return
+	}
+	for i, s := range sections {
+		h.seq++
+		h.putLocked(s.Key(), heldEntry{tag: tag, seq: h.seq, part: pieces[i]})
 	}
 }
 
@@ -140,7 +153,8 @@ func (h *held) putModel(tag, key string, mp *usaas.ModelPartials) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if tag != "" && h.tag == tag {
-		h.putLocked(key, heldEntry{tag: tag, model: mp})
+		h.seq++
+		h.putLocked(key, heldEntry{tag: tag, seq: h.seq, model: mp})
 	}
 }
 
@@ -155,31 +169,25 @@ func (h *held) putLocked(key string, e heldEntry) {
 	h.entries[key] = e
 }
 
-// putSections splits a multi-section answer into its sections and holds
-// each under tag.
-func (h *held) putSections(tag string, sections []usaas.Section, p *usaas.ShardPartials) {
-	for _, s := range sections {
-		piece := &usaas.ShardPartials{}
-		piece.Take(s.Name, p)
-		h.put(tag, s.Key(), heldEntry{part: piece})
-	}
-}
-
 // partials returns the shard's bundle for the sections and the tag it is
 // valid at, fetching only what is not already held at the shard's current
 // tag. With everything held it sends one conditional request (304 warm);
 // with something missing it fetches just that, and the answer's tag
 // validates the held rest. If the tag moved in between, the held rest is
-// stale: one whole answer replaces it. Either way, social comes as the days
-// changed since the social base (fetch).
+// stale: one whole answer replaces it. Either way, sections with bases come
+// as the elements changed since the oldest of them (fetch).
 func (sc *shardConn) partials(ctx context.Context, need []usaas.Section) (*usaas.ShardPartials, string, error) {
 	h := sc.held
 	if h == nil {
-		p, v, err := sc.fetch(ctx, need, "", heldEntry{})
+		pieces, v, err := sc.fetch(ctx, need, "", nil)
 		if err != nil {
 			return nil, "", err
 		}
-		return &p, v.Tag, nil
+		bundle := &usaas.ShardPartials{}
+		for i, s := range need {
+			bundle.Take(s.Name, pieces[i])
+		}
+		return bundle, v.Tag, nil
 	}
 	select {
 	case h.turn <- struct{}{}:
@@ -187,12 +195,12 @@ func (sc *shardConn) partials(ctx context.Context, need []usaas.Section) (*usaas
 	case <-ctx.Done():
 		return nil, "", ctx.Err()
 	}
-	tag, bundle, missing, base := h.lookup(need)
+	tag, bundle, missing, bases := h.lookup(need)
 	ask, cond := missing, ""
 	if len(missing) == 0 {
 		ask, cond = need, tag
 	}
-	p, v, err := sc.fetch(ctx, ask, cond, base)
+	pieces, v, err := sc.fetch(ctx, ask, cond, bases)
 	if err != nil {
 		return nil, "", err
 	}
@@ -200,41 +208,65 @@ func (sc *shardConn) partials(ctx context.Context, need []usaas.Section) (*usaas
 		return bundle, tag, nil
 	}
 	if len(ask) < len(need) && v.Tag != tag {
-		if p, v, err = sc.fetch(ctx, need, "", base); err != nil {
+		if pieces, v, err = sc.fetch(ctx, need, "", bases); err != nil {
 			return nil, "", err
 		}
 		ask = need
 	}
-	h.putSections(v.Tag, ask, &p)
-	for _, s := range ask {
-		bundle.Take(s.Name, &p)
+	h.putSections(v.Tag, ask, pieces)
+	for i, s := range ask {
+		bundle.Take(s.Name, pieces[i])
 	}
 	return bundle, v.Tag, nil
 }
 
-// fetch is one observed /v1/partials exchange. When the sections include
-// social and base holds its days, the request asks only for the days folded
-// since base's tag and a delta answer is patched onto them; either way the
-// social section comes back whole, with its merge rows derived once. An
-// answer the merge cannot take fails the exchange like an unreachable shard.
-func (sc *shardConn) fetch(ctx context.Context, sections []usaas.Section, cond string, base heldEntry) (p usaas.ShardPartials, v usaas.Validation, err error) {
+// oldestBase is the since= a request for the sections may name: the tag of
+// the earliest fetched of their bases, or "" when one of them has none.
+func oldestBase(sections []usaas.Section, bases map[string]heldEntry) string {
+	var oldest heldEntry
+	for _, s := range sections {
+		e, ok := bases[s.Key()]
+		if !ok {
+			return ""
+		}
+		if oldest.part == nil || e.seq < oldest.seq {
+			oldest = e
+		}
+	}
+	return oldest.tag
+}
+
+// fetch is one observed /v1/partials exchange, split into one whole bundle
+// per section. When every section has a base, the request asks only for the
+// elements changed since the oldest base's tag, and a delta answer has each
+// section patched onto its own base; either way every section is validated
+// and its merge rows derived once. An answer the merge cannot take fails the
+// exchange like an unreachable shard.
+func (sc *shardConn) fetch(ctx context.Context, sections []usaas.Section, cond string, bases map[string]heldEntry) (pieces []*usaas.ShardPartials, v usaas.Validation, err error) {
 	q := usaas.PartialsQuery(sections)
-	social := slices.ContainsFunc(sections, func(s usaas.Section) bool { return s.Name == usaas.SectionSocial })
-	since := ""
-	if social && base.part != nil {
-		since = base.tag
+	since := oldestBase(sections, bases)
+	if since != "" {
 		q.Set("since", since)
 	}
 	var delta bool
-	err = sc.call(func() (err error) {
-		if p, v, err = sc.client.Partials(ctx, q, cond); err != nil || v.NotModified || !social {
+	err = sc.call(func() error {
+		p, vv, err := sc.client.Partials(ctx, q, cond)
+		if v = vv; err != nil || v.NotModified {
 			return err
 		}
-		if p.SocialSince != "" && p.SocialSince != since {
-			return fmt.Errorf("social delta since %q, asked since %q", p.SocialSince, since)
+		if p.Since != "" && p.Since != since {
+			return fmt.Errorf("delta since %q, asked since %q", p.Since, since)
 		}
-		delta, err = p.PatchSocial(base.part)
-		return err
+		delta = p.Since != ""
+		pieces = make([]*usaas.ShardPartials, len(sections))
+		for i, s := range sections {
+			pieces[i] = &usaas.ShardPartials{}
+			pieces[i].Take(s.Name, &p)
+			if _, err := pieces[i].Patch(bases[s.Key()].part); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 	if err == nil {
 		sc.count(v)
@@ -242,7 +274,7 @@ func (sc *shardConn) fetch(ctx context.Context, sections []usaas.Section, cond s
 			sc.deltas.Add(1)
 		}
 	}
-	return p, v, err
+	return pieces, v, err
 }
 
 // modelPartials returns the shard's model-phase answer and whether it is
@@ -257,8 +289,10 @@ func (sc *shardConn) modelPartials(ctx context.Context, tag, key string, req usa
 	var mp usaas.ModelPartials
 	var v usaas.Validation
 	err := sc.call(func() (err error) {
-		mp, v, err = sc.client.ModelPartials(ctx, req)
-		return err
+		if mp, v, err = sc.client.ModelPartials(ctx, req); err != nil {
+			return err
+		}
+		return mp.Validate()
 	})
 	if err != nil {
 		return mp, false, err

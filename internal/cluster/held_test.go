@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,10 +215,16 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 	t.Run("restart", func(t *testing.T) {
 		shard := &swapHandler{}
 		shard.set(newShardHandler(t, 0))
-		var since atomic.Int64 // partials requests naming a social base
+		// Partials requests naming a base: any, and those for a session
+		// section.
+		var since, sessionSince atomic.Int64
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/partials" && r.URL.Query().Get("since") != "" {
 				since.Add(1)
+				sections := usaas.ParseSections(r.URL.Query().Get("sections"))
+				if slices.ContainsFunc(sections, func(s string) bool { return s != usaas.SectionSocial && s != usaas.SectionSpeeds }) {
+					sessionSince.Add(1)
+				}
 			}
 			shard.ServeHTTP(w, r)
 		}))
@@ -236,6 +243,7 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 		// different data set that happens to reach the same counters.
 		shard.set(newShardHandler(t, 0))
 		since.Store(0)
+		sessionSince.Store(0)
 		ingestOne(t, ts.URL, "b", all[1500:3500], c.Posts[3000:7000])
 		nonceB, gensB := generationsOf(t, ts.URL)
 		if gensA != gensB || nonceA == nonceB {
@@ -255,11 +263,12 @@ func TestCoordinatorNeverFalse304(t *testing.T) {
 		if changed < 10 {
 			t.Errorf("only %d of %d answers differ between the two data sets; the scenario proves little", changed, len(queryPaths(isp)))
 		}
-		// The held social days met the successor at the very counters they
-		// were fetched at: it must have answered them in full, not with an
-		// empty delta on the other process's days.
-		if st := shardStats(t, cached.URL); since.Load() == 0 || st.Deltas != 0 {
-			t.Errorf("%d requests named a social base, %d answers patched one; want some, and none", since.Load(), st.Deltas)
+		// The held sections — session days as well as social days — met the
+		// successor at the very counters they were fetched at: it must have
+		// answered them in full, not with an empty delta on the other
+		// process's days.
+		if st := shardStats(t, cached.URL); since.Load() == 0 || sessionSince.Load() == 0 || st.Deltas != 0 {
+			t.Errorf("%d requests named a base, %d of them for session sections, %d answers patched one; want some, some, and none", since.Load(), sessionSince.Load(), st.Deltas)
 		}
 	})
 
@@ -515,14 +524,25 @@ func ingestStep(t *testing.T, tc *testCluster, id string, recs []telemetry.Sessi
 	}
 }
 
-// TestCoordinatorSocialDeltaByteIdentical drives the social delta through
-// the batches that exercise it — one that moves only the session
-// generation, one that touches one day, and a post landing ahead of posts
-// its day already folded — and requires every answer to stay the single
-// node's, with the held social section intact and, squeezed to one entry,
-// evicted. With room to hold it, the one-day batch costs the shard that
-// owns the day a twentieth of a full social section, or less.
-func TestCoordinatorSocialDeltaByteIdentical(t *testing.T) {
+// sectionCounts counts each of a comma-separated list of sections once.
+func sectionCounts(sections string) map[string]int {
+	out := map[string]int{}
+	for _, s := range usaas.ParseSections(sections) {
+		out[s] = 1
+	}
+	return out
+}
+
+// TestCoordinatorDeltaByteIdentical drives the since= deltas of both
+// families through the batches that exercise them — a session-only batch
+// (the social section's delta is empty), a session batch of one day, a post
+// batch of one day, a post landing ahead of posts its day already folded,
+// and a mixed batch — and requires all 19 query paths to stay the single
+// node's after every step, with the held sections intact and, squeezed to
+// one entry, evicted. With room to hold them, each step costs every shard
+// whose tag moved one delta, and a one-day batch costs the shard that owns
+// the day a twentieth of the sections it refreshes, or less.
+func TestCoordinatorDeltaByteIdentical(t *testing.T) {
 	c, _, _ := studyCorpus(t)
 	all := sessionData(t, 5)
 	tail := c.Posts[len(c.Posts)-3000:]
@@ -538,7 +558,18 @@ func TestCoordinatorSocialDeltaByteIdentical(t *testing.T) {
 			oneDay = append(oneDay, p)
 		}
 	}
+	// One day's sessions out of the rest, and what is left after them.
+	var oneSessionDay, restSessions []telemetry.SessionRecord
+	sessionDay := timeline.DayOf(all[4100].Start)
+	for _, r := range all[4100:] {
+		if timeline.DayOf(r.Start) == sessionDay {
+			oneSessionDay = append(oneSessionDay, r)
+		} else {
+			restSessions = append(restSessions, r)
+		}
+	}
 	isp := all[0].ISP
+	const report = "sessions,drops,social,speeds" // the sections /v1/report refreshes
 
 	for _, size := range []int{0, 1} {
 		t.Run(fmt.Sprintf("cache%d", size), func(t *testing.T) {
@@ -546,51 +577,60 @@ func TestCoordinatorSocialDeltaByteIdentical(t *testing.T) {
 			ingestBoth(t, cl, all[:4000], first)
 			assertByteIdentical(t, cl, isp)
 
-			owner := cl.coord.pmap.ShardOf(oneDay[0].Day)
-			_, fullSocial := get(t, cl.shards[owner].URL, "/v1/partials?sections=social")
 			steps := []struct {
-				name  string
-				recs  []telemetry.SessionRecord
-				posts []social.Post
+				name     string
+				recs     []telemetry.SessionRecord
+				posts    []social.Post
+				day      timeline.Day // the one day a one-day batch touches
+				path     string       // read first, so its exchange can be read off the gauges
+				sections string       // the sections that read refreshes
 			}{
-				{"sessions only", all[4000:4100], nil},
-				{"one day", nil, oneDay},
-				{"refold", nil, c.Posts[late : late+1]},
-				{"rest", all[4100:], tail[len(oneDay):]},
+				{name: "sessions only", recs: all[4000:4100], path: "/v1/insights/sentiment", sections: "social"},
+				{name: "one session day", recs: oneSessionDay, day: sessionDay, path: "/v1/report", sections: report},
+				{name: "one post day", posts: oneDay, day: oneDay[0].Day, path: "/v1/insights/sentiment", sections: "social"},
+				{name: "refold", posts: c.Posts[late : late+1], path: "/v1/insights/sentiment", sections: "social"},
+				{name: "mixed", recs: restSessions, posts: tail[len(oneDay):], path: "/v1/report", sections: report},
 			}
 			for _, st := range steps {
-				before := cl.coord.clusterStats()
 				ingestStep(t, cl, st.name, st.recs, st.posts)
-				// The social section alone first, so its exchange can be read
-				// off the gauges.
-				if status, body := get(t, cl.coordTS.URL, "/v1/insights/sentiment"); status != http.StatusOK {
-					t.Fatalf("%s: sentiment %d %.200s", st.name, status, body)
+				for _, p := range cl.probes {
+					p.reset()
+				}
+				before := cl.coord.clusterStats()
+				if status, body := get(t, cl.coordTS.URL, st.path); status != http.StatusOK {
+					t.Fatalf("%s: %s %d %.200s", st.name, st.path, status, body)
 				}
 				after := cl.coord.clusterStats()
+				fetched := make([]map[string]int, len(cl.probes))
+				for i, p := range cl.probes {
+					fetched[i], _, _ = p.counts()
+				}
 				assertByteIdentical(t, cl, isp)
 				if size != 0 {
 					continue
 				}
 				for i := range after.Shards {
 					b, a := before.Shards[i], after.Shards[i]
-					bytes, deltas := a.PartialsBytes-b.PartialsBytes, a.Deltas-b.Deltas
+					deltas := a.Deltas - b.Deltas
 					switch {
-					case a.Fetched == b.Fetched:
+					case len(fetched[i]) == 0:
 						// Untouched: the shard's tag held still, a 304.
-					case deltas != 1:
-						t.Errorf("%s, shard %d: %d social deltas, want 1", st.name, i, deltas)
-					case st.posts == nil && bytes > 512:
-						t.Errorf("%s, shard %d: an empty delta cost %d bytes", st.name, i, bytes)
-					case st.name == "one day" && 20*bytes > uint64(len(fullSocial)):
-						t.Errorf("one day, shard %d: %d bytes, more than a twentieth of a full social section (%d)", i, bytes, len(fullSocial))
+					case deltas != 1 || !reflect.DeepEqual(fetched[i], sectionCounts(st.sections)):
+						t.Errorf("%s, shard %d: %d deltas, sections %v; want one delta of %s", st.name, i, deltas, fetched[i], st.sections)
+					case st.posts == nil && st.sections == "social" && a.PartialsBytes-b.PartialsBytes > 512:
+						t.Errorf("%s, shard %d: an empty delta cost %d bytes", st.name, i, a.PartialsBytes-b.PartialsBytes)
 					}
 				}
-				if b, a := before.Shards[owner], after.Shards[owner]; st.name == "one day" {
-					if a.Deltas == b.Deltas {
-						t.Errorf("one day: the owning shard %d answered no delta", owner)
-					}
-					t.Logf("one day: %d bytes from shard %d, whose full social section is %d", a.PartialsBytes-b.PartialsBytes, owner, len(fullSocial))
+				if st.day == 0 {
+					continue
 				}
+				owner := cl.coord.pmap.ShardOf(st.day)
+				_, full := get(t, cl.shards[owner].URL, "/v1/partials?sections="+st.sections)
+				b, a := before.Shards[owner], after.Shards[owner]
+				if bytes := a.PartialsBytes - b.PartialsBytes; a.Deltas == b.Deltas || 20*bytes > uint64(len(full)) {
+					t.Errorf("%s: shard %d answered %d deltas, %d bytes, for sections %s of %d bytes in full; want one, at most a twentieth", st.name, owner, a.Deltas-b.Deltas, bytes, st.sections, len(full))
+				}
+				t.Logf("%s: %d bytes from shard %d, whose full %s sections are %d", st.name, a.PartialsBytes-b.PartialsBytes, owner, st.sections, len(full))
 			}
 		})
 	}

@@ -53,14 +53,84 @@ func Median(xs []float64) float64 {
 // Quantile returns the q-quantile (q in [0,1]) of xs using linear
 // interpolation between order statistics (the same convention as numpy's
 // default). xs is not modified. Returns NaN for empty input; q is clamped to
-// [0, 1].
+// [0, 1]. Order statistics follow sort.Float64s (NaN first) and are found by
+// selection, not by sorting.
 func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return quantileSelect(append([]float64(nil), xs...), q)
+}
+
+// floatLess is sort.Float64s' order: ascending, NaN before every number.
+func floatLess(a, b float64) bool { return a < b || (math.IsNaN(a) && !math.IsNaN(b)) }
+
+// selectNth reorders xs so that xs[k] is the element a sort.Float64s would
+// put there, with no element after it ordered before it and none before it
+// ordered after it (quickselect, median-of-three pivots).
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if floatLess(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if floatLess(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if floatLess(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for floatLess(xs[i], pivot) {
+				i++
+			}
+			for floatLess(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ pivot ≤ xs[i..hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// quantileSelect is quantileSorted over xs in sort.Float64s order, reached
+// by selection; xs is reordered in place.
+func quantileSelect(xs []float64, q float64) float64 {
+	q = min(max(q, 0), 1)
+	if len(xs) == 1 {
+		return xs[0]
+	}
+	pos := q * float64(len(xs)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	selectNth(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// The next order statistic is the least of what selection left after lo.
+	next := xs[hi]
+	for _, x := range xs[hi+1:] {
+		if floatLess(x, next) {
+			next = x
+		}
+	}
+	frac := pos - float64(lo)
+	return xs[lo]*(1-frac) + next*frac
 }
 
 // QuantilesOf returns several quantiles in one sort. qs values are clamped to

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -108,6 +109,97 @@ func TestQuantileOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sortQuantile is the sort-based reference Quantile selects against.
+func sortQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
+// sameQuantile compares a selected quantile with the sorted reference: bit
+// for bit, except that NaN matches NaN and −0 matches +0 (the reference's
+// own order among equal zeros depends on its sort).
+func sameQuantile(got, want float64) bool {
+	if math.IsNaN(got) || math.IsNaN(want) {
+		return math.IsNaN(got) && math.IsNaN(want)
+	}
+	if got == 0 && want == 0 {
+		return true
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// TestQuantileSelectMatchesSort: selection finds the order statistics a
+// sort would, over inputs drawn from a small pool so duplicates abound,
+// with NaN, ±Inf and both zeros among them, at q on and between order
+// statistics; and DetectPeaks' once-sorted windows score like Median and
+// MAD of each window.
+func TestQuantileSelectMatchesSort(t *testing.T) {
+	pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1, 1, 2.5, -3, 7, 1e-300, -1e300}
+	rng := rand.New(rand.NewPCG(7, 11))
+	qs := []float64{-0.5, 0, 0.1, 0.25, 1.0 / 3, 0.5, 0.75, 0.9, 0.95, 1, 2}
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + rng.IntN(40)
+		xs := make([]float64, n)
+		for i := range xs {
+			if trial%2 == 0 {
+				xs[i] = pool[rng.IntN(len(pool))]
+			} else {
+				xs[i] = math.Round(rng.NormFloat64()*4) / 2 // finite, many ties
+			}
+		}
+		for _, q := range qs {
+			if got, want := Quantile(xs, q), sortQuantile(xs, q); !sameQuantile(got, want) {
+				t.Fatalf("Quantile(%v, %v) = %v, the sorted reference %v", xs, q, got, want)
+			}
+		}
+	}
+
+	series := make([]float64, 400)
+	for i := range series {
+		series[i] = math.Round(rng.NormFloat64()*3) + 10
+		if i%37 == 0 {
+			series[i] += 25
+		}
+	}
+	opts := PeakOptions{Window: 14, MinScore: 3, Separation: 3}
+	var want []Peak
+	for i := range series {
+		base := series[max(0, i-opts.Window):i]
+		if len(base) < 3 {
+			continue
+		}
+		med := sortQuantile(base, 0.5)
+		dev := make([]float64, len(base))
+		for j, x := range base {
+			dev[j] = math.Abs(x - med)
+		}
+		scale := 1.4826 * sortQuantile(dev, 0.5)
+		if scale < 1e-9 {
+			if series[i] > med && series[i]-med >= 1 {
+				want = append(want, Peak{Index: i, Value: series[i], Score: series[i] - med})
+			}
+		} else if score := (series[i] - med) / scale; score >= opts.MinScore {
+			want = append(want, Peak{Index: i, Value: series[i], Score: score})
+		}
+	}
+	got := map[int]Peak{}
+	for _, p := range DetectPeaks(series, opts) {
+		got[p.Index] = p
+	}
+	if len(got) == 0 {
+		t.Fatal("scenario broken: no peaks")
+	}
+	for _, w := range want {
+		if p, ok := got[w.Index]; ok && math.Float64bits(p.Score) != math.Float64bits(w.Score) {
+			t.Errorf("peak at %d scores %v, the sorted reference %v", w.Index, p.Score, w.Score)
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ func DetectPeaks(xs []float64, opts PeakOptions) []Peak {
 		return nil
 	}
 	var raw []Peak
+	// Each trailing window is sorted once: its median is read off the sorted
+	// copy, and the MAD selected from the deviations around it.
+	sorted := make([]float64, 0, opts.Window)
+	dev := make([]float64, 0, opts.Window)
 	for i := range xs {
 		lo := i - opts.Window
 		if lo < 0 {
@@ -60,8 +64,14 @@ func DetectPeaks(xs []float64, opts PeakOptions) []Peak {
 		if len(base) < 3 {
 			continue
 		}
-		med := Median(base)
-		mad := MAD(base)
+		sorted = append(sorted[:0], base...)
+		sort.Float64s(sorted)
+		med := quantileSorted(sorted, 0.5)
+		dev = dev[:0]
+		for _, x := range sorted {
+			dev = append(dev, math.Abs(x-med))
+		}
+		mad := quantileSelect(dev, 0.5)
 		scale := 1.4826 * mad // consistent with sigma for normal data
 		if scale < 1e-9 {
 			// Flat baseline: treat any rise of MinValue as a strong peak.

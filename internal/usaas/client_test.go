@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -354,12 +355,13 @@ func TestClientConditionalPartials(t *testing.T) {
 // on the first attempt — retrying would read the same answer — while one
 // cut off mid-body is still retried as transient.
 func TestClientPartialsTrustBoundary(t *testing.T) {
+	next := strconv.Itoa(PartialsProtocol + 1)
 	for _, tc := range []struct {
 		name, proto, body string
 		attempts          int64
 		want              string
 	}{
-		{"other protocol", "3", `{"sessions":7}`, 1, `protocol "3"; this client speaks 2`},
+		{"other protocol", next, `{"sessions":7}`, 1, fmt.Sprintf(`protocol %q; this client speaks %d`, next, PartialsProtocol)},
 		{"no protocol", "", `{"sessions":7}`, 1, `protocol ""`},
 		{"unknown field", partialsProtocol, `{"sessions":7,"terms":[]}`, 1, `unknown field "terms"`},
 		{"truncated", partialsProtocol, `{"sessions":7,"rated":[`, 3, "unexpected EOF"},

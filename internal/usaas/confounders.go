@@ -115,68 +115,99 @@ type ConfounderDayPartial struct {
 	Size     map[string]stats.OnlineState `json:"size,omitempty"`
 }
 
-// confounderDayPartials folds the row snapshot into per-day partials for one
-// engagement metric, accumulating each day's in-band sessions in arrival
-// order. Returned partials are sorted ascending by day.
-func confounderDayPartials(rows Rows, eng telemetry.Engagement) []ConfounderDayPartial {
-	type dayAccs struct {
-		inBand int
-		plat   map[string]*stats.Online
-		size   map[string]*stats.Online
+// confView is the confounder fold for one engagement metric: per calendar
+// day, the sessions inside the control bands and per-level Welford
+// accumulators for the platform and meeting-size strata, each day fed in
+// arrival order. The store keeps one per metric asked for (viewOf);
+// ConfounderReport runs the same fold over its records.
+type confView struct {
+	ef         func(*telemetry.SessionRecord) float64
+	controlled telemetry.Filter
+	buckets    []SizeBucket
+	days       map[timeline.Day]*confDay
+	folded     int
+}
+
+// confDay is one day's confounder accumulators.
+type confDay struct {
+	inBand int
+	plat   map[string]*stats.Online
+	size   map[string]*stats.Online
+}
+
+func newConfView(eng telemetry.Engagement) *confView {
+	return &confView{
+		ef:         eng.Accessor(),
+		controlled: telemetry.AllControlBands(),
+		buckets:    DefaultSizeBuckets(),
+		days:       map[timeline.Day]*confDay{},
 	}
-	controlled := telemetry.AllControlBands()
-	buckets := DefaultSizeBuckets()
-	ef := eng.Accessor()
-	days := map[timeline.Day]*dayAccs{}
-	rows.Each(0, rows.Len(), func(r *telemetry.SessionRecord) {
-		if !controlled(r) {
-			return
-		}
-		d := timeline.DayOf(r.Start)
-		da := days[d]
-		if da == nil {
-			da = &dayAccs{plat: map[string]*stats.Online{}, size: map[string]*stats.Online{}}
-			days[d] = da
-		}
-		da.inBand++
-		v := ef(r)
-		acc := da.plat[r.Platform]
-		if acc == nil {
-			acc = &stats.Online{}
-			da.plat[r.Platform] = acc
-		}
-		acc.Add(v)
-		for _, bk := range buckets {
-			if r.MeetingSize >= bk.Lo && r.MeetingSize <= bk.Hi {
-				acc := da.size[bk.Name]
-				if acc == nil {
-					acc = &stats.Online{}
-					da.size[bk.Name] = acc
-				}
-				acc.Add(v)
-				break
-			}
-		}
-	})
-	keys := make([]timeline.Day, 0, len(days))
-	for d := range days {
-		keys = append(keys, d)
+}
+
+func (v *confView) rowsFolded() int { return v.folded }
+
+// foldOne absorbs one record: an in-band session joins its day's platform
+// and meeting-size strata.
+func (v *confView) foldOne(r *telemetry.SessionRecord) {
+	v.folded++
+	if !v.controlled(r) {
+		return
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]ConfounderDayPartial, 0, len(keys))
-	for _, d := range keys {
-		da := days[d]
-		p := ConfounderDayPartial{Day: d, InBand: da.inBand,
-			Platform: make(map[string]stats.OnlineState, len(da.plat)),
-			Size:     make(map[string]stats.OnlineState, len(da.size))}
-		for name, acc := range da.plat {
+	d := timeline.DayOf(r.Start)
+	cd := v.days[d]
+	if cd == nil {
+		cd = &confDay{plat: map[string]*stats.Online{}, size: map[string]*stats.Online{}}
+		v.days[d] = cd
+	}
+	cd.inBand++
+	x := v.ef(r)
+	onlineOf(cd.plat, r.Platform).Add(x)
+	for _, bk := range v.buckets {
+		if r.MeetingSize >= bk.Lo && r.MeetingSize <= bk.Hi {
+			onlineOf(cd.size, bk.Name).Add(x)
+			break
+		}
+	}
+}
+
+// onlineOf returns m's accumulator for name, adding an empty one if absent.
+func onlineOf(m map[string]*stats.Online, name string) *stats.Online {
+	acc := m[name]
+	if acc == nil {
+		acc = &stats.Online{}
+		m[name] = acc
+	}
+	return acc
+}
+
+// partials exports the days a since= base at session generation after lacks
+// (every day for 0; stamps per viewState), ascending.
+func (v *confView) partials(stamps map[timeline.Day]uint64, after uint64) []ConfounderDayPartial {
+	days := changedDays(v.days, stamps, after)
+	out := make([]ConfounderDayPartial, 0, len(days))
+	for _, d := range days {
+		cd := v.days[d]
+		p := ConfounderDayPartial{Day: d, InBand: cd.inBand,
+			Platform: make(map[string]stats.OnlineState, len(cd.plat)),
+			Size:     make(map[string]stats.OnlineState, len(cd.size))}
+		for name, acc := range cd.plat {
 			p.Platform[name] = acc.State()
 		}
-		for name, acc := range da.size {
+		for name, acc := range cd.size {
 			p.Size[name] = acc.State()
 		}
 		out = append(out, p)
 	}
+	return out
+}
+
+// confounderPartials exports the store's confounder days for one engagement
+// metric that a since= base at session generation after lacks.
+func (s *Store) confounderPartials(eng telemetry.Engagement, after uint64) []ConfounderDayPartial {
+	var out []ConfounderDayPartial
+	viewOf(s, &s.views.conf, eng, func() *confView { return newConfView(eng) }, func(v *confView) {
+		out = v.partials(s.views.stamps, after)
+	})
 	return out
 }
 
@@ -226,9 +257,11 @@ func assembleConfounders(parts []ConfounderDayPartial) ([]ConfounderEffect, erro
 // day-partitioned fold assembleConfounders describes — the same one the
 // cluster coordinator runs over shard partials.
 func ConfounderReport(records []telemetry.SessionRecord, eng telemetry.Engagement) ([]ConfounderEffect, error) {
-	var rs rowStore
-	rs.append(records)
-	return assembleConfounders(confounderDayPartials(rs.snapshot(), eng))
+	v := newConfView(eng)
+	for i := range records {
+		v.foldOne(&records[i])
+	}
+	return assembleConfounders(v.partials(nil, 0))
 }
 
 func levelSpread(levels map[string]float64) float64 {

@@ -735,20 +735,41 @@ func reportHTTPBytes(t testing.TB, store *Store) []byte {
 	return body
 }
 
+// readBodies renders every read endpoint of goldenReads on a node over the
+// store, result cache off.
+func readBodies(t testing.TB, store *Store, isp string) []string {
+	t.Helper()
+	h := NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler()
+	var out []string
+	for _, rd := range goldenReads(isp) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, rd[1], nil))
+		out = append(out, fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes()))
+	}
+	return out
+}
+
 // TestReportIdenticalAfterRecovery: a durable store recovered from disk
 // must serve the same report bytes as (a) its own pre-crash self and (b) a
-// plain store fed the same batches once.
+// plain store fed the same batches once — and so must every other read
+// endpoint, though the live store folded its views (read halfway, so they
+// were registered then) at ingest and the recovered one rebuilds them.
 func TestReportIdenticalAfterRecovery(t *testing.T) {
 	recs, posts := crashDataset(t, 34)
+	isp := recs[0].ISP
 	batches := raggedBatches(recs, posts, 34)
 	dir := t.TempDir()
 	d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff, SnapshotEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
+	for i, b := range batches {
 		applyBatch(t, d.Store, b)
+		if i == len(batches)/2 {
+			readBodies(t, d.Store, isp)
+		}
 	}
+	liveReads := readBodies(t, d.Store, isp)
 	live := reportHTTPBytes(t, d.Store)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -769,5 +790,12 @@ func TestReportIdenticalAfterRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(reportHTTPBytes(t, once), live) {
 		t.Fatal("recovered report differs from a store fed the batches once")
+	}
+	for name, got := range map[string][]string{"recovered": readBodies(t, rec.Store, isp), "fed once": readBodies(t, once, isp)} {
+		for i, rd := range goldenReads(isp) {
+			if got[i] != liveReads[i] {
+				t.Errorf("%s: %s differs from the live store\n got: %.300s\nwant: %.300s", name, rd[1], got[i], liveReads[i])
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,9 +47,20 @@ type goldenFixture struct {
 	srv     *Server
 	isp     string
 	baseTag string // the tag the social-base vector was answered under
+	// base is every other keyed section as it stood at baseTag: what the
+	// since= vectors of both families patch onto. It is no vector itself.
+	base *ShardPartials
 	// exchanges holds every vector, by name, in wire form.
 	exchanges map[string][]byte
 }
+
+// goldenSessions are the session family's sections but experience, whose
+// isp parameter would filter the dose section too; goldenDose is the dose
+// section's parameters.
+const (
+	goldenSessions = "sessions,daily,dose,drops,confounders"
+	goldenDose     = "&metric=latency-mean-ms&engagement=presence&lo=0&hi=300&bins=8"
+)
 
 // goldenReads are the read endpoints whose node answers the vectors carry.
 func goldenReads(isp string) [][2]string {
@@ -108,6 +120,18 @@ func newGoldenFixture(t *testing.T) *goldenFixture {
 	}
 	stage("golden-1", recs[:len(recs)/2], posts[:2*len(posts)/3])
 	fx.baseTag = fx.exchange(t, "social-base", http.MethodGet, "/v1/partials?sections=social", nil, nil)
+	fx.base = &ShardPartials{}
+	for _, q := range []string{"sections=" + goldenSessions + ",speeds" + goldenDose, "sections=experience&isp=" + fx.isp} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/partials?"+q, nil))
+		if got := rec.Header().Get("ETag"); got != fx.baseTag {
+			t.Fatalf("the base of %s was answered at %s, the social base at %s", q, got, fx.baseTag)
+		}
+		p := decodePartials(t, rec.Body.String())
+		for _, section := range ParseSections(httptest.NewRequest(http.MethodGet, "/?"+q, nil).URL.Query().Get("sections")) {
+			fx.base.Take(section, p)
+		}
+	}
 	stage("golden-2", recs[len(recs)/2:], posts[2*len(posts)/3:])
 
 	for _, ex := range [][2]string{
@@ -119,7 +143,10 @@ func newGoldenFixture(t *testing.T) *goldenFixture {
 		{"social", "sections=social"},
 		{"social-since", "sections=social&since=" + fx.baseTag},
 		{"speeds", "sections=speeds"},
+		{"speeds-since", "sections=speeds&since=" + fx.baseTag},
 		{"experience", "sections=experience&isp=" + fx.isp},
+		{"experience-since", "sections=experience&isp=" + fx.isp + "&since=" + fx.baseTag},
+		{"session-since", "sections=" + goldenSessions + goldenDose + "&since=" + fx.baseTag},
 	} {
 		fx.exchange(t, ex[0], http.MethodGet, "/v1/partials?"+ex[1], nil, nil)
 	}
@@ -279,8 +306,11 @@ func goldenFiles(t *testing.T) map[string][]byte {
 
 // TestGoldenPartialsVectors re-derives every vector from the fixed multiset
 // and requires the committed bytes: the partials exchanges (every section, a
-// full and a since= social answer, both model-phase sections and a 304) and
-// the node's answers on its read endpoints.
+// full answer and a since= answer of each family, both model-phase sections
+// and a 304) and the node's answers on its read endpoints. Each since=
+// vector, patched onto the sections as they stood at its base, must be the
+// full answer; and this protocol's client refuses the previous protocol's
+// answer, naming both numbers.
 func TestGoldenPartialsVectors(t *testing.T) {
 	fx := newGoldenFixture(t)
 	if *updateGolden {
@@ -309,8 +339,64 @@ func TestGoldenPartialsVectors(t *testing.T) {
 			t.Errorf("%s is committed but no longer derived", name)
 		}
 	}
-	if !strings.Contains(string(committed["social-since.http"]), `"social_since"`) {
-		t.Error("the since= vector is not a delta")
+	for _, since := range []string{"social-since.http", "speeds-since.http", "session-since.http", "experience-since.http"} {
+		if !strings.Contains(string(committed[since]), `"since":`) {
+			t.Errorf("the %s vector is not a delta", since)
+		}
+	}
+
+	answer := func(name string) *ShardPartials {
+		_, _, _, body := readExchange(t, fx.exchanges[name])
+		return decodePartials(t, string(body))
+	}
+	full := &ShardPartials{}
+	for _, section := range []string{SectionSessions, SectionDaily, SectionDose, SectionDrops, SectionConfounders, SectionExperience, SectionSpeeds} {
+		full.Take(section, answer(section+".http"))
+	}
+	for _, tc := range []struct {
+		name     string
+		sections []string
+	}{
+		{"session-since.http", []string{SectionSessions, SectionDaily, SectionDose, SectionDrops, SectionConfounders}},
+		{"experience-since.http", []string{SectionExperience}},
+		{"speeds-since.http", []string{SectionSpeeds}},
+	} {
+		delta, base, want := answer(tc.name), &ShardPartials{}, &ShardPartials{}
+		for _, section := range tc.sections {
+			base.Take(section, fx.base)
+			want.Take(section, full)
+		}
+		shipped, whole := len(mustJSON(delta)), len(mustJSON(want))
+		if ok, err := delta.Patch(base); err != nil || !ok {
+			t.Fatalf("%s: patch: delta %v, %v", tc.name, ok, err)
+		}
+		if !sameJSON(delta, want) {
+			t.Errorf("%s patched onto its base is not the full answer", tc.name)
+		}
+		if shipped >= whole {
+			t.Errorf("%s: a delta of %d bytes for a full answer of %d", tc.name, shipped, whole)
+		}
+		t.Logf("%s: %d bytes, the full answer %d", tc.name, shipped, whole)
+	}
+
+	// The previous protocol's vectors are kept as the refused case.
+	prev := filepath.Join("testdata", "partials", "v"+strconv.Itoa(PartialsProtocol-1), "daily.http")
+	data, err := os.ReadFile(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, resp, body := readExchange(t, data)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for k, vs := range resp.Header {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(resp.StatusCode)
+		w.Write(body)
+	}))
+	defer ts.Close()
+	_, _, err = NewClientWithOptions(ts.URL, ClientOptions{}).Partials(context.Background(), url.Values{"sections": {SectionDaily}}, "")
+	if err == nil || !strings.Contains(err.Error(), strconv.Quote(strconv.Itoa(PartialsProtocol-1))) || !strings.Contains(err.Error(), "speaks "+partialsProtocol) {
+		t.Errorf("a protocol %d answer to a protocol %d client: %v; want a refusal naming both", PartialsProtocol-1, PartialsProtocol, err)
 	}
 }
 
@@ -412,7 +498,7 @@ func TestGoldenVectorsMergeThroughPlans(t *testing.T) {
 			if q.Get("since") != "" {
 				continue
 			}
-			if _, err := p.PatchSocial(nil); err != nil {
+			if _, err := p.Patch(nil); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if name == "social.http" {
@@ -428,7 +514,7 @@ func TestGoldenVectorsMergeThroughPlans(t *testing.T) {
 	if since == nil || base == nil || full == nil {
 		t.Fatal("the social vectors are missing")
 	}
-	if delta, err := since.PatchSocial(base); err != nil || !delta {
+	if delta, err := since.Patch(base); err != nil || !delta {
 		t.Fatalf("patching the since= vector onto its base: delta %v, %v", delta, err)
 	}
 	if !sameJSON(since, full) || !reflect.DeepEqual(since.SocialRows(), full.SocialRows()) {

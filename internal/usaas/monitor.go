@@ -3,7 +3,6 @@ package usaas
 import (
 	"encoding/json"
 	"math"
-	"sort"
 
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
@@ -104,11 +103,12 @@ func (a *dayAcc) add(r *telemetry.SessionRecord) {
 	}
 }
 
-// dayEngagementFrom snapshots per-day accumulators as the sorted series.
-// Read-only on the accumulators.
-func dayEngagementFrom(byDay map[timeline.Day]*dayAcc) []DayEngagement {
-	out := make([]DayEngagement, 0, len(byDay))
-	for d, a := range byDay {
+// dayEngagementFrom snapshots the given days' accumulators, in the order
+// given. Read-only on the accumulators.
+func dayEngagementFrom(byDay map[timeline.Day]*dayAcc, days []timeline.Day) []DayEngagement {
+	out := make([]DayEngagement, 0, len(days))
+	for _, d := range days {
+		a := byDay[d]
 		de := DayEngagement{
 			Day:      d,
 			Sessions: a.pres.N(),
@@ -123,7 +123,6 @@ func dayEngagementFrom(byDay map[timeline.Day]*dayAcc) []DayEngagement {
 		}
 		out = append(out, de)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Day < out[j].Day })
 	return out
 }
 
@@ -144,7 +143,7 @@ func DailyEngagement(records []telemetry.SessionRecord, filter telemetry.Filter)
 		}
 		a.add(r)
 	}
-	return dayEngagementFrom(byDay)
+	return dayEngagementFrom(byDay, changedDays(byDay, nil, 0))
 }
 
 // Incident is a detected span of degraded experience.

@@ -1,6 +1,7 @@
 package usaas
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -37,18 +38,25 @@ import (
 // coefficients to every shard via POST /v1/partials/model; shards answer
 // with per-day partials computed under that exact model.
 //
-// Deltas: every published social day carries the post generation that last
-// folded it, so GET /v1/partials?since=<state tag> answers the social section
-// with only the days folded after that tag — when the tag is this process's,
-// of this protocol, and not ahead of it — and names the tag in SocialSince.
-// Anything else gets a full answer, never an error.
+// Deltas: every keyed element of a section — a calendar day, a month of
+// speeds, a day's run of rated sessions — is stamped on the shard with the
+// generation of its family that last touched it: session days with the
+// session generation, social days (and a month, with its newest day) with
+// the post generation. GET /v1/partials?since=<state tag> answers every
+// keyed section with only the elements stamped after that tag's generation
+// for the section's family — when the tag is this process's, of this
+// protocol, and neither generation is ahead of the store — and names the tag
+// in Since. Anything else gets a full answer, never an error. Scalars (the
+// session count, the posts, the window, experience's counts) always ship.
+// The stamps never cross the wire: every element carries its key, and the
+// receiver patches elements onto the base it holds by key (Patch).
 
 // PartialsProtocol numbers the shape of the partials exchange: the sections,
 // their fields and the rules above. It travels in PartialsProtocolHeader on
 // every /v1/partials and /v1/partials/model request and answer and leads the
 // state tag, so content folded by code of another protocol can never be
 // revalidated or patched. Bump it with any change to this file's wire types.
-const PartialsProtocol = 2
+const PartialsProtocol = 3
 
 // PartialsProtocolHeader carries PartialsProtocol.
 const PartialsProtocolHeader = "X-Usaas-Partials-Protocol"
@@ -178,21 +186,22 @@ type ShardPartials struct {
 	Drops       [][]DoseDayPartial        `json:"drops,omitempty"`
 	Confounders []ConfounderDayPartial    `json:"confounders,omitempty"`
 
-	HavePosts  bool         `json:"have_posts,omitempty"`
-	Posts      int          `json:"posts,omitempty"`
-	WindowFrom timeline.Day `json:"window_from,omitempty"`
-	WindowTo   timeline.Day `json:"window_to,omitempty"`
-	// SocialSince is set when Social is a delta: the state tag the request
-	// named in since=, whose days the receiver holds. Social then lists only
-	// the days folded after it.
-	SocialSince string              `json:"social_since,omitempty"`
-	Social      []SocialDayPartial  `json:"social,omitempty"`
-	Speeds      []SpeedMonthPartial `json:"speeds,omitempty"`
+	HavePosts  bool                `json:"have_posts,omitempty"`
+	Posts      int                 `json:"posts,omitempty"`
+	WindowFrom timeline.Day        `json:"window_from,omitempty"`
+	WindowTo   timeline.Day        `json:"window_to,omitempty"`
+	Social     []SocialDayPartial  `json:"social,omitempty"`
+	Speeds     []SpeedMonthPartial `json:"speeds,omitempty"`
 
 	Experience *ExperiencePartial `json:"experience,omitempty"`
 
+	// Since is set when the answer is a delta: the state tag the request
+	// named in since=, whose sections the receiver holds. Every keyed section
+	// then lists only the elements stamped after it.
+	Since string `json:"since,omitempty"`
+
 	// rows is Social regrouped for the Merge* functions, derived once by
-	// PatchSocial; nil means derive on use.
+	// Patch; nil means derive on use.
 	rows *SocialRows
 	// view stands in for Social in a bundle collected for this process's own
 	// plans: its rows come straight from the day accumulators.
@@ -210,8 +219,7 @@ type SocialRows struct {
 	Terms     []TermPartial
 }
 
-// socialRowsOf regroups ascending, well-formed day partials (see
-// checkSocialDays).
+// socialRowsOf regroups ascending, well-formed day partials (see Validate).
 func socialRowsOf(days []SocialDayPartial) *SocialRows {
 	r := &SocialRows{
 		Sentiment: make([]DaySentiment, 0, len(days)),
@@ -242,67 +250,140 @@ func socialRowsOf(days []SocialDayPartial) *SocialRows {
 	return r
 }
 
-// checkSocialDays rejects day partials the merge cannot take: days out of
-// strictly ascending order, or term arrays of unequal length.
-func checkSocialDays(days []SocialDayPartial) error {
-	for i := range days {
-		d := &days[i]
-		if i > 0 && d.Day <= days[i-1].Day {
-			return fmt.Errorf("social day %v follows day %v", d.Day, days[i-1].Day)
-		}
-		if n := len(d.Terms); len(d.Weights) != n || len(d.Pos) != n || len(d.Total) != n {
-			return fmt.Errorf("social day %v: %d terms, %d weights, %d pos, %d total", d.Day, n, len(d.Weights), len(d.Pos), len(d.Total))
+// Element keys of the keyed sections: what Validate orders by and Patch
+// replaces by.
+func ratedDay(r *telemetry.SessionRecord) timeline.Day   { return timeline.DayOf(r.Start) }
+func engagementDay(d *DayEngagement) timeline.Day        { return d.Day }
+func doseDay(d *DoseDayPartial) timeline.Day             { return d.Day }
+func confounderDay(d *ConfounderDayPartial) timeline.Day { return d.Day }
+func socialPartialDay(d *SocialDayPartial) timeline.Day  { return d.Day }
+func speedMonth(m *SpeedMonthPartial) timeline.Month     { return m.Month }
+func experienceDay(d *ExperienceDayPartial) timeline.Day { return d.Day }
+
+// ascending checks that xs is ordered by key: strictly, or — for runs such
+// as a day's rated sessions — allowing repeats.
+func ascending[T any, K cmp.Ordered](section string, xs []T, key func(*T) K, runs bool) error {
+	for i := 1; i < len(xs); i++ {
+		prev, k := key(&xs[i-1]), key(&xs[i])
+		if k < prev || k == prev && !runs {
+			return fmt.Errorf("%s: %v follows %v", section, k, prev)
 		}
 	}
 	return nil
 }
 
-// patchDays returns held's days with delta's replacing or joining them by
-// day key, ascending. Neither input is written.
-func patchDays(held, delta []SocialDayPartial) []SocialDayPartial {
-	out := make([]SocialDayPartial, 0, len(held)+len(delta))
-	i := 0
-	for _, d := range delta {
-		for i < len(held) && held[i].Day < d.Day {
-			out = append(out, held[i])
-			i++
-		}
-		if i < len(held) && held[i].Day == d.Day {
-			i++
-		}
-		out = append(out, d)
+// Validate rejects an answer the merge cannot take, before anything is
+// patched or merged: elements of a keyed section out of order (days and
+// months strictly ascending, rated runs non-decreasing by day), a drops
+// section without its four views, and parallel arrays of unequal length.
+func (p *ShardPartials) Validate() error {
+	errs := []error{
+		ascending(SectionSessions, p.Rated, ratedDay, true),
+		ascending(SectionDaily, p.Daily, engagementDay, false),
+		ascending(SectionDose, p.Dose, doseDay, false),
+		ascending(SectionConfounders, p.Confounders, confounderDay, false),
+		ascending(SectionSocial, p.Social, socialPartialDay, false),
+		ascending(SectionSpeeds, p.Speeds, speedMonth, false),
 	}
-	return append(out, held[i:]...)
+	if p.Drops != nil && len(p.Drops) != len(reportDropRanges) {
+		errs = append(errs, fmt.Errorf("%s: %d views, want %d", SectionDrops, len(p.Drops), len(reportDropRanges)))
+	}
+	for _, view := range p.Drops {
+		errs = append(errs, ascending(SectionDrops, view, doseDay, false))
+	}
+	if p.Experience != nil {
+		errs = append(errs, ascending(SectionExperience, p.Experience.Days, experienceDay, false))
+	}
+	for i := range p.Social {
+		d := &p.Social[i]
+		if n := len(d.Terms); len(d.Weights) != n || len(d.Pos) != n || len(d.Total) != n {
+			errs = append(errs, fmt.Errorf("social day %v: %d terms, %d weights, %d pos, %d total", d.Day, n, len(d.Weights), len(d.Pos), len(d.Total)))
+		}
+	}
+	for i := range p.Speeds {
+		m := &p.Speeds[i]
+		if n := len(m.Downs); len(m.Days) != n || len(m.IDs) != n {
+			errs = append(errs, fmt.Errorf("speeds month %v: %d downs, %d days, %d ids", m.Month, n, len(m.Days), len(m.IDs)))
+		}
+	}
+	return errors.Join(errs...)
 }
 
-// PatchSocial makes p's freshly decoded social section whole and ready to
-// merge. A delta (SocialSince set) has its days patched onto base's by day
-// key; base must be the held section whose tag the request named, and is
-// only read, since concurrent readers may still hold it. Then the rows the
-// Merge* functions take are derived, once — or, for an empty delta, taken
-// from base. It reports whether p was a delta, and fails on day partials the
-// merge cannot take.
-func (p *ShardPartials) PatchSocial(base *ShardPartials) (delta bool, err error) {
-	if err := checkSocialDays(p.Social); err != nil {
+// patchByKey returns base with every key delta lists replaced by delta's
+// elements of that key — one element, or a whole run — ascending. Both are
+// ordered by key (Validate); neither is written, and an empty delta returns
+// base itself.
+func patchByKey[T any, K cmp.Ordered](base, delta []T, key func(*T) K) []T {
+	if len(delta) == 0 {
+		return base
+	}
+	out := make([]T, 0, len(base)+len(delta))
+	i := 0
+	for j := 0; j < len(delta); {
+		k := key(&delta[j])
+		for i < len(base) && key(&base[i]) < k {
+			out = append(out, base[i])
+			i++
+		}
+		for i < len(base) && key(&base[i]) == k {
+			i++
+		}
+		for ; j < len(delta) && key(&delta[j]) == k; j++ {
+			out = append(out, delta[j])
+		}
+	}
+	return append(out, base[i:]...)
+}
+
+// Patch makes p, a freshly decoded answer (or one section of it; see Take),
+// whole and ready to merge. It validates p; then, if p is a delta (Since
+// set), patches every keyed section onto base's by key. base must hold the
+// same sections as p, at a state no older than the tag p names — a section
+// the receiver refreshed later patches exactly, because the elements changed
+// since the named tag include every one changed since — and is only read,
+// since concurrent readers may still hold it. Last, the social rows the
+// Merge* functions take are derived once, or, for an unchanged social
+// section, taken from base. It reports whether p was a delta.
+func (p *ShardPartials) Patch(base *ShardPartials) (delta bool, err error) {
+	if err := p.Validate(); err != nil {
 		return false, err
 	}
-	if delta = p.SocialSince != ""; delta {
+	if delta = p.Since != ""; delta {
 		if base == nil {
-			return true, fmt.Errorf("social delta since %q without the days it patches", p.SocialSince)
+			return true, fmt.Errorf("delta since %q without the sections it patches", p.Since)
 		}
-		p.SocialSince = ""
+		p.Since = ""
+		p.Rated = patchByKey(base.Rated, p.Rated, ratedDay)
+		p.Daily = patchByKey(base.Daily, p.Daily, engagementDay)
+		p.Dose = patchByKey(base.Dose, p.Dose, doseDay)
+		if p.Drops == nil {
+			p.Drops = base.Drops
+		} else {
+			for i := range p.Drops {
+				if i < len(base.Drops) {
+					p.Drops[i] = patchByKey(base.Drops[i], p.Drops[i], doseDay)
+				}
+			}
+		}
+		p.Confounders = patchByKey(base.Confounders, p.Confounders, confounderDay)
+		p.Speeds = patchByKey(base.Speeds, p.Speeds, speedMonth)
+		if p.Experience != nil && base.Experience != nil {
+			p.Experience.Days = patchByKey(base.Experience.Days, p.Experience.Days, experienceDay)
+		}
 		if len(p.Social) == 0 && base.rows != nil {
 			p.Social, p.rows = base.Social, base.rows
 			return true, nil
 		}
-		p.Social = patchDays(base.Social, p.Social)
+		p.Social = patchByKey(base.Social, p.Social, socialPartialDay)
 	}
-	p.rows = socialRowsOf(p.Social)
+	if len(p.Social) > 0 {
+		p.rows = socialRowsOf(p.Social)
+	}
 	return delta, nil
 }
 
 // SocialRows returns the social section regrouped for merging: the rows
-// PatchSocial derived, or — for partials collected in process — derived now.
+// Patch derived, or — for partials collected in process — derived now.
 func (p *ShardPartials) SocialRows() *SocialRows {
 	if p.rows != nil {
 		return p.rows
@@ -314,9 +395,10 @@ func (p *ShardPartials) SocialRows() *SocialRows {
 // shallow — slices are shared and read-only, as every Merge* function treats
 // them. A coordinator splits a multi-section answer into sections it can hold
 // separately with it, and composes held sections back into one bundle.
-// Unknown sections contribute only the session count every answer carries.
+// Unknown sections contribute only the session count every answer carries,
+// and the delta mark.
 func (p *ShardPartials) Take(section string, src *ShardPartials) {
-	p.Sessions = src.Sessions
+	p.Sessions, p.Since = src.Sessions, src.Since
 	switch section {
 	case SectionSessions:
 		p.Rated = src.Rated
@@ -335,7 +417,7 @@ func (p *ShardPartials) Take(section string, src *ShardPartials) {
 			p.Speeds = src.Speeds
 			break
 		}
-		p.SocialSince, p.Social, p.rows, p.view = src.SocialSince, src.Social, src.rows, src.view
+		p.Social, p.rows, p.view = src.Social, src.rows, src.view
 	case SectionExperience:
 		p.Experience = src.Experience
 	}
@@ -356,92 +438,112 @@ type ModelPartials struct {
 	Predicted []DayOnlinePartial `json:"predicted,omitempty"`
 }
 
-// --- shard-side collectors ---
-
-// dosePartialsFromView snapshots a dose view's per-day accumulators, sorted
-// ascending. Called under sessMu via doseView.
-func dosePartialsFromView(v *engView) []DoseDayPartial {
-	keys := make([]timeline.Day, 0, len(v.days))
-	for d := range v.days {
-		keys = append(keys, d)
+// Validate rejects a model-phase answer the merge cannot take: days out of
+// strictly ascending order, or a traffic-engineering day without one
+// affected count and one lift per intervention.
+func (m *ModelPartials) Validate() error {
+	errs := []error{
+		ascending(ModelSectionTE, m.TE, func(d *TEDayPartial) timeline.Day { return d.Day }, false),
+		ascending(ModelSectionExperience, m.Predicted, func(d *DayOnlinePartial) timeline.Day { return d.Day }, false),
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]DoseDayPartial, 0, len(keys))
-	for _, d := range keys {
-		out = append(out, DoseDayPartial{Day: d, Bins: v.days[d].State()})
+	for i := range m.TE {
+		if d := &m.TE[i]; len(d.Affected) != teSlots || len(d.Lift) != teSlots {
+			errs = append(errs, fmt.Errorf("te day %v: %d affected, %d lifts, want %d of each", d.Day, len(d.Affected), len(d.Lift), teSlots))
+		}
 	}
-	return out
+	return errors.Join(errs...)
 }
 
-// DosePartials exports the per-day dose-response accumulator state for one
-// parameterization, registering the view on first use.
-func (s *Store) DosePartials(metric telemetry.Metric, eng telemetry.Engagement, b stats.Binner, isp string) []DoseDayPartial {
+// --- shard-side collectors ---
+
+// dosePartials exports one parameterization's per-day dose-response
+// accumulator state — the days a since= base at session generation after
+// lacks (every day for 0), ascending — registering the view on first use.
+func (s *Store) dosePartials(key engViewKey, after uint64) []DoseDayPartial {
 	var out []DoseDayPartial
-	s.doseView(engViewKey{metric: metric, eng: eng, b: b, isp: isp}, func(v *engView) {
-		out = dosePartialsFromView(v)
+	s.doseView(key, func(v *engView) {
+		days := changedDays(v.days, s.views.stamps, after)
+		out = make([]DoseDayPartial, 0, len(days))
+		for _, d := range days {
+			out = append(out, DoseDayPartial{Day: d, Bins: v.days[d].State()})
+		}
 	})
 	return out
 }
 
 // dropPartials exports the report's four engagement-drop views, indexed by
 // reportDropRanges order.
-func (s *Store) dropPartials() [][]DoseDayPartial {
+func (s *Store) dropPartials(after uint64) [][]DoseDayPartial {
 	out := make([][]DoseDayPartial, len(reportDropRanges))
 	for i, rr := range reportDropRanges {
-		out[i] = s.DosePartials(rr.metric, telemetry.Presence, stats.NewBinner(rr.lo, rr.hi, 8), "")
+		out[i] = s.dosePartials(engViewKey{metric: rr.metric, eng: telemetry.Presence, b: stats.NewBinner(rr.lo, rr.hi, 8)}, after)
 	}
 	return out
 }
 
-// experienceDayPartials folds the rows with the given ISP into per-day
-// engagement accumulators (arrival order within each day), sorted ascending.
-func experienceDayPartials(rows Rows, isp string) (int, []ExperienceDayPartial) {
-	type dayExp struct {
-		pres, cam, mic stats.Online
-		ratingSum      int
-		ratingN        int
-	}
-	days := map[timeline.Day]*dayExp{}
-	sessions := 0
-	rows.Each(0, rows.Len(), func(r *telemetry.SessionRecord) {
-		if r.ISP != isp {
-			return
-		}
-		sessions++
-		d := timeline.DayOf(r.Start)
-		de := days[d]
-		if de == nil {
-			de = &dayExp{}
-			days[d] = de
-		}
-		de.pres.Add(r.PresencePct)
-		de.cam.Add(r.CamOnPct)
-		de.mic.Add(r.MicOnPct)
-		if r.Rated {
-			de.ratingSum += r.Rating
-			de.ratingN++
-		}
-	})
-	keys := make([]timeline.Day, 0, len(days))
-	for d := range days {
-		keys = append(keys, d)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]ExperienceDayPartial, 0, len(keys))
-	for _, d := range keys {
-		de := days[d]
-		out = append(out, ExperienceDayPartial{
-			Day: d, Pres: de.pres.State(), Cam: de.cam.State(), Mic: de.mic.State(),
-			RatingSum: de.ratingSum, RatingN: de.ratingN,
-		})
-	}
-	return sessions, out
+// expView is the per-ISP experience fold: the ISP's session count and, per
+// calendar day, Welford accumulators of its engagement plus exact integer
+// rating sums, each day fed in arrival order. The store keeps one per ISP
+// asked for (viewOf).
+type expView struct {
+	isp      string
+	sessions int
+	days     map[timeline.Day]*expDay
+	folded   int
 }
 
-// experiencePartial builds the store's experience contribution.
-func (s *Store) experiencePartial(isp string) *ExperiencePartial {
-	sessions, days := experienceDayPartials(s.Rows(), isp)
-	p := &ExperiencePartial{Sessions: sessions, Days: days}
+// expDay is one day's experience accumulators.
+type expDay struct {
+	pres, cam, mic stats.Online
+	ratingSum      int
+	ratingN        int
+}
+
+func newExpView(isp string) *expView {
+	return &expView{isp: isp, days: map[timeline.Day]*expDay{}}
+}
+
+func (v *expView) rowsFolded() int { return v.folded }
+
+// foldOne absorbs one record of the view's ISP.
+func (v *expView) foldOne(r *telemetry.SessionRecord) {
+	v.folded++
+	if r.ISP != v.isp {
+		return
+	}
+	v.sessions++
+	d := timeline.DayOf(r.Start)
+	de := v.days[d]
+	if de == nil {
+		de = &expDay{}
+		v.days[d] = de
+	}
+	de.pres.Add(r.PresencePct)
+	de.cam.Add(r.CamOnPct)
+	de.mic.Add(r.MicOnPct)
+	if r.Rated {
+		de.ratingSum += r.Rating
+		de.ratingN++
+	}
+}
+
+// experiencePartial builds the store's experience contribution: the ISP's
+// session count, the days a since= base at session generation after lacks
+// (every day for 0), and the whole corpus's social counts.
+func (s *Store) experiencePartial(isp string, after uint64) *ExperiencePartial {
+	p := &ExperiencePartial{}
+	viewOf(s, &s.views.exp, isp, func() *expView { return newExpView(isp) }, func(v *expView) {
+		p.Sessions = v.sessions
+		days := changedDays(v.days, s.views.stamps, after)
+		p.Days = make([]ExperienceDayPartial, 0, len(days))
+		for _, d := range days {
+			de := v.days[d]
+			p.Days = append(p.Days, ExperienceDayPartial{
+				Day: d, Pres: de.pres.State(), Cam: de.cam.State(), Mic: de.mic.State(),
+				RatingSum: de.ratingSum, RatingN: de.ratingN,
+			})
+		}
+	})
 	if v := s.social(); v != nil {
 		p.SocialPos, p.SocialNeg, p.OutageMentions = v.experienceCounts()
 	}
@@ -579,10 +681,10 @@ func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng
 }
 
 // sinceBase is a since= tag that this process minted under this protocol:
-// the state a requester holds the social days of.
+// the state whose sections a requester holds.
 type sinceBase struct {
-	tag     string
-	postGen uint64
+	tag              string
+	sessGen, postGen uint64
 }
 
 // parseSince returns the base a since= value names, or nil for anything
@@ -593,37 +695,46 @@ func (s *Server) parseSince(raw string) *sinceBase {
 	if len(f) != 4 || f[0] != partialsProtocol || f[1] != s.boot {
 		return nil
 	}
-	if _, err := strconv.ParseUint(f[2], 10, 64); err != nil {
+	sessGen, err := strconv.ParseUint(f[2], 10, 64)
+	if err != nil {
 		return nil
 	}
 	postGen, err := strconv.ParseUint(f[3], 10, 64)
 	if err != nil {
 		return nil
 	}
-	return &sinceBase{tag: raw, postGen: postGen}
+	return &sinceBase{tag: raw, sessGen: sessGen, postGen: postGen}
 }
 
 // partials collects the bundle of a checked request. A local bundle is for
 // this process's own plans: its social section is the store's view, read
-// without spelling every day's terms onto the wire. A wire bundle's social
-// section ships, with a since= base the store has not moved behind (a future
-// generation gets a full answer), only the days folded after it.
+// without spelling every day's terms onto the wire. A wire bundle, with a
+// since= base the store has not moved behind in either family (a future
+// generation gets a full answer), is a delta: every keyed section lists only
+// the elements stamped after the base's generation for its family.
 func (s *Store) partials(req partialsRequest, since *sinceBase, local bool) *ShardPartials {
 	out := &ShardPartials{}
+	// afterSess and afterPost are the base's generations: 0 asks for all.
+	var afterSess, afterPost uint64
+	if since != nil {
+		if sessGen, postGen := s.Generations(); since.sessGen <= sessGen && since.postGen <= postGen {
+			afterSess, afterPost, out.Since = since.sessGen, since.postGen, since.tag
+		}
+	}
 	_, out.Sessions = s.RatedSessions()
 	var view *socialView
 	for _, section := range req.sections {
 		switch section {
 		case SectionSessions:
-			out.Rated, out.Sessions = s.RatedSessions()
+			out.Rated, out.Sessions = s.ratedSince(afterSess)
 		case SectionDaily:
-			out.Daily = s.DailyEngagementView()
+			out.Daily = s.dailySince(afterSess)
 		case SectionDose:
-			out.Dose = s.DosePartials(req.dose.metric, req.dose.eng, req.dose.b, req.dose.isp)
+			out.Dose = s.dosePartials(*req.dose, afterSess)
 		case SectionDrops:
-			out.Drops = s.dropPartials()
+			out.Drops = s.dropPartials(afterSess)
 		case SectionConfounders:
-			out.Confounders = confounderDayPartials(s.Rows(), req.confEng)
+			out.Confounders = s.confounderPartials(req.confEng, afterSess)
 		case SectionSocial, SectionSpeeds:
 			if view == nil {
 				view = s.social() // one snapshot for both sections
@@ -635,21 +746,16 @@ func (s *Store) partials(req partialsRequest, since *sinceBase, local bool) *Sha
 			out.WindowFrom, out.WindowTo = view.window.From, view.window.To
 			switch {
 			case section == SectionSpeeds:
-				out.Speeds = view.speedPartials()
+				out.Speeds = view.speedPartials(afterPost)
 			case local:
 				out.view = view
 			default:
 				// The days that hold posts (the coordinator zero-fills the
-				// rest of the global window): all of them, or those folded
-				// since the requester's base.
-				var after uint64
-				if since != nil && since.postGen <= view.gen {
-					after, out.SocialSince = since.postGen, since.tag
-				}
-				out.Social = view.dayPartials(after)
+				// rest of the global window).
+				out.Social = view.dayPartials(afterPost)
 			}
 		case SectionExperience:
-			out.Experience = s.experiencePartial(req.isp)
+			out.Experience = s.experiencePartial(req.isp, afterSess)
 		}
 	}
 	return out
@@ -895,16 +1001,8 @@ func MergeSpeeds(window timeline.Range, parts [][]SpeedMonthPartial, model *leo.
 	strong := map[timeline.Month][2]int{}
 	for _, part := range parts {
 		for _, sp := range part {
-			for i := range sp.Downs {
-				var d timeline.Day
-				var id uint64
-				if i < len(sp.Days) {
-					d = sp.Days[i]
-				}
-				if i < len(sp.IDs) {
-					id = sp.IDs[i]
-				}
-				byMonth[sp.Month] = append(byMonth[sp.Month], obs{day: d, id: id, down: sp.Downs[i]})
+			for i, down := range sp.Downs { // parallel arrays of one length (Validate)
+				byMonth[sp.Month] = append(byMonth[sp.Month], obs{day: sp.Days[i], id: sp.IDs[i], down: down})
 			}
 			cnt := strong[sp.Month]
 			cnt[0] += sp.StrongPos

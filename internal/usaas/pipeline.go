@@ -147,7 +147,7 @@ func (s *Store) applySessions(recs []telemetry.SessionRecord) {
 	s.sessions.append(recs)
 	if len(recs) > 0 {
 		s.sessGen++
-		s.views.foldSessions(recs)
+		s.views.foldSessions(recs, s.sessGen)
 	}
 }
 

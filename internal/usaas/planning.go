@@ -212,10 +212,8 @@ func assembleTE(total int, parts []TEDayPartial) []TERecommendation {
 	affected := make([]int, len(ivs))
 	lift := make([]float64, len(ivs))
 	for i := range parts {
-		for k := 0; k < len(ivs) && k < len(parts[i].Affected); k++ {
+		for k := range ivs {
 			affected[k] += parts[i].Affected[k]
-		}
-		for k := 0; k < len(ivs) && k < len(parts[i].Lift); k++ {
 			lift[k] += parts[i].Lift[k]
 		}
 	}

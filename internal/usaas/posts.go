@@ -367,19 +367,34 @@ func (v *socialView) dayPartials(after uint64) []SocialDayPartial {
 
 // speedPartials exports the extracted speed observations per month, in
 // corpus order (days ascend, IDs ascend within a day), with the
-// strong-sentiment counts of the posts that carried them.
-func (v *socialView) speedPartials() []SpeedMonthPartial {
+// strong-sentiment counts of the posts that carried them: the months a
+// since= base at post generation after lacks — a month is stamped with the
+// newest generation among its days — or every month for 0.
+func (v *socialView) speedPartials(after uint64) []SpeedMonthPartial {
 	var out []SpeedMonthPartial
-	for _, a := range v.days {
-		if len(a.speeds) == 0 {
-			continue
+	for lo := 0; lo < len(v.days); {
+		m := timeline.MonthOf(v.days[lo].Day)
+		hi, stamp := lo, uint64(0)
+		for ; hi < len(v.days) && timeline.MonthOf(v.days[hi].Day) == m; hi++ {
+			stamp = max(stamp, v.days[hi].gen)
 		}
-		m := timeline.MonthOf(a.Day)
-		if len(out) == 0 || out[len(out)-1].Month != m {
-			out = append(out, SpeedMonthPartial{Month: m})
+		if after == 0 || stamp > after {
+			out = appendSpeedMonth(out, m, v.days[lo:hi])
 		}
-		sp := &out[len(out)-1]
+		lo = hi
+	}
+	return out
+}
+
+// appendSpeedMonth appends month m's observations from its days, if any.
+func appendSpeedMonth(out []SpeedMonthPartial, m timeline.Month, days []*socialDay) []SpeedMonthPartial {
+	var sp *SpeedMonthPartial
+	for _, a := range days {
 		for _, pt := range a.speeds {
+			if sp == nil {
+				out = append(out, SpeedMonthPartial{Month: m})
+				sp = &out[len(out)-1]
+			}
 			sp.Days = append(sp.Days, a.Day)
 			sp.IDs = append(sp.IDs, pt.id)
 			sp.Downs = append(sp.Downs, pt.down)

@@ -955,8 +955,8 @@ type ClusterStats struct {
 // ShardStatus is one shard's health and fan-out gauges. Revalidated counts
 // partials requests the shard answered 304 (the coordinator's held state
 // was current), Fetched those it answered with a body, Deltas those of them
-// whose social section patched held days, PartialsBytes the body bytes
-// transferred.
+// that were deltas — answers with any section patched onto held state
+// (since=) — and PartialsBytes the body bytes transferred.
 type ShardStatus struct {
 	Name          string        `json:"name"`
 	Up            bool          `json:"up"`
@@ -1116,9 +1116,9 @@ func speaksPartials(next http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleGetPartials serves the cluster partial-state exchange (partials.go):
-// the mergeable per-day accumulator state for the requested sections — the
-// social section as a delta when since= names a base it can serve one
-// against. Answers are tagged and cached like any read.
+// the mergeable per-day accumulator state for the requested sections — as a
+// delta when since= names a base it can serve one against. Answers are
+// tagged and cached like any read.
 func (s *Server) handleGetPartials(w http.ResponseWriter, r *http.Request) {
 	if !RequireMethod(w, r, http.MethodGet) {
 		return

@@ -1,6 +1,8 @@
 package usaas
 
 import (
+	"slices"
+
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
@@ -25,20 +27,44 @@ type engViewKey struct {
 	isp    string // empty = unfiltered
 }
 
-// maxEngViews caps how many distinct dose-response parameterizations the
-// store materializes; queries beyond the cap still work (they fold a fresh
-// accumulator from the snapshot) but are not retained.
+// maxEngViews caps how many views of each kind (dose-response
+// parameterizations, confounder metrics, ISPs) the store materializes;
+// queries beyond the cap still work (they fold a fresh accumulator from the
+// snapshot) but are not retained.
 const maxEngViews = 64
 
+// sessionView is a per-day fold over sessions that the store keeps current
+// at ingest once a query has registered it (viewOf). Each record is absorbed
+// in arrival order; rowsFolded counts every session seen, filtered or not,
+// so a catch-up fold can resume at an absolute row index.
+type sessionView interface {
+	foldOne(r *telemetry.SessionRecord)
+	rowsFolded() int
+}
+
+// foldRows absorbs rows [lo, hi) of a snapshot in arrival order.
+func foldRows(v sessionView, rows Rows, lo, hi int) {
+	rows.Each(lo, hi, v.foldOne)
+}
+
+// foldBatch absorbs an arrival-ordered batch into every view of one kind.
+func foldBatch[K comparable, V sessionView](views map[K]V, recs []telemetry.SessionRecord) {
+	for _, v := range views {
+		for i := range recs {
+			v.foldOne(&recs[i])
+		}
+	}
+}
+
 // engView incrementally maintains DoseResponseDaily's state for one key:
-// one bin accumulator per calendar day, each fed in arrival order. folded
-// counts every session seen (so a catch-up can resume at an absolute row
-// index), while Add is filter-conditional, exactly like the batch scan.
+// one bin accumulator per calendar day, each fed in arrival order. Add is
+// filter-conditional, exactly like the batch scan.
 type engView struct {
-	key  engViewKey
-	mf   func(*telemetry.NetAggregates) float64
-	ef   func(*telemetry.SessionRecord) float64
-	days dayBins
+	key    engViewKey
+	mf     func(*telemetry.NetAggregates) float64
+	ef     func(*telemetry.SessionRecord) float64
+	filter telemetry.Filter
+	days   dayBins
 	// lastDay/lastAcc cache the most recent day's accumulator: ingest is
 	// roughly chronological, so most Adds skip the map lookup.
 	lastDay timeline.Day
@@ -47,18 +73,24 @@ type engView struct {
 }
 
 func newEngView(key engViewKey) *engView {
-	return &engView{
+	v := &engView{
 		key:  key,
 		mf:   key.metric.Accessor(),
 		ef:   key.eng.Accessor(),
 		days: dayBins{},
 	}
+	if key.isp != "" {
+		v.filter = telemetry.OnISP(key.isp)
+	}
+	return v
 }
 
+func (v *engView) rowsFolded() int { return v.folded }
+
 // foldOne absorbs one record.
-func (v *engView) foldOne(r *telemetry.SessionRecord, filter telemetry.Filter) {
+func (v *engView) foldOne(r *telemetry.SessionRecord) {
 	v.folded++
-	if filter != nil && !filter(r) {
+	if v.filter != nil && !v.filter(r) {
 		return
 	}
 	d := timeline.DayOf(r.Start)
@@ -67,29 +99,6 @@ func (v *engView) foldOne(r *telemetry.SessionRecord, filter telemetry.Filter) {
 		return
 	}
 	v.lastAcc.Add(v.mf(&r.Net), v.ef(r))
-}
-
-func (v *engView) filter() telemetry.Filter {
-	if v.key.isp != "" {
-		return telemetry.OnISP(v.key.isp)
-	}
-	return nil
-}
-
-// fold absorbs an arrival-ordered batch.
-func (v *engView) fold(recs []telemetry.SessionRecord) {
-	filter := v.filter()
-	for i := range recs {
-		v.foldOne(&recs[i], filter)
-	}
-}
-
-// foldRows absorbs rows [lo, hi) of a snapshot in arrival order.
-func (v *engView) foldRows(rows Rows, lo, hi int) {
-	filter := v.filter()
-	rows.Each(lo, hi, func(r *telemetry.SessionRecord) {
-		v.foldOne(r, filter)
-	})
 }
 
 // series snapshots the view as DoseResponseDaily would produce it: the
@@ -111,15 +120,25 @@ type viewState struct {
 	rated []telemetry.SessionRecord
 	// daily aggregates engagement by calendar day for incident detection.
 	daily map[timeline.Day]*dayAcc
-	// eng holds the materialized dose-response accumulators.
-	eng map[engViewKey]*engView
+	// stamps maps every calendar day that holds sessions to the session
+	// generation of the last batch that touched it: a since= base at an
+	// earlier generation lacks exactly the days stamped after it.
+	stamps map[timeline.Day]uint64
+	// eng, conf and exp are the views registered by queries: dose-response
+	// by parameterization, confounders by engagement metric, per-ISP
+	// experience by ISP. Each kind holds at most maxEngViews.
+	eng  map[engViewKey]*engView
+	conf map[telemetry.Engagement]*confView
+	exp  map[string]*expView
 }
 
-// foldSessions absorbs an accepted (non-duplicate) session batch into every
-// session-backed view. Caller holds sessMu.
-func (vs *viewState) foldSessions(recs []telemetry.SessionRecord) {
+// foldSessions absorbs an accepted (non-duplicate) session batch, applied as
+// session generation gen, into every session-backed view. Caller holds
+// sessMu.
+func (vs *viewState) foldSessions(recs []telemetry.SessionRecord, gen uint64) {
 	if vs.daily == nil {
 		vs.daily = map[timeline.Day]*dayAcc{}
+		vs.stamps = map[timeline.Day]uint64{}
 	}
 	var newRated []telemetry.SessionRecord
 	for i := range recs {
@@ -134,6 +153,7 @@ func (vs *viewState) foldSessions(recs []telemetry.SessionRecord) {
 			vs.daily[d] = a
 		}
 		a.add(r)
+		vs.stamps[d] = gen
 	}
 	if len(newRated) > 0 {
 		// Copy-on-write day-major merge: the stable sort keeps existing
@@ -145,9 +165,22 @@ func (vs *viewState) foldSessions(recs []telemetry.SessionRecord) {
 		sortRatedDayMajor(merged)
 		vs.rated = merged
 	}
-	for _, v := range vs.eng {
-		v.fold(recs)
+	foldBatch(vs.eng, recs)
+	foldBatch(vs.conf, recs)
+	foldBatch(vs.exp, recs)
+}
+
+// changedDays returns, ascending, the days of m a since= base at session
+// generation after lacks: those stamped after it, or every day for 0.
+func changedDays[A any](m map[timeline.Day]A, stamps map[timeline.Day]uint64, after uint64) []timeline.Day {
+	keys := make([]timeline.Day, 0, len(m))
+	for d := range m {
+		if after == 0 || stamps[d] > after {
+			keys = append(keys, d)
+		}
 	}
+	slices.Sort(keys)
+	return keys
 }
 
 // --- store accessors over the views ---
@@ -156,10 +189,26 @@ func (vs *viewState) foldSessions(recs []telemetry.SessionRecord) {
 // (shared, read-only) and the total session count, serving the MOS paths
 // without a full scan.
 func (s *Store) RatedSessions() (rated []telemetry.SessionRecord, total int) {
+	return s.ratedSince(0)
+}
+
+// ratedSince is RatedSessions for a since= base at session generation after:
+// the whole run of every day stamped after it (every day for 0), still
+// day-major.
+func (s *Store) ratedSince(after uint64) (rated []telemetry.SessionRecord, total int) {
 	s.fenceSessions()
 	s.sessMu.RLock()
 	defer s.sessMu.RUnlock()
-	return s.views.rated, s.sessions.n
+	if after == 0 {
+		return s.views.rated, s.sessions.n
+	}
+	for i := range s.views.rated {
+		r := &s.views.rated[i]
+		if s.views.stamps[timeline.DayOf(r.Start)] > after {
+			rated = append(rated, *r)
+		}
+	}
+	return rated, s.sessions.n
 }
 
 // Generations returns the session and post ingest generations. Any accepted
@@ -177,23 +226,26 @@ func (s *Store) Generations() (sessions, posts uint64) {
 	return sessions, posts
 }
 
-// DailyEngagementView serves DailyEngagement(sessions, nil) from the
-// incrementally maintained per-day accumulators.
-func (s *Store) DailyEngagementView() []DayEngagement {
+// dailySince serves DailyEngagement(sessions, nil) from the incrementally
+// maintained per-day accumulators: for a since= base at session generation
+// after, only the days stamped after it (every day for 0).
+func (s *Store) dailySince(after uint64) []DayEngagement {
 	s.fenceSessions()
 	s.sessMu.RLock()
 	defer s.sessMu.RUnlock()
-	return dayEngagementFrom(s.views.daily)
+	return dayEngagementFrom(s.views.daily, changedDays(s.views.daily, s.views.stamps, after))
 }
 
-// doseView runs read against the materialized dose-response view for key,
-// under sessMu, registering the parameterization on first use. The catch-up
-// fold runs outside any lock over a row snapshot; the write lock only folds
-// the (small) gap and adopts or registers the result.
-func (s *Store) doseView(key engViewKey, read func(*engView)) {
+// viewOf runs read against the store's view of one kind for key, under
+// sessMu, registering it on first use. The catch-up fold runs outside any
+// lock over a row snapshot; the write lock only folds the (small) gap and
+// adopts or registers the result. Past maxEngViews keys of the kind, a view
+// is folded fresh for the one read and not kept. read may consult the
+// store's views (the day stamps) but must not write them.
+func viewOf[K comparable, V sessionView](s *Store, views *map[K]V, key K, fresh func() V, read func(V)) {
 	s.fenceSessions()
 	s.sessMu.RLock()
-	if v, ok := s.views.eng[key]; ok {
+	if v, ok := (*views)[key]; ok {
 		read(v)
 		s.sessMu.RUnlock()
 		return
@@ -201,29 +253,35 @@ func (s *Store) doseView(key engViewKey, read func(*engView)) {
 	rows := s.sessions.snapshot()
 	s.sessMu.RUnlock()
 
-	nv := newEngView(key)
-	nv.foldRows(rows, 0, rows.Len())
+	nv := fresh()
+	foldRows(nv, rows, 0, rows.Len())
 
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	if v, ok := s.views.eng[key]; ok {
+	if v, ok := (*views)[key]; ok {
 		// Another query registered this key first; it is at least as
 		// caught-up as ours.
 		read(v)
 		return
 	}
-	// Sessions may have arrived since the snapshot: fold the gap. folded is
-	// an absolute row index, so resuming there continues the same
+	// Sessions may have arrived since the snapshot: fold the gap. The rows
+	// folded are an absolute row index, so resuming there continues the same
 	// arrival-order fold.
 	cur := s.sessions.snapshot()
-	nv.foldRows(cur, nv.folded, cur.Len())
-	if len(s.views.eng) < maxEngViews {
-		if s.views.eng == nil {
-			s.views.eng = map[engViewKey]*engView{}
+	foldRows(nv, cur, nv.rowsFolded(), cur.Len())
+	if len(*views) < maxEngViews {
+		if *views == nil {
+			*views = map[K]V{}
 		}
-		s.views.eng[key] = nv
+		(*views)[key] = nv
 	}
 	read(nv)
+}
+
+// doseView runs read against the materialized dose-response view for key
+// (viewOf).
+func (s *Store) doseView(key engViewKey, read func(*engView)) {
+	viewOf(s, &s.views.eng, key, func() *engView { return newEngView(key) }, read)
 }
 
 // DoseResponseSeries serves DoseResponseDaily(sessions, ...) from the

@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"usersignals/internal/conference"
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
+	"usersignals/internal/timeline"
 )
 
 // viewSessions generates a session dataset large enough to cross multiple
@@ -118,8 +120,35 @@ func TestViewsByteIdenticalToRecompute(t *testing.T) {
 			}
 
 			// Daily engagement.
-			if got, want := marshal(t, store.DailyEngagementView()), marshal(t, DailyEngagement(recs, nil)); got != want {
-				t.Error("DailyEngagementView diverges from DailyEngagement")
+			if got, want := marshal(t, store.dailySince(0)), marshal(t, DailyEngagement(recs, nil)); got != want {
+				t.Error("the daily view diverges from DailyEngagement")
+			}
+
+			// Confounders and per-ISP experience: views registered after all
+			// ingest (one catch-up fold) and halfway through it (the rest
+			// folded at ingest) must both equal the recompute.
+			early := &Store{}
+			isp := recs[0].ISP
+			for i, batch := range unevenBatches(recs) {
+				early.AddSessions(batch)
+				if i == 2 {
+					early.confounderPartials(telemetry.CamOn, 0)
+					early.experiencePartial(isp, 0)
+				}
+			}
+			wantConf, err := ConfounderReport(recs, telemetry.CamOn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantExp := naiveExperience(recs, isp)
+			for name, s := range map[string]*Store{"registered after ingest": store, "registered midway": early} {
+				gotConf, err := assembleConfounders(s.confounderPartials(telemetry.CamOn, 0))
+				if err != nil || marshal(t, gotConf) != marshal(t, wantConf) {
+					t.Errorf("%s: confounder view diverges from ConfounderReport (%v)", name, err)
+				}
+				if got := s.experiencePartial(isp, 0); marshal(t, got) != marshal(t, wantExp) {
+					t.Errorf("%s: experience view diverges from the per-day recompute", name)
+				}
 			}
 
 			// Rated-subsequence MOS paths.
@@ -145,6 +174,48 @@ func TestViewsByteIdenticalToRecompute(t *testing.T) {
 			}
 		})
 	}
+}
+
+// naiveExperience recomputes the experience section for one ISP by walking
+// every record: per day, engagement accumulators in arrival order and exact
+// rating sums.
+func naiveExperience(recs []telemetry.SessionRecord, isp string) *ExperiencePartial {
+	type acc struct {
+		pres, cam, mic stats.Online
+		sum, n         int
+	}
+	days := map[timeline.Day]*acc{}
+	out := &ExperiencePartial{}
+	for i := range recs {
+		r := &recs[i]
+		if r.ISP != isp {
+			continue
+		}
+		out.Sessions++
+		d := timeline.DayOf(r.Start)
+		if days[d] == nil {
+			days[d] = &acc{}
+		}
+		a := days[d]
+		a.pres.Add(r.PresencePct)
+		a.cam.Add(r.CamOnPct)
+		a.mic.Add(r.MicOnPct)
+		if r.Rated {
+			a.sum += r.Rating
+			a.n++
+		}
+	}
+	keys := make([]timeline.Day, 0, len(days))
+	for d := range days {
+		keys = append(keys, d)
+	}
+	slices.Sort(keys)
+	out.Days = []ExperienceDayPartial{}
+	for _, d := range keys {
+		a := days[d]
+		out.Days = append(out.Days, ExperienceDayPartial{Day: d, Pres: a.pres.State(), Cam: a.cam.State(), Mic: a.mic.State(), RatingSum: a.sum, RatingN: a.n})
+	}
+	return out
 }
 
 // TestSpeedsViewByteIdenticalToRecompute checks the Fig. 7 path: ingest-time
@@ -185,7 +256,7 @@ func TestDuplicateReplayLeavesViewsUnchanged(t *testing.T) {
 	}
 	b := stats.NewBinner(0, 300, 8)
 	before := marshal(t, store.DoseResponseSeries(telemetry.LatencyMean, telemetry.Presence, b, ""))
-	beforeDaily := marshal(t, store.DailyEngagementView())
+	beforeDaily := marshal(t, store.dailySince(0))
 	sg1, pg1 := store.Generations()
 
 	resp, dup, _ := store.AddSessionsBatch("replay-me", recs)
@@ -199,7 +270,7 @@ func TestDuplicateReplayLeavesViewsUnchanged(t *testing.T) {
 	if after := marshal(t, store.DoseResponseSeries(telemetry.LatencyMean, telemetry.Presence, b, "")); after != before {
 		t.Error("dose-response view changed after duplicate replay")
 	}
-	if after := marshal(t, store.DailyEngagementView()); after != beforeDaily {
+	if after := marshal(t, store.dailySince(0)); after != beforeDaily {
 		t.Error("daily view changed after duplicate replay")
 	}
 	rated, total := store.RatedSessions()
