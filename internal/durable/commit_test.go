@@ -226,6 +226,79 @@ func TestGroupCommitMaxBytesSealsEarly(t *testing.T) {
 	}
 }
 
+// TestTicketWaitersShareOneResult: every goroutine waiting on one ticket
+// gets the same result of the covering fsync — nil when it succeeds, the one
+// error when it fails — and Resolved flips only when the group resolves. A
+// long MaxGroupDelay holds the group open until a frame that crosses
+// MaxGroupBytes seals it, so the test decides when the fsync runs.
+func TestTicketWaitersShareOneResult(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fsync_fails=%v", fail), func(t *testing.T) {
+			w, err := OpenWAL(t.TempDir(), 0, groupOpts(func(o *Options) {
+				o.MaxGroupDelay = time.Hour
+				o.MaxGroupBytes = 4096
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			seal := Record{Type: 1, BatchID: "seal", Payload: bytes.Repeat([]byte{7}, 8192)}
+			// Prime the active segment; the frame alone seals its group.
+			if _, err := w.Append(seal); err != nil {
+				t.Fatal(err)
+			}
+			if fail {
+				// A pipe takes the writes and fails the fsync (see
+				// TestGroupCommitPoisonedAfterFsyncFailure).
+				pr, pw, err := os.Pipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer pr.Close()
+				defer pw.Close()
+				w.mu.Lock()
+				good := w.f
+				w.f = pw
+				w.mu.Unlock()
+				defer func() {
+					w.mu.Lock()
+					w.f = good
+					w.mu.Unlock()
+				}()
+			}
+
+			_, tk, err := w.AppendAsync(rec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const waiters = 8
+			results := make(chan error, waiters)
+			for i := 0; i < waiters; i++ {
+				go func() { results <- tk.Wait() }()
+			}
+			if tk.Resolved() {
+				t.Fatal("ticket resolved while its group was still open")
+			}
+			_, sealed, err := w.AppendAsync(seal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := sealed.Wait()
+			if fail != (want != nil) {
+				t.Fatalf("covering fsync result %v, want a failure: %v", want, fail)
+			}
+			for i := 0; i < waiters; i++ {
+				if got := <-results; got != want {
+					t.Errorf("waiter %d got %v, the group's fsync gave %v", i, got, want)
+				}
+			}
+			if !tk.Resolved() {
+				t.Error("ticket not resolved after its waiters returned")
+			}
+		})
+	}
+}
+
 // TestGroupCommitCloseFlushesPending: tickets outstanding at Close must
 // resolve (durably) rather than hang or be dropped.
 func TestGroupCommitCloseFlushesPending(t *testing.T) {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"usersignals/internal/durable"
@@ -204,9 +206,10 @@ func TestOutOfOrderPostsLiveEqualsRecovered(t *testing.T) {
 // endpoints and the social partials are served without tokenising or
 // scoring a single post; an in-order batch folds no existing day again, and
 // an out-of-order one folds again exactly the days it touches. It pins what
-// the node's read path costs too: the cold pass regroups the term rows at
-// most once for its post generation, a warm pass collects no partials, and
-// sentiment, peaks and outages regroup no terms.
+// the node's read path costs too: the cold pass builds the term rows at most
+// once for its post generation, a warm pass collects no partials, and once
+// the rows are built a post batch costs one patch of them and no full
+// build, none of it for sentiment, peaks and outages.
 func TestColdSocialReadsScoreNothing(t *testing.T) {
 	c, news, cfg := studyCorpus(t)
 	store := &Store{}
@@ -224,10 +227,10 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 		defer store.postMu.RUnlock()
 		return store.refolds
 	}
-	regroups := func() int {
+	termWork := func() (builds, patches int) {
 		store.termRows.mu.Lock()
 		defer store.termRows.mu.Unlock()
-		return store.termRows.regroups
+		return store.termRows.builds, store.termRows.patches
 	}
 	serve := func(pass string, paths ...string) {
 		t.Helper()
@@ -261,13 +264,14 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 		experience,
 		"/v1/partials?sections=social,speeds",
 	}
-	before, grouped := postsAnalyzed.Load(), regroups()
+	before = postsAnalyzed.Load()
+	builds, patches := termWork()
 	serve("cold", paths...)
 	if got := postsAnalyzed.Load() - before; got != 0 {
 		t.Errorf("cold social reads analysed %d post(s); the read path must analyse none", got)
 	}
-	if got := regroups() - grouped; got > 1 {
-		t.Errorf("the cold pass regrouped the term rows %d times in one post generation", got)
+	if b, p := termWork(); b-builds+p-patches > 1 {
+		t.Errorf("the cold pass built the term rows %d times and patched them %d times in one post generation", b-builds, p-patches)
 	}
 	merges, misses := srv.reads.Merges(), srv.CacheMetrics().Misses
 	serve("warm", paths...)
@@ -277,10 +281,14 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 	if err := store.AddPosts(c.Posts[n+20 : n+30]); err != nil {
 		t.Fatal(err)
 	}
-	grouped = regroups()
+	builds, patches = termWork()
 	serve("after a post batch", "/v1/insights/sentiment", "/v1/insights/peaks", "/v1/insights/outages")
-	if got := regroups() - grouped; got != 0 {
-		t.Errorf("sentiment, peaks and outages regrouped the term rows %d times", got)
+	if b, p := termWork(); b != builds || p != patches {
+		t.Errorf("sentiment, peaks and outages built the term rows %d times and patched them %d times", b-builds, p-patches)
+	}
+	serve("after a post batch", "/v1/report", "/v1/insights/trends")
+	if b, p := termWork(); b != builds || p != patches+1 {
+		t.Errorf("a post batch cost %d full builds and %d patches of the term rows, want 0 and 1", b-builds, p-patches)
 	}
 
 	// Two posts that sort ahead of posts their days already hold: exactly
@@ -296,6 +304,125 @@ func TestColdSocialReadsScoreNothing(t *testing.T) {
 	}
 	if got := postsAnalyzed.Load() - before; got != 2 {
 		t.Errorf("out-of-order ingest of 2 posts analysed %d", got)
+	}
+}
+
+// termRowsFromScratch regroups every day of a view by term, sorted by
+// spelling: the full build the memo's patched rows must equal.
+func termRowsFromScratch(v *socialView) []TermPartial {
+	at := map[string]int{}
+	var out []TermPartial
+	for _, d := range v.dayPartials(0) {
+		for j, term := range d.Terms {
+			k, ok := at[term]
+			if !ok {
+				k = len(out)
+				at[term] = k
+				out = append(out, TermPartial{Term: term})
+			}
+			tp := &out[k]
+			tp.Days = append(tp.Days, DayWeight{Day: d.Day, Weight: d.Weights[j]})
+			tp.Pos += d.Pos[j]
+			tp.Total += d.Total[j]
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
+	return out
+}
+
+// TestTermRowsPatchMatchesFullBuild: the node builds its term rows once and
+// then patches them by the days each post generation folded. After in-order
+// 20-post batches, a 500-post batch over several days, out-of-order posts
+// that fold days again and concurrent readers, the rows equal a full build;
+// a reader holding an older view gets its own generation's rows without
+// moving the memo back.
+func TestTermRowsPatchMatchesFullBuild(t *testing.T) {
+	c, _, _ := studyCorpus(t)
+	store := &Store{}
+	add := func(posts []social.Post) {
+		t.Helper()
+		if err := store.AddPosts(posts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string, v *socialView) {
+		t.Helper()
+		if got, want := v.terms(), termRowsFromScratch(v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the term rows of post generation %d differ from a full build", step, v.gen)
+		}
+	}
+	n := len(c.Posts) * 8 / 10
+	add(c.Posts[:n])
+	check("preload", store.social())
+	for i := 0; i < 10; i++ {
+		add(c.Posts[n : n+20])
+		n += 20
+		check(fmt.Sprintf("in-order batch %d", i), store.social())
+	}
+	if days := c.Posts[n+499].Day - c.Posts[n].Day; days < 2 {
+		t.Fatalf("the 500-post batch spans %d days", days+1)
+	}
+	add(c.Posts[n : n+500])
+	n += 500
+	check("a 500-post batch", store.social())
+
+	var late []social.Post
+	for _, i := range []int{0, n / 3, n / 2, n - 1} {
+		p := c.Posts[i]
+		p.ID = 0 // sorts ahead of every post its day holds
+		late = append(late, p)
+	}
+	store.postMu.RLock()
+	refolds := store.refolds
+	store.postMu.RUnlock()
+	add(late)
+	store.postMu.RLock()
+	refolds = store.refolds - refolds
+	store.postMu.RUnlock()
+	if refolds != len(late) {
+		t.Fatalf("%d out-of-order posts folded %d days again", len(late), refolds)
+	}
+	check("out-of-order posts", store.social())
+
+	old := store.social()
+	add(c.Posts[n : n+20])
+	n += 20
+	cur := store.social()
+	check("the newer view", cur)
+	check("an older view, after the newer", old)
+	m := &store.termRows
+	if m.gen != cur.gen {
+		t.Fatalf("reading an older view moved the memo from generation %d to %d", cur.gen, m.gen)
+	}
+	patches := m.patches
+	check("the newer view again", cur)
+	if m.patches != patches {
+		t.Errorf("the newer view was patched again after an older view was read")
+	}
+
+	// Readers of every generation share the memo while batches land.
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				v := store.social()
+				if !reflect.DeepEqual(v.terms(), termRowsFromScratch(v)) {
+					t.Errorf("a concurrent reader's term rows of post generation %d differ from a full build", v.gen)
+				}
+				old.terms()
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		add(c.Posts[n : n+20])
+		n += 20
+	}
+	wg.Wait()
+	check("after concurrent readers", store.social())
+	if m.builds != 1 {
+		t.Errorf("the term rows were built in full %d times, want once", m.builds)
 	}
 }
 
@@ -388,7 +515,7 @@ func storeFold(s *Store) foldReference {
 	p := servedSocial(s)
 	got := foldReference{
 		Sweep:  &Sweep{Sentiment: p.sentiment(), Keywords: p.keywords(), Trends: p.trends(TrendOptions{})},
-		Clouds: socialRowsOf(v.dayPartials(0)).Clouds,
+		Clouds: socialRowsOf(v.dayPartials(0), nil).Clouds,
 		Speeds: MergeSpeeds(p.window, p.speeds, nil, 1),
 	}
 	got.Pos, got.Neg, got.OutageMentions = v.experienceCounts()

@@ -108,7 +108,7 @@ func mineTrendsNaive(c *social.Corpus, an *nlp.Analyzer, opts TrendOptions) []Tr
 		}
 		flat = append(flat, tp)
 	}
-	return scanTrends(c.Window, flat, opts)
+	return MergeTrends(c.Window, [][]TermPartial{flat}, opts)
 }
 
 func annotatePeaksNaive(c *social.Corpus, an *nlp.Analyzer, news *newswire.Index, k int) []AnnotatedPeak {

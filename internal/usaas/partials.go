@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,7 +202,8 @@ type ShardPartials struct {
 	Since string `json:"since,omitempty"`
 
 	// rows is Social regrouped for the Merge* functions, derived once by
-	// Patch; nil means derive on use.
+	// Patch (a delta's term rows patched from base's); nil means derive on
+	// use.
 	rows *SocialRows
 	// view stands in for Social in a bundle collected for this process's own
 	// plans: its rows come straight from the day accumulators.
@@ -219,13 +221,14 @@ type SocialRows struct {
 	Terms     []TermPartial
 }
 
-// socialRowsOf regroups ascending, well-formed day partials (see Validate).
-func socialRowsOf(days []SocialDayPartial) *SocialRows {
+// socialRowsOf copies the day rows of ascending, well-formed day partials
+// (see Validate) into merge rows; terms is their term rows (patchTerms).
+func socialRowsOf(days []SocialDayPartial, terms []TermPartial) *SocialRows {
 	r := &SocialRows{
 		Sentiment: make([]DaySentiment, 0, len(days)),
 		Clouds:    make([]DayCloud, 0, len(days)),
+		Terms:     terms,
 	}
-	index := map[string]int{}
 	for i := range days {
 		d := &days[i]
 		r.Sentiment = append(r.Sentiment, DaySentiment{Day: d.Day, Posts: d.Posts, StrongPos: d.StrongPos, StrongNeg: d.StrongNeg})
@@ -233,21 +236,119 @@ func socialRowsOf(days []SocialDayPartial) *SocialRows {
 			r.Keywords = append(r.Keywords, DayKeywords{Day: d.Day, Count: d.Keywords})
 		}
 		r.Clouds = append(r.Clouds, DayCloud{Day: d.Day, Words: d.Cloud})
+	}
+	return r
+}
+
+// termEdit is one (term, day) row of a changed day: a base row to drop, or
+// a row to insert.
+type termEdit struct {
+	day        timeline.Day
+	weight     float64
+	pos, total int
+	drop       bool
+}
+
+// patchTerms returns the term rows — each term's day weights, days
+// ascending, terms sorted by spelling — of a day set whose rows are base,
+// once the days old lists (base's own, a subset of its day set) are
+// replaced by the days next lists; both ascend by day, and a day may be on
+// either side alone. Only the terms the changed days name are rebuilt
+// (patchDays), a term left without a day is dropped, and nothing of base is
+// written, since readers may still hold it. The full build is the patch of
+// an empty base, patchTerms(nil, nil, days).
+func patchTerms(base []TermPartial, old, next []SocialDayPartial) []TermPartial {
+	out := append(make([]TermPartial, 0, len(base)), base...)
+	edits := make([][]termEdit, len(base))
+	fresh := map[string]int{} // out's index of each term base lacks
+	edit := func(d *SocialDayPartial, drop bool) {
 		for j, term := range d.Terms {
-			k, ok := index[term]
+			k, ok := slices.BinarySearchFunc(base, term, bySpelling)
 			if !ok {
-				k = len(r.Terms)
-				index[term] = k
-				r.Terms = append(r.Terms, TermPartial{Term: term})
+				if drop {
+					continue // base holds no row of it to drop
+				}
+				if k, ok = fresh[term]; !ok {
+					k = len(out)
+					fresh[term] = k
+					out = append(out, TermPartial{Term: term})
+				}
+				tp := &out[k] // a new term: its rows arrive in day order
+				tp.Days = append(tp.Days, DayWeight{Day: d.Day, Weight: d.Weights[j]})
+				tp.Pos, tp.Total = tp.Pos+d.Pos[j], tp.Total+d.Total[j]
+				continue
 			}
-			tp := &r.Terms[k]
-			tp.Days = append(tp.Days, DayWeight{Day: d.Day, Weight: d.Weights[j]})
-			tp.Pos += d.Pos[j]
-			tp.Total += d.Total[j]
+			edits[k] = append(edits[k], termEdit{day: d.Day, weight: d.Weights[j], pos: d.Pos[j], total: d.Total[j], drop: drop})
 		}
 	}
-	sort.Slice(r.Terms, func(i, j int) bool { return r.Terms[i].Term < r.Terms[j].Term })
-	return r
+	// Changed days in day order, a day's old rows before its new ones: each
+	// term's edits then come out in the order patchDays applies them.
+	for i, j := 0, 0; i < len(old) || j < len(next); {
+		if j == len(next) || i < len(old) && old[i].Day <= next[j].Day {
+			edit(&old[i], true)
+			i++
+		} else {
+			edit(&next[j], false)
+			j++
+		}
+	}
+	n := 0
+	for k := range out {
+		if k < len(edits) && edits[k] != nil {
+			out[k] = patchDays(&out[k], edits[k])
+		}
+		if len(out[k].Days) > 0 {
+			out[n] = out[k]
+			n++
+		}
+	}
+	out = out[:n]
+	if len(fresh) > 0 {
+		sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
+	}
+	return out
+}
+
+// bySpelling orders a term row against a spelling.
+func bySpelling(tp TermPartial, term string) int { return strings.Compare(tp.Term, term) }
+
+// patchDays applies one term's edits, ascending by day with a day's drop
+// before its insert, to a copy of its row: the runs between edited days are
+// copied in bulk, and the counts move by integer deltas.
+func patchDays(tp *TermPartial, edits []termEdit) TermPartial {
+	days := tp.Days
+	out := TermPartial{Term: tp.Term, Days: make([]DayWeight, 0, len(days)+len(edits)), Pos: tp.Pos, Total: tp.Total}
+	i := 0
+	for _, e := range edits {
+		n := sort.Search(len(days)-i, func(k int) bool { return days[i+k].Day >= e.day })
+		out.Days = append(out.Days, days[i:i+n]...)
+		i += n
+		if e.drop {
+			if i < len(days) && days[i].Day == e.day {
+				i++
+			}
+			out.Pos, out.Total = out.Pos-e.pos, out.Total-e.total
+		} else {
+			out.Days = append(out.Days, DayWeight{Day: e.day, Weight: e.weight})
+			out.Pos, out.Total = out.Pos+e.pos, out.Total+e.total
+		}
+	}
+	out.Days = append(out.Days, days[i:]...)
+	return out
+}
+
+// replacedDays lists, ascending, base's days that delta replaces.
+func replacedDays(base, delta []SocialDayPartial) []SocialDayPartial {
+	var out []SocialDayPartial
+	i := 0
+	for j := range delta {
+		d := delta[j].Day
+		i += sort.Search(len(base)-i, func(k int) bool { return base[i+k].Day >= d })
+		if i < len(base) && base[i].Day == d {
+			out = append(out, base[i])
+		}
+	}
+	return out
 }
 
 // Element keys of the keyed sections: what Validate orders by and Patch
@@ -342,8 +443,9 @@ func patchByKey[T any, K cmp.Ordered](base, delta []T, key func(*T) K) []T {
 // the receiver refreshed later patches exactly, because the elements changed
 // since the named tag include every one changed since — and is only read,
 // since concurrent readers may still hold it. Last, the social rows the
-// Merge* functions take are derived once, or, for an unchanged social
-// section, taken from base. It reports whether p was a delta.
+// Merge* functions take are derived once: for a delta, base's term rows
+// patched by the changed days, or, for an unchanged social section, base's
+// rows themselves. It reports whether p was a delta.
 func (p *ShardPartials) Patch(base *ShardPartials) (delta bool, err error) {
 	if err := p.Validate(); err != nil {
 		return false, err
@@ -374,12 +476,16 @@ func (p *ShardPartials) Patch(base *ShardPartials) (delta bool, err error) {
 			p.Social, p.rows = base.Social, base.rows
 			return true, nil
 		}
-		p.Social = patchByKey(base.Social, p.Social, socialPartialDay)
+		terms := patchTerms(base.SocialRows().Terms, replacedDays(base.Social, p.Social), p.Social)
+		if p.Social = patchByKey(base.Social, p.Social, socialPartialDay); len(p.Social) > 0 {
+			p.rows = socialRowsOf(p.Social, terms)
+		}
+		return true, nil
 	}
 	if len(p.Social) > 0 {
-		p.rows = socialRowsOf(p.Social)
+		p.rows = socialRowsOf(p.Social, patchTerms(nil, nil, p.Social))
 	}
-	return delta, nil
+	return false, nil
 }
 
 // SocialRows returns the social section regrouped for merging: the rows
@@ -388,7 +494,7 @@ func (p *ShardPartials) SocialRows() *SocialRows {
 	if p.rows != nil {
 		return p.rows
 	}
-	return socialRowsOf(p.Social)
+	return socialRowsOf(p.Social, patchTerms(nil, nil, p.Social))
 }
 
 // Take copies the fields section contributes from src into p. The copy is
@@ -934,36 +1040,92 @@ func MergeKeywords(window timeline.Range, parts [][]DayKeywords) []DayKeywords {
 	return out
 }
 
-// mergeTerms unions shards' term partials into one entry per term. Day
-// weights never collide across shards (each day's posts live on one shard),
-// so this only reassembles disjoint day rows; the counts are integers.
-func mergeTerms(parts [][]TermPartial) []TermPartial {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	index := map[string]int{}
-	var out []TermPartial
-	for _, part := range parts {
-		for _, tp := range part {
-			i, ok := index[tp.Term]
-			if !ok {
-				index[tp.Term] = len(out)
-				out = append(out, TermPartial{Term: tp.Term, Days: append([]DayWeight(nil), tp.Days...), Pos: tp.Pos, Total: tp.Total})
-				continue
-			}
-			out[i].Days = append(out[i].Days, tp.Days...)
-			out[i].Pos += tp.Pos
-			out[i].Total += tp.Total
-		}
-	}
-	return out
-}
-
 // MergeTrends runs the trend surge scan over the union of shards' term
 // accumulations, exactly as a single corpus sweep would over the global
-// window.
+// window. It walks the parts' term lists, each sorted by spelling, in
+// lockstep: a term's rows are scattered from every part that has it, its
+// counts int-summed. Each (term, day) weight is accumulated wholly on one
+// shard, so no float is summed across parts.
 func MergeTrends(window timeline.Range, parts [][]TermPartial, opts TrendOptions) []Trend {
-	return scanTrends(window, mergeTerms(parts), opts.withDefaults())
+	opts = opts.withDefaults()
+	days := window.Len()
+	// weight is the current term's per-day weight over the window, zero
+	// where it is silent; the tail lets the surge window run past the last
+	// day.
+	weight := make([]float64, days+opts.WindowDays)
+	var out []Trend
+	next := make([]int, len(parts))
+	for {
+		term, found := "", false // the least spelling at the parts' cursors
+		for i, p := range parts {
+			if n := next[i]; n < len(p) && (!found || p[n].Term < term) {
+				term, found = p[n].Term, true
+			}
+		}
+		if !found {
+			break
+		}
+		clear(weight)
+		pos, total := 0, 0
+		for i, p := range parts {
+			if n := next[i]; n < len(p) && p[n].Term == term {
+				for _, dw := range p[n].Days {
+					if d := int(dw.Day - window.From); d >= 0 && d < days {
+						weight[d] += dw.Weight
+					}
+				}
+				pos, total = pos+p[n].Pos, total+p[n].Total
+				next[i]++
+			}
+		}
+		// Scan for the first window whose weight crosses MinWeight with a
+		// quiet 30-day baseline before it. Windows in the first 30 days have
+		// no baseline to judge against, so they cannot qualify — otherwise
+		// the corpus's ordinary vocabulary would all "emerge" on day one.
+		for i := 30; i+opts.WindowDays <= days; i++ {
+			var windowW float64
+			for j := 0; j < opts.WindowDays; j++ {
+				windowW += weight[i+j]
+			}
+			if windowW < opts.MinWeight {
+				continue
+			}
+			var baseW float64
+			for j := 1; j <= 30; j++ {
+				baseW += weight[i-j]
+			}
+			if baseW/30 > opts.BaselineMax {
+				break // established topic, not emerging
+			}
+			// Anchor the trend at the first day inside the window that
+			// actually carries weight (not the window's leading edge), and
+			// measure the surge weight from there so a surge that starts
+			// mid-window is not under-weighted.
+			first := i
+			for j := 0; j < opts.WindowDays; j++ {
+				if weight[i+j] > 0 {
+					first = i + j
+					break
+				}
+			}
+			surgeW := 0.0
+			for j := 0; j < opts.WindowDays; j++ {
+				surgeW += weight[first+j]
+			}
+			out = append(out, Trend{
+				Term:          term,
+				FirstDay:      window.From + timeline.Day(first),
+				Weight:        surgeW,
+				PositiveShare: float64(pos) / float64(total),
+			})
+			break
+		}
+	}
+	sortTrends(out)
+	if len(out) > opts.MaxTerms {
+		out = out[:opts.MaxTerms]
+	}
+	return out
 }
 
 // MergeClouds indexes shards' shipped word clouds by day for peak

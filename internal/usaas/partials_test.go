@@ -312,7 +312,8 @@ func TestPartialsSinceShipsChangedDays(t *testing.T) {
 
 // FuzzPartialsSince: whatever since= says, the shard answers 200 with the
 // full answer of every keyed section, or with a delta that, patched onto the
-// sections held at the base it names, is the current full answer.
+// sections held at the base it names, is the current full answer — and
+// whose patched social rows equal a full build of the patched section.
 func FuzzPartialsSince(f *testing.F) {
 	fx := newSinceFixture(f)
 	for _, tag := range fx.tags {
@@ -356,6 +357,9 @@ func FuzzPartialsSince(f *testing.F) {
 		}
 		if !sameJSON(got, cur) || !reflect.DeepEqual(got.SocialRows(), cur.SocialRows()) {
 			t.Fatalf("since %q: patched delta differs from the current full answer", since)
+		}
+		if whole := (&ShardPartials{Social: got.Social}); !reflect.DeepEqual(got.SocialRows(), whole.SocialRows()) {
+			t.Fatalf("since %q: the patched social rows differ from a full build of the patched section", since)
 		}
 	})
 }

@@ -294,8 +294,8 @@ func (s *Store) social() *socialView {
 }
 
 // rows is the view's merge rows, straight from the day accumulators, but for
-// the term rows: regrouping those costs far more than the rest, so terms()
-// derives them only for a reader that needs them.
+// the term rows: those cost far more than the rest, so terms() derives them
+// only for a reader that needs them.
 func (v *socialView) rows() *SocialRows {
 	r := &SocialRows{
 		Sentiment: sentimentRows(v.days),
@@ -308,61 +308,85 @@ func (v *socialView) rows() *SocialRows {
 	return r
 }
 
-// termRows memoizes the regrouped term rows of one post generation: every
-// view of a generation holds the same days, so their readers share one
-// regroup. The rows are read-only.
+// termRows memoizes the term rows of the newest post generation read so
+// far, with the day accumulators they were built from. Published
+// accumulators are never written again, so a day whose accumulator differs
+// from the kept one is exactly a day a later batch extended or folded
+// again: another generation's rows are the kept rows patched by those days
+// alone. The rows are read-only.
 type termRows struct {
-	mu       sync.Mutex
-	gen      uint64 // 0: none held (a store with posts is at generation 1 or later)
-	terms    []TermPartial
-	regroups int // regroups over the store's life: tests count work with it
+	mu    sync.Mutex
+	gen   uint64 // 0: none held (a store with posts is at generation 1 or later)
+	days  []*socialDay
+	terms []TermPartial
+	// builds and patches count the full builds and the patches over the
+	// store's life: tests count work with them.
+	builds, patches int
 }
 
-// terms regroups the days' term weights by term, once per post generation;
-// spellings come from the store's interner, which only the naming step
-// needs locked.
+// terms returns the view's term rows: the memo's, patched by the days whose
+// accumulators differ from the view's. A newer view moves the memo on; an
+// older one — a reader that took its view before a later one was memoized —
+// gets its own rows without displacing the newer base.
 func (v *socialView) terms() []TermPartial {
 	m := &v.store.termRows
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.gen != v.gen {
-		terms, keys := groupTerms(v.days)
-		v.store.textMu.RLock()
-		m.terms = nameTerms(v.store.text.in, terms, keys)
-		v.store.textMu.RUnlock()
-		m.gen = v.gen
-		m.regroups++
+	if m.gen == v.gen {
+		return m.terms
 	}
-	return m.terms
+	old, next := diffDays(m.days, v.days)
+	v.store.textMu.RLock()
+	in := v.store.text.in
+	terms := patchTerms(m.terms, spellDays(in, old), spellDays(in, next))
+	v.store.textMu.RUnlock()
+	if m.gen == 0 {
+		m.builds++
+	} else {
+		m.patches++
+	}
+	if v.gen > m.gen {
+		m.gen, m.days, m.terms = v.gen, v.days, terms
+	}
+	return terms
+}
+
+// diffDays compares two ascending day lists: old holds from's
+// accumulators of the days whose accumulator differs in to (or that to
+// lacks), next holds to's (or those from lacks), both ascending.
+func diffDays(from, to []*socialDay) (old, next []*socialDay) {
+	i, j := 0, 0
+	for i < len(from) || j < len(to) {
+		switch {
+		case j == len(to) || i < len(from) && from[i].Day < to[j].Day:
+			old = append(old, from[i])
+			i++
+		case i == len(from) || to[j].Day < from[i].Day:
+			next = append(next, to[j])
+			j++
+		default:
+			if from[i] != to[j] {
+				old, next = append(old, from[i]), append(next, to[j])
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return old, next
 }
 
 // dayPartials exports the days folded by a post generation after the given
 // one (every day for 0), ascending, each with its term rows spelled through
 // the store's interner.
 func (v *socialView) dayPartials(after uint64) []SocialDayPartial {
-	var out []SocialDayPartial
+	var days []*socialDay
+	for _, a := range v.days {
+		if a.gen > after {
+			days = append(days, a)
+		}
+	}
 	v.store.textMu.RLock()
 	defer v.store.textMu.RUnlock()
-	in := v.store.text.in
-	for _, a := range v.days {
-		if a.gen <= after {
-			continue
-		}
-		d := SocialDayPartial{
-			Day: a.Day, Posts: a.Posts, StrongPos: a.StrongPos, StrongNeg: a.StrongNeg,
-			Keywords: a.gatedHits, Cloud: a.cloud,
-			Terms:   make([]string, len(a.terms)),
-			Weights: make([]float64, len(a.terms)),
-			Pos:     make([]int, len(a.terms)),
-			Total:   make([]int, len(a.terms)),
-		}
-		for i := range a.terms {
-			t := &a.terms[i]
-			d.Terms[i], d.Weights[i], d.Pos[i], d.Total[i] = termString(in, t.key), t.weight, int(t.pos), int(t.total)
-		}
-		out = append(out, d)
-	}
-	return out
+	return spellDays(v.store.text.in, days)
 }
 
 // speedPartials exports the extracted speed observations per month, in

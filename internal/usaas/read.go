@@ -536,7 +536,8 @@ func socialPlan(section string, render func(w http.ResponseWriter, p *socialPart
 
 // socialParts is the post-side state of the parts that hold posts. A part
 // collected in process reads its rows straight from the store's day
-// accumulators, and regroups its terms only for a render that asks.
+// accumulators, and takes its term rows from the store's memo only for a
+// render that asks.
 type socialParts struct {
 	window timeline.Range
 	posts  int

@@ -127,8 +127,9 @@ type Store struct {
 	// te is the traffic-engineering fold, kept current under the last model
 	// asked for (planning.go).
 	te teFold
-	// termRows is the regrouped term rows of the latest post generation a
-	// reader asked for (posts.go). Its lock is taken with no store lock held.
+	// termRows is the term rows of the newest post generation a reader
+	// asked for, patched forward by the days later generations folded
+	// (posts.go). Its lock is taken with no store lock held.
 	termRows termRows
 }
 

@@ -2,7 +2,6 @@ package usaas
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"usersignals/internal/nlp"
@@ -21,9 +20,10 @@ import (
 //     in corpus (ID) order, into mergeable per-day state: sentiment counts,
 //     keyword hits, word-cloud counts, trend term weights. The term rules
 //     exist only there.
-//   - the assembly steps (sentimentRows, keywordRows, groupTerms,
-//     scanTrends, annotatePeaksWith) turn day accumulators into served
-//     series. They cost milliseconds and run at read time.
+//   - the assembly steps (sentimentRows, keywordRows, spellDays +
+//     patchTerms, MergeTrends, annotatePeaksWith) turn day accumulators into
+//     served series. They run at read time; the term rows, the costliest,
+//     are patched by the days that changed (posts.go).
 //
 // The store (posts.go) analyses each post at ingest and keeps one socialDay per
 // day up to date, so a query only assembles. SweepCorpus is the same fold
@@ -247,6 +247,31 @@ func (a *socialDay) clone() *socialDay {
 	return &c
 }
 
+// spellDays exports day accumulators as day partials, each with its term
+// rows spelled through in, the interner their keys were packed from.
+func spellDays(in *nlp.Interner, days []*socialDay) []SocialDayPartial {
+	if len(days) == 0 {
+		return nil
+	}
+	out := make([]SocialDayPartial, len(days))
+	for k, a := range days {
+		d := SocialDayPartial{
+			Day: a.Day, Posts: a.Posts, StrongPos: a.StrongPos, StrongNeg: a.StrongNeg,
+			Keywords: a.gatedHits, Cloud: a.cloud,
+			Terms:   make([]string, len(a.terms)),
+			Weights: make([]float64, len(a.terms)),
+			Pos:     make([]int, len(a.terms)),
+			Total:   make([]int, len(a.terms)),
+		}
+		for i := range a.terms {
+			t := &a.terms[i]
+			d.Terms[i], d.Weights[i], d.Pos[i], d.Total[i] = termString(in, t.key), t.weight, int(t.pos), int(t.total)
+		}
+		out[k] = d
+	}
+	return out
+}
+
 // SweepOptions selects which fused products to compute.
 type SweepOptions struct {
 	// Sentiment computes the daily strong-sentiment series.
@@ -313,8 +338,8 @@ func SweepCorpus(c *social.Corpus, an *nlp.Analyzer, opts SweepOptions) *Sweep {
 		out.Keywords = MergeKeywords(c.Window, [][]DayKeywords{keywordRows(days, opts.Gate)})
 	}
 	if opts.Trends != nil {
-		terms, keys := groupTerms(days)
-		out.Trends = scanTrends(c.Window, nameTerms(e.in, terms, keys), opts.Trends.withDefaults())
+		terms := patchTerms(nil, nil, spellDays(e.in, days))
+		out.Trends = MergeTrends(c.Window, [][]TermPartial{terms}, *opts.Trends)
 	}
 	return out
 }
@@ -342,111 +367,6 @@ func keywordRows(days []*socialDay, gate bool) []DayKeywords {
 		if n > 0 {
 			out = append(out, DayKeywords{Day: a.Day, Count: n})
 		}
-	}
-	return out
-}
-
-// groupTerms regroups per-day term state by term. days must ascend, so each
-// term's day rows come out ascending too. The terms are still nameless:
-// keys[i] is the packed key of out[i], for nameTerms to spell.
-func groupTerms(days []*socialDay) (out []TermPartial, keys []uint64) {
-	index := map[uint64]int{}
-	for _, a := range days {
-		for i := range a.terms {
-			t := &a.terms[i]
-			j, ok := index[t.key]
-			if !ok {
-				j = len(out)
-				index[t.key] = j
-				out = append(out, TermPartial{})
-				keys = append(keys, t.key)
-			}
-			tp := &out[j]
-			tp.Days = append(tp.Days, DayWeight{Day: a.Day, Weight: t.weight})
-			tp.Pos += int(t.pos)
-			tp.Total += int(t.total)
-		}
-	}
-	return out, keys
-}
-
-// nameTerms spells grouped terms through the interner their keys were
-// packed from and sorts them by spelling.
-func nameTerms(in *nlp.Interner, terms []TermPartial, keys []uint64) []TermPartial {
-	for i, key := range keys {
-		terms[i].Term = termString(in, key)
-	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
-	return terms
-}
-
-// scanTrends runs the surge scan over accumulated term weights (one entry
-// per term) — the second half of trend mining, shared by the store, the
-// cluster coordinator, the offline sweep and the naive reference path.
-func scanTrends(window timeline.Range, terms []TermPartial, opts TrendOptions) []Trend {
-	days := window.Len()
-	// weight is the term's per-day weight over the window, zero where the
-	// term is silent; the tail lets the surge window run past the last day.
-	weight := make([]float64, days+opts.WindowDays)
-	var out []Trend
-	for _, tp := range terms {
-		for _, dw := range tp.Days {
-			if i := int(dw.Day - window.From); i >= 0 && i < days {
-				weight[i] += dw.Weight
-			}
-		}
-		// Scan for the first window whose weight crosses MinWeight with a
-		// quiet 30-day baseline before it. Windows in the first 30 days
-		// have no baseline to judge against, so they cannot qualify —
-		// otherwise the corpus's ordinary vocabulary would all "emerge"
-		// on day one.
-		for i := 30; i+opts.WindowDays <= days; i++ {
-			var windowW float64
-			for j := 0; j < opts.WindowDays; j++ {
-				windowW += weight[i+j]
-			}
-			if windowW < opts.MinWeight {
-				continue
-			}
-			var baseW float64
-			for j := 1; j <= 30; j++ {
-				baseW += weight[i-j]
-			}
-			if baseW/30 > opts.BaselineMax {
-				break // established topic, not emerging
-			}
-			// Anchor the trend at the first day inside the window that
-			// actually carries weight (not the window's leading edge),
-			// and measure the surge weight from there so a surge that
-			// starts mid-window is not under-weighted.
-			first := i
-			for j := 0; j < opts.WindowDays; j++ {
-				if weight[i+j] > 0 {
-					first = i + j
-					break
-				}
-			}
-			surgeW := 0.0
-			for j := 0; j < opts.WindowDays; j++ {
-				surgeW += weight[first+j]
-			}
-			out = append(out, Trend{
-				Term:          tp.Term,
-				FirstDay:      window.From + timeline.Day(first),
-				Weight:        surgeW,
-				PositiveShare: float64(tp.Pos) / float64(tp.Total),
-			})
-			break
-		}
-		for _, dw := range tp.Days {
-			if i := int(dw.Day - window.From); i >= 0 && i < days {
-				weight[i] = 0
-			}
-		}
-	}
-	sortTrends(out)
-	if len(out) > opts.MaxTerms {
-		out = out[:opts.MaxTerms]
 	}
 	return out
 }

@@ -62,7 +62,7 @@ func (o TrendOptions) withDefaults() TrendOptions {
 // surges out of a silent baseline — the mechanism that surfaced "roaming"
 // two weeks before the official announcement. The accumulation runs on the
 // fused corpus sweep (sweep.go) over cached token streams; the surge scan
-// itself is scanTrends, shared with the sweep.
+// itself is MergeTrends over one part, as on a node.
 func MineTrends(c *social.Corpus, an *nlp.Analyzer, opts TrendOptions) []Trend {
 	return SweepCorpus(c, an, SweepOptions{Trends: &opts}).Trends
 }
