@@ -208,6 +208,9 @@ type ShardPartials struct {
 	// view stands in for Social in a bundle collected for this process's own
 	// plans: its rows come straight from the day accumulators.
 	view *socialView
+	// took has bit i set once the section partialsSections[i] was taken
+	// into p (Take).
+	took uint32
 }
 
 // SocialRows is one shard's social section regrouped into the series the
@@ -351,15 +354,165 @@ func replacedDays(base, delta []SocialDayPartial) []SocialDayPartial {
 	return out
 }
 
-// Element keys of the keyed sections: what Validate orders by and Patch
-// replaces by.
-func ratedDay(r *telemetry.SessionRecord) timeline.Day   { return timeline.DayOf(r.Start) }
-func engagementDay(d *DayEngagement) timeline.Day        { return d.Day }
-func doseDay(d *DoseDayPartial) timeline.Day             { return d.Day }
-func confounderDay(d *ConfounderDayPartial) timeline.Day { return d.Day }
-func socialPartialDay(d *SocialDayPartial) timeline.Day  { return d.Day }
-func speedMonth(m *SpeedMonthPartial) timeline.Month     { return m.Month }
-func experienceDay(d *ExperienceDayPartial) timeline.Day { return d.Day }
+// --- the section table ---
+
+// partialsSection declares one /v1/partials section: its name and family,
+// its parameters, how a store collects it, and how a receiver validates,
+// patches and takes it. check, parsePartials, Store.partials, Validate,
+// Patch and Take walk partialsSections: a section is one row and its field.
+type partialsSection struct {
+	name string
+	post bool // the post family, whose generation since= reads; else the session family
+	// parse reads the section's parameters into req; a request for which has
+	// is false lacks the ones needs names. Nil for a section that takes none.
+	parse func(q url.Values, req *partialsRequest) error
+	has   func(req *partialsRequest) bool
+	needs string
+	// collect fills in the elements stamped after generation c.after (0: all).
+	collect  func(c *collection, p *ShardPartials)
+	validate func(p *ShardPartials) error
+	// present, when set, says p carries the section's payload at all, which
+	// an answer the section was taken from must (Validate).
+	present func(p *ShardPartials) bool
+	patch   func(p, base *ShardPartials) // base is nil for a full answer
+	take    func(p, src *ShardPartials)
+}
+
+// keyed completes sec as one list ordered by key — strictly, or allowing
+// repeats for runs — with each element checked by elem when set. The list is
+// validated and, unless sec has its own, patched by key and taken whole.
+func keyed[T any, K cmp.Ordered](sec partialsSection, field func(*ShardPartials) *[]T, key func(*T) K, runs bool, elem func(*T) error) partialsSection {
+	sec.validate = func(p *ShardPartials) error {
+		xs := *field(p)
+		err := ascending(sec.name, xs, key, runs)
+		for i := 0; err == nil && elem != nil && i < len(xs); i++ {
+			err = elem(&xs[i])
+		}
+		return err
+	}
+	if sec.patch == nil {
+		sec.patch = func(p, base *ShardPartials) {
+			if base != nil {
+				*field(p) = patchByKey(*field(base), *field(p), key)
+			}
+		}
+	}
+	if sec.take == nil {
+		sec.take = func(p, src *ShardPartials) { *field(p) = *field(src) }
+	}
+	return sec
+}
+
+// partialsSections is every /v1/partials section.
+var partialsSections = []partialsSection{
+	keyed(partialsSection{name: SectionSessions,
+		collect: func(c *collection, p *ShardPartials) { p.Rated, p.Sessions = c.s.ratedSince(c.after) },
+	}, func(p *ShardPartials) *[]telemetry.SessionRecord { return &p.Rated },
+		func(r *telemetry.SessionRecord) timeline.Day { return timeline.DayOf(r.Start) }, true, nil),
+	keyed(partialsSection{name: SectionDaily,
+		collect: func(c *collection, p *ShardPartials) { p.Daily = c.s.dailySince(c.after) },
+	}, func(p *ShardPartials) *[]DayEngagement { return &p.Daily }, func(d *DayEngagement) timeline.Day { return d.Day }, false, nil),
+	keyed(partialsSection{name: SectionDose,
+		parse: func(q url.Values, req *partialsRequest) (err error) { req.dose, err = parseDose(q); return err },
+		has:   func(req *partialsRequest) bool { return req.dose != nil }, needs: "metric/engagement/bin parameters",
+		collect: func(c *collection, p *ShardPartials) { p.Dose = c.s.dosePartials(*c.dose, c.after) },
+	}, func(p *ShardPartials) *[]DoseDayPartial { return &p.Dose }, func(d *DoseDayPartial) timeline.Day { return d.Day }, false, nil),
+	{
+		name: SectionDrops,
+		collect: func(c *collection, p *ShardPartials) { // the report's four views, in reportDropRanges order
+			for _, rr := range reportDropRanges {
+				p.Drops = append(p.Drops, c.s.dosePartials(engViewKey{metric: rr.metric, eng: telemetry.Presence, b: stats.NewBinner(rr.lo, rr.hi, 8)}, c.after))
+			}
+		},
+		validate: func(p *ShardPartials) (err error) {
+			if p.Drops != nil && len(p.Drops) != len(reportDropRanges) {
+				err = fmt.Errorf("%s: %d views, want %d", SectionDrops, len(p.Drops), len(reportDropRanges))
+			}
+			for i := 0; err == nil && i < len(p.Drops); i++ {
+				err = ascending(SectionDrops, p.Drops[i], func(d *DoseDayPartial) timeline.Day { return d.Day }, false)
+			}
+			return err
+		},
+		present: func(p *ShardPartials) bool { return p.Drops != nil },
+		patch: func(p, base *ShardPartials) {
+			for i := 0; base != nil && i < min(len(p.Drops), len(base.Drops)); i++ {
+				p.Drops[i] = patchByKey(base.Drops[i], p.Drops[i], func(d *DoseDayPartial) timeline.Day { return d.Day })
+			}
+		},
+		take: func(p, src *ShardPartials) { p.Drops = src.Drops },
+	},
+	keyed(partialsSection{name: SectionConfounders,
+		parse: func(q url.Values, req *partialsRequest) (err error) {
+			req.confEng, err = telemetry.ParseEngagement(q.Get("engagement"))
+			return err
+		},
+		collect: func(c *collection, p *ShardPartials) { p.Confounders = c.s.confounderPartials(c.confEng, c.after) },
+	}, func(p *ShardPartials) *[]ConfounderDayPartial { return &p.Confounders },
+		func(d *ConfounderDayPartial) timeline.Day { return d.Day }, false, nil),
+	keyed(partialsSection{name: SectionSocial, post: true,
+		collect: func(c *collection, p *ShardPartials) {
+			if c.local {
+				p.view = c.view
+			} else {
+				p.Social = c.view.dayPartials(c.after) // the days with posts: the receiver zero-fills the window
+			}
+		},
+		patch: patchSocial,
+		take:  func(p, src *ShardPartials) { p.Social, p.rows, p.view = src.Social, src.rows, src.view },
+	}, func(p *ShardPartials) *[]SocialDayPartial { return &p.Social }, func(d *SocialDayPartial) timeline.Day { return d.Day }, false,
+		func(d *SocialDayPartial) error {
+			if n := len(d.Terms); len(d.Weights) != n || len(d.Pos) != n || len(d.Total) != n {
+				return fmt.Errorf("social day %v: %d terms, %d weights, %d pos, %d total", d.Day, n, len(d.Weights), len(d.Pos), len(d.Total))
+			}
+			return nil
+		}),
+	keyed(partialsSection{name: SectionSpeeds, post: true,
+		collect: func(c *collection, p *ShardPartials) { p.Speeds = c.view.speedPartials(c.after) },
+	}, func(p *ShardPartials) *[]SpeedMonthPartial { return &p.Speeds }, func(m *SpeedMonthPartial) timeline.Month { return m.Month }, false,
+		func(m *SpeedMonthPartial) error {
+			if n := len(m.Downs); len(m.Days) != n || len(m.IDs) != n {
+				return fmt.Errorf("speeds month %v: %d downs, %d days, %d ids", m.Month, n, len(m.Days), len(m.IDs))
+			}
+			return nil
+		}),
+	keyed(partialsSection{name: SectionExperience,
+		parse: func(q url.Values, req *partialsRequest) error { req.isp = q.Get("isp"); return nil },
+		has:   func(req *partialsRequest) bool { return req.isp != "" }, needs: "the isp parameter",
+		collect: func(c *collection, p *ShardPartials) { p.Experience = c.s.experiencePartial(c.isp, c.after) },
+		present: func(p *ShardPartials) bool { return p.Experience != nil },
+		take:    func(p, src *ShardPartials) { p.Experience = src.Experience },
+	}, func(p *ShardPartials) *[]ExperienceDayPartial {
+		return &cmp.Or(p.Experience, &ExperiencePartial{}).Days // none to order or patch when absent
+	}, func(d *ExperienceDayPartial) timeline.Day { return d.Day }, false, nil),
+}
+
+// sectionOf is the named section's row, or nil for an unknown name.
+func sectionOf(name string) *partialsSection {
+	if i := slices.IndexFunc(partialsSections, func(s partialsSection) bool { return s.name == name }); i >= 0 {
+		return &partialsSections[i]
+	}
+	return nil
+}
+
+// patchSocial patches the social days by key and derives the rows the
+// Merge* functions take once: for a delta, base's term rows patched by the
+// days it replaces, or, for an unchanged social section, base's rows
+// themselves; for a full answer, the patch of an empty base.
+func patchSocial(p, base *ShardPartials) {
+	var terms []TermPartial
+	old, next := []SocialDayPartial(nil), p.Social
+	if base != nil {
+		if len(next) == 0 && base.rows != nil {
+			p.Social, p.rows = base.Social, base.rows
+			return
+		}
+		terms, old = base.SocialRows().Terms, replacedDays(base.Social, next)
+		p.Social = patchByKey(base.Social, next, func(d *SocialDayPartial) timeline.Day { return d.Day })
+	}
+	if len(p.Social) > 0 {
+		p.rows = socialRowsOf(p.Social, patchTerms(terms, old, next))
+	}
+}
 
 // ascending checks that xs is ordered by key: strictly, or — for runs such
 // as a day's rated sessions — allowing repeats.
@@ -376,36 +529,16 @@ func ascending[T any, K cmp.Ordered](section string, xs []T, key func(*T) K, run
 // Validate rejects an answer the merge cannot take, before anything is
 // patched or merged: elements of a keyed section out of order (days and
 // months strictly ascending, rated runs non-decreasing by day), a drops
-// section without its four views, and parallel arrays of unequal length.
+// section without its four views, parallel arrays of unequal length, and a
+// section taken from an answer that left out its payload (drops, experience).
 func (p *ShardPartials) Validate() error {
-	errs := []error{
-		ascending(SectionSessions, p.Rated, ratedDay, true),
-		ascending(SectionDaily, p.Daily, engagementDay, false),
-		ascending(SectionDose, p.Dose, doseDay, false),
-		ascending(SectionConfounders, p.Confounders, confounderDay, false),
-		ascending(SectionSocial, p.Social, socialPartialDay, false),
-		ascending(SectionSpeeds, p.Speeds, speedMonth, false),
-	}
-	if p.Drops != nil && len(p.Drops) != len(reportDropRanges) {
-		errs = append(errs, fmt.Errorf("%s: %d views, want %d", SectionDrops, len(p.Drops), len(reportDropRanges)))
-	}
-	for _, view := range p.Drops {
-		errs = append(errs, ascending(SectionDrops, view, doseDay, false))
-	}
-	if p.Experience != nil {
-		errs = append(errs, ascending(SectionExperience, p.Experience.Days, experienceDay, false))
-	}
-	for i := range p.Social {
-		d := &p.Social[i]
-		if n := len(d.Terms); len(d.Weights) != n || len(d.Pos) != n || len(d.Total) != n {
-			errs = append(errs, fmt.Errorf("social day %v: %d terms, %d weights, %d pos, %d total", d.Day, n, len(d.Weights), len(d.Pos), len(d.Total)))
+	var errs []error
+	for i := range partialsSections {
+		sec := &partialsSections[i]
+		if p.took&(1<<i) != 0 && sec.present != nil && !sec.present(p) {
+			errs = append(errs, fmt.Errorf("%s: requested but missing from the answer", sec.name))
 		}
-	}
-	for i := range p.Speeds {
-		m := &p.Speeds[i]
-		if n := len(m.Downs); len(m.Days) != n || len(m.IDs) != n {
-			errs = append(errs, fmt.Errorf("speeds month %v: %d downs, %d days, %d ids", m.Month, n, len(m.Days), len(m.IDs)))
-		}
+		errs = append(errs, sec.validate(p))
 	}
 	return errors.Join(errs...)
 }
@@ -443,49 +576,22 @@ func patchByKey[T any, K cmp.Ordered](base, delta []T, key func(*T) K) []T {
 // the receiver refreshed later patches exactly, because the elements changed
 // since the named tag include every one changed since — and is only read,
 // since concurrent readers may still hold it. Last, the social rows the
-// Merge* functions take are derived once: for a delta, base's term rows
-// patched by the changed days, or, for an unchanged social section, base's
-// rows themselves. It reports whether p was a delta.
+// Merge* functions take are derived once (patchSocial). It reports whether p
+// was a delta.
 func (p *ShardPartials) Patch(base *ShardPartials) (delta bool, err error) {
 	if err := p.Validate(); err != nil {
 		return false, err
 	}
-	if delta = p.Since != ""; delta {
-		if base == nil {
-			return true, fmt.Errorf("delta since %q without the sections it patches", p.Since)
-		}
-		p.Since = ""
-		p.Rated = patchByKey(base.Rated, p.Rated, ratedDay)
-		p.Daily = patchByKey(base.Daily, p.Daily, engagementDay)
-		p.Dose = patchByKey(base.Dose, p.Dose, doseDay)
-		if p.Drops == nil {
-			p.Drops = base.Drops
-		} else {
-			for i := range p.Drops {
-				if i < len(base.Drops) {
-					p.Drops[i] = patchByKey(base.Drops[i], p.Drops[i], doseDay)
-				}
-			}
-		}
-		p.Confounders = patchByKey(base.Confounders, p.Confounders, confounderDay)
-		p.Speeds = patchByKey(base.Speeds, p.Speeds, speedMonth)
-		if p.Experience != nil && base.Experience != nil {
-			p.Experience.Days = patchByKey(base.Experience.Days, p.Experience.Days, experienceDay)
-		}
-		if len(p.Social) == 0 && base.rows != nil {
-			p.Social, p.rows = base.Social, base.rows
-			return true, nil
-		}
-		terms := patchTerms(base.SocialRows().Terms, replacedDays(base.Social, p.Social), p.Social)
-		if p.Social = patchByKey(base.Social, p.Social, socialPartialDay); len(p.Social) > 0 {
-			p.rows = socialRowsOf(p.Social, terms)
-		}
-		return true, nil
+	if delta = p.Since != ""; !delta {
+		base = nil
+	} else if base == nil {
+		return true, fmt.Errorf("delta since %q without the sections it patches", p.Since)
 	}
-	if len(p.Social) > 0 {
-		p.rows = socialRowsOf(p.Social, patchTerms(nil, nil, p.Social))
+	p.Since = ""
+	for i := range partialsSections {
+		partialsSections[i].patch(p, base)
 	}
-	return false, nil
+	return delta, nil
 }
 
 // SocialRows returns the social section regrouped for merging: the rows
@@ -497,7 +603,8 @@ func (p *ShardPartials) SocialRows() *SocialRows {
 	return socialRowsOf(p.Social, patchTerms(nil, nil, p.Social))
 }
 
-// Take copies the fields section contributes from src into p. The copy is
+// Take copies the fields section contributes from src into p, and marks p
+// as holding it: Validate then requires the section's payload. The copy is
 // shallow — slices are shared and read-only, as every Merge* function treats
 // them. A coordinator splits a multi-section answer into sections it can hold
 // separately with it, and composes held sections back into one bundle.
@@ -505,27 +612,15 @@ func (p *ShardPartials) SocialRows() *SocialRows {
 // and the delta mark.
 func (p *ShardPartials) Take(section string, src *ShardPartials) {
 	p.Sessions, p.Since = src.Sessions, src.Since
-	switch section {
-	case SectionSessions:
-		p.Rated = src.Rated
-	case SectionDaily:
-		p.Daily = src.Daily
-	case SectionDose:
-		p.Dose = src.Dose
-	case SectionDrops:
-		p.Drops = src.Drops
-	case SectionConfounders:
-		p.Confounders = src.Confounders
-	case SectionSocial, SectionSpeeds:
-		p.HavePosts, p.Posts = src.HavePosts, src.Posts
-		p.WindowFrom, p.WindowTo = src.WindowFrom, src.WindowTo
-		if section == SectionSpeeds {
-			p.Speeds = src.Speeds
-			break
+	for i := range partialsSections {
+		if sec := &partialsSections[i]; sec.name == section {
+			if sec.post {
+				p.HavePosts, p.Posts = src.HavePosts, src.Posts
+				p.WindowFrom, p.WindowTo = src.WindowFrom, src.WindowTo
+			}
+			sec.take(p, src)
+			p.took |= 1 << i
 		}
-		p.Social, p.rows, p.view = src.Social, src.rows, src.view
-	case SectionExperience:
-		p.Experience = src.Experience
 	}
 }
 
@@ -574,16 +669,6 @@ func (s *Store) dosePartials(key engViewKey, after uint64) []DoseDayPartial {
 			out = append(out, DoseDayPartial{Day: d, Bins: v.days[d].State()})
 		}
 	})
-	return out
-}
-
-// dropPartials exports the report's four engagement-drop views, indexed by
-// reportDropRanges order.
-func (s *Store) dropPartials(after uint64) [][]DoseDayPartial {
-	out := make([][]DoseDayPartial, len(reportDropRanges))
-	for i, rr := range reportDropRanges {
-		out[i] = s.dosePartials(engViewKey{metric: rr.metric, eng: telemetry.Presence, b: stats.NewBinner(rr.lo, rr.hi, 8)}, after)
-	}
 	return out
 }
 
@@ -694,22 +779,22 @@ type partialsRequest struct {
 	isp      string
 }
 
-// check rejects unknown sections and sections missing their parameters —
-// version skew between coordinator and shard must be loud, not silent.
-func (req *partialsRequest) check() error {
-	for _, section := range req.sections {
-		switch section {
-		case SectionSessions, SectionDaily, SectionDrops, SectionConfounders, SectionSocial, SectionSpeeds:
-		case SectionDose:
-			if req.dose == nil {
-				return fmt.Errorf("section %q requires metric/engagement/bin parameters", SectionDose)
+// check reads the sections' parameters from q, when given, and rejects
+// unknown sections and sections missing their parameters — version skew
+// between coordinator and shard must be loud, not silent.
+func (req *partialsRequest) check(q url.Values) error {
+	for _, name := range req.sections {
+		sec := sectionOf(name)
+		if sec == nil {
+			return fmt.Errorf("unknown partials section %q", name)
+		}
+		if q != nil && sec.parse != nil {
+			if err := sec.parse(q, req); err != nil {
+				return err
 			}
-		case SectionExperience:
-			if req.isp == "" {
-				return fmt.Errorf("section %q requires the isp parameter", SectionExperience)
-			}
-		default:
-			return fmt.Errorf("unknown partials section %q", section)
+		}
+		if sec.has != nil && !sec.has(req) {
+			return fmt.Errorf("section %q requires %s", name, sec.needs)
 		}
 	}
 	return nil
@@ -718,49 +803,33 @@ func (req *partialsRequest) check() error {
 // parsePartials reads a /v1/partials query, or a plan's sections encoded by
 // PartialsQuery. The error is the message a shard answers 400 with.
 func parsePartials(q url.Values) (partialsRequest, error) {
-	req := partialsRequest{sections: ParseSections(q.Get("sections")), confEng: telemetry.Presence, isp: q.Get("isp")}
+	req := partialsRequest{sections: ParseSections(q.Get("sections")), confEng: telemetry.Presence}
 	if len(req.sections) == 0 {
 		return req, errors.New("sections parameter required")
 	}
-	for _, section := range req.sections {
-		switch section {
-		case SectionDose:
-			key, err := parseDose(q)
-			if err != nil {
-				return req, err
-			}
-			req.dose = &key
-		case SectionConfounders:
-			eng, err := telemetry.ParseEngagement(q.Get("engagement"))
-			if err != nil {
-				return req, err
-			}
-			req.confEng = eng
-		}
-	}
-	return req, req.check()
+	return req, req.check(q)
 }
 
 // parseDose reads one dose-response parameterization: metric, engagement,
 // binning (lo, hi, bins; 0, 300 and 10 when absent) and an optional isp.
-func parseDose(q url.Values) (engViewKey, error) {
+func parseDose(q url.Values) (*engViewKey, error) {
 	metric, err := telemetry.ParseMetric(q.Get("metric"))
 	if err != nil {
-		return engViewKey{}, err
+		return nil, err
 	}
 	eng, err := telemetry.ParseEngagement(q.Get("engagement"))
 	if err != nil {
-		return engViewKey{}, err
+		return nil, err
 	}
 	f := queryForm{q: q}
 	lo, hi, bins := f.float("lo", 0), f.float("hi", 300), f.int("bins", 10)
 	if f.err != nil {
-		return engViewKey{}, f.err
+		return nil, f.err
 	}
 	if hi <= lo || bins < 1 || bins > 1000 {
-		return engViewKey{}, fmt.Errorf("invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
+		return nil, fmt.Errorf("invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
 	}
-	return engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}, nil
+	return &engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}, nil
 }
 
 // params is the query parseDose reads k back from.
@@ -780,7 +849,7 @@ func (k engViewKey) params() url.Values {
 // parameters.
 func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string) (*ShardPartials, error) {
 	req := partialsRequest{sections: sections, dose: doseKey, confEng: confEng, isp: isp}
-	if err := req.check(); err != nil {
+	if err := req.check(nil); err != nil {
 		return nil, err
 	}
 	return s.store.partials(req, nil, false), nil
@@ -812,6 +881,17 @@ func (s *Server) parseSince(raw string) *sinceBase {
 	return &sinceBase{tag: raw, sessGen: sessGen, postGen: postGen}
 }
 
+// collection is one Store.partials walk: the store, the request, the
+// generation of the current section's family a delta lists elements after,
+// and the one post snapshot both post sections read.
+type collection struct {
+	*partialsRequest
+	s     *Store
+	after uint64
+	view  *socialView
+	local bool
+}
+
 // partials collects the bundle of a checked request. A local bundle is for
 // this process's own plans: its social section is the store's view, read
 // without spelling every day's terms onto the wire. A wire bundle, with a
@@ -828,41 +908,21 @@ func (s *Store) partials(req partialsRequest, since *sinceBase, local bool) *Sha
 		}
 	}
 	_, out.Sessions = s.RatedSessions()
-	var view *socialView
-	for _, section := range req.sections {
-		switch section {
-		case SectionSessions:
-			out.Rated, out.Sessions = s.ratedSince(afterSess)
-		case SectionDaily:
-			out.Daily = s.dailySince(afterSess)
-		case SectionDose:
-			out.Dose = s.dosePartials(*req.dose, afterSess)
-		case SectionDrops:
-			out.Drops = s.dropPartials(afterSess)
-		case SectionConfounders:
-			out.Confounders = s.confounderPartials(req.confEng, afterSess)
-		case SectionSocial, SectionSpeeds:
-			if view == nil {
-				view = s.social() // one snapshot for both sections
+	c := &collection{partialsRequest: &req, s: s, local: local}
+	for _, name := range req.sections {
+		sec := sectionOf(name)
+		if c.after = afterSess; sec.post {
+			if c.view == nil {
+				c.view = s.social()
 			}
-			if view == nil {
-				break
+			if c.view == nil {
+				continue // no posts held
 			}
-			out.HavePosts, out.Posts = true, view.posts
-			out.WindowFrom, out.WindowTo = view.window.From, view.window.To
-			switch {
-			case section == SectionSpeeds:
-				out.Speeds = view.speedPartials(afterPost)
-			case local:
-				out.view = view
-			default:
-				// The days that hold posts (the coordinator zero-fills the
-				// rest of the global window).
-				out.Social = view.dayPartials(afterPost)
-			}
-		case SectionExperience:
-			out.Experience = s.experiencePartial(req.isp, afterSess)
+			c.after = afterPost
+			out.HavePosts, out.Posts = true, c.view.posts
+			out.WindowFrom, out.WindowTo = c.view.window.From, c.view.window.To
 		}
+		sec.collect(c, out)
 	}
 	return out
 }
@@ -924,14 +984,7 @@ func MergeRated(parts [][]telemetry.SessionRecord) []telemetry.SessionRecord {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	var n int
-	for _, p := range parts {
-		n += len(p)
-	}
-	merged := make([]telemetry.SessionRecord, 0, n)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
+	merged := slices.Concat(parts...)
 	sortRatedDayMajor(merged)
 	return merged
 }
@@ -942,10 +995,7 @@ func MergeDaily(parts [][]DayEngagement) []DayEngagement {
 	if len(parts) == 1 {
 		return parts[0]
 	}
-	var merged []DayEngagement
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
+	merged := slices.Concat(parts...)
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Day < merged[j].Day })
 	return merged
 }
@@ -978,63 +1028,30 @@ func MergeDosePartials(b stats.Binner, parts [][]DoseDayPartial) (stats.BinnedSe
 // MergeConfounders assembles the confounder report from shards' day
 // partials (assembleConfounders' canonical ascending fold).
 func MergeConfounders(parts [][]ConfounderDayPartial) ([]ConfounderEffect, error) {
-	var merged []ConfounderDayPartial
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	return assembleConfounders(merged)
+	return assembleConfounders(slices.Concat(parts...))
 }
 
 // MergeTE assembles the traffic-engineering recommendations from shards'
 // model-phase day partials; total is the cluster-wide session count.
 func MergeTE(total int, parts [][]TEDayPartial) []TERecommendation {
-	var merged []TEDayPartial
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	return assembleTE(total, merged)
+	return assembleTE(total, slices.Concat(parts...))
 }
 
-// MergeSentiment reconstructs the global daily sentiment series: shipped
-// day rows (disjoint across shards) placed over the window, zero rows
-// elsewhere — exactly the series a single corpus sweep produces.
-func MergeSentiment(window timeline.Range, parts [][]DaySentiment) []DaySentiment {
-	rows := map[timeline.Day]DaySentiment{}
+// MergeByDay reconstructs a global daily series — sentiment, outage
+// keywords — from shipped day rows (disjoint across parts): each placed on
+// its day of the window, and a row of only its day wherever no part ships
+// one, exactly the series a single corpus sweep produces. day points at a
+// row's day.
+func MergeByDay[T any](window timeline.Range, parts [][]T, day func(*T) *timeline.Day) []T {
+	out := make([]T, window.Len())
+	for i := range out {
+		*day(&out[i]) = window.From + timeline.Day(i)
+	}
 	for _, p := range parts {
-		for _, ds := range p {
-			rows[ds.Day] = ds
-		}
-	}
-	days := window.Len()
-	out := make([]DaySentiment, 0, days)
-	for i := 0; i < days; i++ {
-		d := window.From + timeline.Day(i)
-		if ds, ok := rows[d]; ok {
-			out = append(out, ds)
-		} else {
-			out = append(out, DaySentiment{Day: d})
-		}
-	}
-	return out
-}
-
-// MergeKeywords reconstructs the global outage-keyword series (see
-// MergeSentiment).
-func MergeKeywords(window timeline.Range, parts [][]DayKeywords) []DayKeywords {
-	rows := map[timeline.Day]DayKeywords{}
-	for _, p := range parts {
-		for _, dk := range p {
-			rows[dk.Day] = dk
-		}
-	}
-	days := window.Len()
-	out := make([]DayKeywords, 0, days)
-	for i := 0; i < days; i++ {
-		d := window.From + timeline.Day(i)
-		if dk, ok := rows[d]; ok {
-			out = append(out, dk)
-		} else {
-			out = append(out, DayKeywords{Day: d})
+		for j := range p {
+			if i := int(*day(&p[j]) - window.From); i >= 0 && i < len(out) {
+				out[i] = p[j]
+			}
 		}
 	}
 	return out

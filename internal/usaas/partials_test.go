@@ -3,15 +3,20 @@ package usaas
 import (
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"usersignals/internal/social"
+	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
 )
@@ -163,6 +168,16 @@ func decodePartials(t testing.TB, body string) *ShardPartials {
 	}
 	return &p
 }
+
+// Element keys of the keyed sections, written apart from the section table
+// so that the since= test does not take the keys from the code it checks.
+func ratedDay(r *telemetry.SessionRecord) timeline.Day   { return timeline.DayOf(r.Start) }
+func engagementDay(d *DayEngagement) timeline.Day        { return d.Day }
+func doseDay(d *DoseDayPartial) timeline.Day             { return d.Day }
+func confounderDay(d *ConfounderDayPartial) timeline.Day { return d.Day }
+func socialPartialDay(d *SocialDayPartial) timeline.Day  { return d.Day }
+func speedMonth(m *SpeedMonthPartial) timeline.Month     { return m.Month }
+func experienceDay(d *ExperienceDayPartial) timeline.Day { return d.Day }
 
 // elementKeys lists a keyed section's element keys in wire order; a rated run
 // lists its day once per session.
@@ -414,6 +429,27 @@ func TestValidateRejectsMalformedPartials(t *testing.T) {
 		t.Errorf("well-formed answer refused: %v", err)
 	}
 
+	// A requested drops or experience section the answer leaves out fails
+	// the exchange, full or delta, instead of merging without the shard's
+	// drop views or its experience counts; with the payload, both patch.
+	held := &ShardPartials{}
+	held.Take(SectionDrops, &ShardPartials{Drops: [][]DoseDayPartial{dose(1), nil, nil, nil}})
+	held.Take(SectionExperience, &ShardPartials{Experience: &ExperiencePartial{Sessions: 1, Days: []ExperienceDayPartial{{Day: 1}}}})
+	for _, section := range []string{SectionDrops, SectionExperience} {
+		for kind, since := range map[string]string{"full": "", "delta": "x"} {
+			p := &ShardPartials{}
+			p.Take(section, &ShardPartials{Sessions: 5, Since: since})
+			if _, err := p.Patch(held); err == nil {
+				t.Errorf("a %s answer without its %s section: accepted", kind, section)
+			}
+			p = &ShardPartials{}
+			p.Take(section, &ShardPartials{Sessions: 5, Since: since, Drops: make([][]DoseDayPartial, 4), Experience: &ExperiencePartial{}})
+			if _, err := p.Patch(held); err != nil {
+				t.Errorf("a %s answer with its %s section refused: %v", kind, section, err)
+			}
+		}
+	}
+
 	te := func(d timeline.Day, affected, lift int) TEDayPartial {
 		return TEDayPartial{Day: d, Affected: make([]int, affected), Lift: make([]float64, lift)}
 	}
@@ -429,5 +465,129 @@ func TestValidateRejectsMalformedPartials(t *testing.T) {
 	}
 	if err := (&ModelPartials{TE: []TEDayPartial{te(1, teSlots, teSlots), te(2, teSlots, teSlots)}}).Validate(); err != nil {
 		t.Errorf("well-formed model answer refused: %v", err)
+	}
+}
+
+// TestPartialsSectionTable: the section table is the one declaration of
+// every /v1/partials section. Every Section* constant has exactly one row;
+// every row's parameters survive PartialsQuery → parsePartials, and a row
+// that takes parameters refuses a request without them; and Take from a
+// fully populated answer copies every wire field of ShardPartials (but the
+// session count and the delta mark every answer carries) through exactly
+// one row — the corpus scalars through each post row — so a new wire field
+// no row takes fails here.
+func TestPartialsSectionTable(t *testing.T) {
+	if len(partialsSections) > 32 {
+		t.Fatalf("%d sections overflow ShardPartials.took", len(partialsSections))
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := map[string]string{} // section name → constant
+	for _, f := range pkgs["usaas"].Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			for i := 0; ok && i < min(len(spec.Names), len(spec.Values)); i++ {
+				if lit, isLit := spec.Values[i].(*ast.BasicLit); isLit && strings.HasPrefix(spec.Names[i].Name, "Section") {
+					v, _ := strconv.Unquote(lit.Value)
+					consts[v] = spec.Names[i].Name
+				}
+			}
+			return true
+		})
+	}
+	rows := map[string]int{}
+	for _, sec := range partialsSections {
+		rows[sec.name]++
+		if consts[sec.name] == "" {
+			t.Errorf("row %q has no Section* constant", sec.name)
+		}
+	}
+	for v, name := range consts {
+		if rows[v] != 1 {
+			t.Errorf("%s (%q) has %d rows, want 1", name, v, rows[v])
+		}
+	}
+
+	dose := &engViewKey{metric: telemetry.LossMean, eng: telemetry.MicOn, b: stats.NewBinner(0, 5, 6), isp: "ISP A"}
+	params := map[string]struct {
+		q    url.Values
+		want partialsRequest
+	}{
+		SectionDose:        {dose.params(), partialsRequest{dose: dose}},
+		SectionConfounders: {url.Values{"engagement": {"cam-on"}}, partialsRequest{confEng: telemetry.CamOn}},
+		SectionExperience:  {url.Values{"isp": {"ISP A"}}, partialsRequest{isp: "ISP A"}},
+	}
+	for _, sec := range partialsSections {
+		tc, ok := params[sec.name]
+		if sec.name != SectionConfounders {
+			tc.want.confEng = telemetry.Presence // the default
+		}
+		if sec.parse != nil && !ok {
+			t.Errorf("row %q parses parameters this test has no sample of", sec.name)
+		}
+		tc.want.sections = []string{sec.name}
+		req, err := parsePartials(PartialsQuery([]Section{{sec.name, tc.q}}))
+		if err != nil || !reflect.DeepEqual(req, tc.want) {
+			t.Errorf("row %q: parsed %+v, %v; want %+v", sec.name, req, err, tc.want)
+		}
+		if _, err := parsePartials(PartialsQuery([]Section{{Name: sec.name}})); (err != nil) != (sec.parse != nil) {
+			t.Errorf("row %q without parameters: %v", sec.name, err)
+		}
+	}
+
+	src := &ShardPartials{}
+	wire := reflect.ValueOf(src).Elem()
+	for i := 0; i < wire.NumField(); i++ {
+		if f := wire.Field(i); f.CanSet() {
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int:
+				f.SetInt(7)
+			case reflect.String:
+				f.SetString("x")
+			case reflect.Slice:
+				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			case reflect.Pointer:
+				f.Set(reflect.New(f.Type().Elem()))
+			default:
+				t.Fatalf("ShardPartials.%s: a %s this test cannot populate", wire.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	takenBy := map[string][]string{} // wire field → the rows whose Take copies it
+	for _, sec := range partialsSections {
+		p := &ShardPartials{}
+		p.Take(sec.name, src)
+		got := reflect.ValueOf(p).Elem()
+		for i := 0; i < got.NumField(); i++ {
+			if name := got.Type().Field(i).Name; got.Field(i).CanSet() && !got.Field(i).IsZero() && name != "Sessions" && name != "Since" {
+				takenBy[name] = append(takenBy[name], sec.name)
+			}
+		}
+	}
+	postScalars := map[string]bool{"HavePosts": true, "Posts": true, "WindowFrom": true, "WindowTo": true}
+	var postRows []string
+	for _, sec := range partialsSections {
+		if sec.post {
+			postRows = append(postRows, sec.name)
+		}
+	}
+	for i := 0; i < wire.NumField(); i++ {
+		name := wire.Type().Field(i).Name
+		if !wire.Field(i).CanSet() || name == "Sessions" || name == "Since" {
+			continue
+		}
+		switch by := takenBy[name]; {
+		case postScalars[name]:
+			if !reflect.DeepEqual(by, postRows) {
+				t.Errorf("ShardPartials.%s is taken by %v, want the post rows %v", name, by, postRows)
+			}
+		case len(by) != 1:
+			t.Errorf("ShardPartials.%s is taken by %v, want exactly one row", name, by)
+		}
 	}
 }

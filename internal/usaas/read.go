@@ -104,11 +104,16 @@ func (g *Gathered) model(req ModelPartialsRequest) ([]ModelPartials, error) {
 // tePartials is the traffic-engineering model phase.
 func (g *Gathered) tePartials(m stats.LinearModel) ([][]TEDayPartial, error) {
 	mps, err := g.model(ModelPartialsRequest{Model: m, Sections: []string{ModelSectionTE}})
-	parts := make([][]TEDayPartial, len(mps))
-	for i, mp := range mps {
-		parts[i] = mp.TE
+	return each(mps, func(mp ModelPartials) []TEDayPartial { return mp.TE }), err
+}
+
+// each lists of(part) for every part, in order.
+func each[P, T any](parts []P, of func(P) T) []T {
+	out := make([]T, len(parts))
+	for i, p := range parts {
+		out[i] = of(p)
 	}
-	return parts, err
+	return out
 }
 
 // PartialsSource is where the read plans get their partial state.
@@ -269,11 +274,7 @@ func (rd *ReadPath) engagement(w http.ResponseWriter, r *http.Request) *plan {
 		return nil
 	}
 	return &plan{sections: []Section{{SectionDose, key.params()}}, render: func(w http.ResponseWriter, g *Gathered) {
-		parts := make([][]DoseDayPartial, 0, len(g.Bundles))
-		for _, b := range g.Bundles {
-			parts = append(parts, b.Dose)
-		}
-		series, err := MergeDosePartials(key.b, parts)
+		series, err := MergeDosePartials(key.b, each(g.Bundles, func(b *ShardPartials) []DoseDayPartial { return b.Dose }))
 		if err != nil {
 			WriteError(w, http.StatusBadGateway, "%v", err)
 			return
@@ -356,12 +357,11 @@ func (rd *ReadPath) experience(w http.ResponseWriter, r *http.Request) *plan {
 	}
 	sections := []Section{{Name: SectionSessions}, {SectionExperience, url.Values{"isp": {isp}}}}
 	return &plan{sections: sections, render: func(w http.ResponseWriter, g *Gathered) {
-		parts := make([]*ExperiencePartial, 0, len(g.Bundles))
+		parts := each(g.Bundles, func(b *ShardPartials) *ExperiencePartial { return b.Experience })
 		sessions := 0
-		for _, b := range g.Bundles {
-			parts = append(parts, b.Experience)
-			if b.Experience != nil {
-				sessions += b.Experience.Sessions
+		for _, p := range parts {
+			if p != nil {
+				sessions += p.Sessions
 			}
 		}
 		if sessions == 0 {
@@ -395,11 +395,7 @@ func (rd *ReadPath) confounders(w http.ResponseWriter, r *http.Request) *plan {
 	}
 	sections := []Section{{SectionConfounders, url.Values{"engagement": {eng.String()}}}}
 	return &plan{sections: sections, render: func(w http.ResponseWriter, g *Gathered) {
-		parts := make([][]ConfounderDayPartial, 0, len(g.Bundles))
-		for _, b := range g.Bundles {
-			parts = append(parts, b.Confounders)
-		}
-		effects, err := MergeConfounders(parts)
+		effects, err := MergeConfounders(each(g.Bundles, func(b *ShardPartials) []ConfounderDayPartial { return b.Confounders }))
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
@@ -505,11 +501,7 @@ func (rd *ReadPath) incidents(w http.ResponseWriter, r *http.Request) *plan {
 		return nil
 	}
 	return &plan{sections: []Section{{Name: SectionDaily}}, render: func(w http.ResponseWriter, g *Gathered) {
-		parts := make([][]DayEngagement, 0, len(g.Bundles))
-		for _, b := range g.Bundles {
-			parts = append(parts, b.Daily)
-		}
-		days := MergeDaily(parts)
+		days := MergeDaily(each(g.Bundles, func(b *ShardPartials) []DayEngagement { return b.Daily }))
 		if len(days) == 0 {
 			WriteError(w, http.StatusNotFound, "no sessions ingested")
 			return
@@ -573,27 +565,17 @@ func socialPartsOf(bundles []*ShardPartials) (p *socialParts, ok bool) {
 }
 
 func (p *socialParts) sentiment() []DaySentiment {
-	parts := make([][]DaySentiment, len(p.rows))
-	for i, r := range p.rows {
-		parts[i] = r.Sentiment
-	}
-	return MergeSentiment(p.window, parts)
+	rows := each(p.rows, func(r *SocialRows) []DaySentiment { return r.Sentiment })
+	return MergeByDay(p.window, rows, func(d *DaySentiment) *timeline.Day { return &d.Day })
 }
 
 func (p *socialParts) keywords() []DayKeywords {
-	parts := make([][]DayKeywords, len(p.rows))
-	for i, r := range p.rows {
-		parts[i] = r.Keywords
-	}
-	return MergeKeywords(p.window, parts)
+	rows := each(p.rows, func(r *SocialRows) []DayKeywords { return r.Keywords })
+	return MergeByDay(p.window, rows, func(d *DayKeywords) *timeline.Day { return &d.Day })
 }
 
 func (p *socialParts) clouds() map[timeline.Day][]nlp.WordCount {
-	parts := make([][]DayCloud, len(p.rows))
-	for i, r := range p.rows {
-		parts[i] = r.Clouds
-	}
-	return MergeClouds(parts)
+	return MergeClouds(each(p.rows, func(r *SocialRows) []DayCloud { return r.Clouds }))
 }
 
 func (p *socialParts) trends(opts TrendOptions) []Trend {

@@ -332,10 +332,10 @@ func SweepCorpus(c *social.Corpus, an *nlp.Analyzer, opts SweepOptions) *Sweep {
 
 	out := &Sweep{}
 	if opts.Sentiment {
-		out.Sentiment = MergeSentiment(c.Window, [][]DaySentiment{sentimentRows(days)})
+		out.Sentiment = MergeByDay(c.Window, [][]DaySentiment{sentimentRows(days)}, func(d *DaySentiment) *timeline.Day { return &d.Day })
 	}
 	if opts.Dict != nil {
-		out.Keywords = MergeKeywords(c.Window, [][]DayKeywords{keywordRows(days, opts.Gate)})
+		out.Keywords = MergeByDay(c.Window, [][]DayKeywords{keywordRows(days, opts.Gate)}, func(d *DayKeywords) *timeline.Day { return &d.Day })
 	}
 	if opts.Trends != nil {
 		terms := patchTerms(nil, nil, spellDays(e.in, days))
