@@ -51,21 +51,22 @@ func DetectPeaks(xs []float64, opts PeakOptions) []Peak {
 		return nil
 	}
 	var raw []Peak
-	// Each trailing window is sorted once: its median is read off the sorted
-	// copy, and the MAD selected from the deviations around it.
-	sorted := make([]float64, 0, opts.Window)
+	// The trailing window xs[i-Window:i] is kept sorted as it slides: each
+	// step inserts the point that entered and removes the one that left,
+	// in sort.Float64s' order. Its median is read off directly, and the MAD
+	// selected from the deviations around it.
+	sorted := make([]float64, 0, opts.Window+1)
 	dev := make([]float64, 0, opts.Window)
 	for i := range xs {
-		lo := i - opts.Window
-		if lo < 0 {
-			lo = 0
+		if i > 0 {
+			sorted = insertSorted(sorted, xs[i-1])
 		}
-		base := xs[lo:i]
-		if len(base) < 3 {
+		if i > opts.Window {
+			sorted = removeSorted(sorted, xs[i-opts.Window-1])
+		}
+		if len(sorted) < 3 {
 			continue
 		}
-		sorted = append(sorted[:0], base...)
-		sort.Float64s(sorted)
 		med := quantileSorted(sorted, 0.5)
 		dev = dev[:0]
 		for _, x := range sorted {
@@ -101,6 +102,31 @@ func DetectPeaks(xs []float64, opts PeakOptions) []Peak {
 		}
 	}
 	return kept
+}
+
+// insertSorted inserts x into sorted (in floatLess order) after every
+// element equal to it.
+func insertSorted(sorted []float64, x float64) []float64 {
+	j := sort.Search(len(sorted), func(k int) bool { return floatLess(x, sorted[k]) })
+	sorted = append(sorted, 0)
+	copy(sorted[j+1:], sorted[j:])
+	sorted[j] = x
+	return sorted
+}
+
+// removeSorted removes one element with x's exact bits from sorted, which
+// holds one: among the elements floatLess cannot tell from x (±0, NaN
+// payloads) it picks the bit-identical one, so the window keeps the exact
+// multiset of the points it covers.
+func removeSorted(sorted []float64, x float64) []float64 {
+	j := sort.Search(len(sorted), func(k int) bool { return !floatLess(sorted[k], x) })
+	for k := j; k < len(sorted) && !floatLess(x, sorted[k]); k++ {
+		if math.Float64bits(sorted[k]) == math.Float64bits(x) {
+			j = k
+			break
+		}
+	}
+	return append(sorted[:j], sorted[j+1:]...)
 }
 
 // TopPeaks returns the k highest-scoring peaks (fewer if the series has

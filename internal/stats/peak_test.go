@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"usersignals/internal/simrand"
@@ -83,6 +84,97 @@ func TestDetectPeaksSeparation(t *testing.T) {
 	}
 	if count != 1 {
 		t.Fatalf("adjacent peaks not merged: %+v", peaks)
+	}
+}
+
+// detectPeaksSorted is DetectPeaks as it was before the window slid: each
+// trailing window copied and sorted afresh. It is the reference the sliding
+// window must reproduce.
+func detectPeaksSorted(xs []float64, opts PeakOptions) []Peak {
+	opts = opts.withDefaults()
+	if len(xs) == 0 {
+		return nil
+	}
+	var raw []Peak
+	sorted := make([]float64, 0, opts.Window)
+	dev := make([]float64, 0, opts.Window)
+	for i := range xs {
+		base := xs[max(0, i-opts.Window):i]
+		if len(base) < 3 {
+			continue
+		}
+		sorted = append(sorted[:0], base...)
+		sort.Float64s(sorted)
+		med := quantileSorted(sorted, 0.5)
+		dev = dev[:0]
+		for _, x := range sorted {
+			dev = append(dev, math.Abs(x-med))
+		}
+		mad := quantileSelect(dev, 0.5)
+		scale := 1.4826 * mad
+		if scale < 1e-9 {
+			if xs[i] > med && xs[i] >= opts.MinValue && xs[i]-med >= 1 {
+				raw = append(raw, Peak{Index: i, Value: xs[i], Score: xs[i] - med})
+			}
+			continue
+		}
+		score := (xs[i] - med) / scale
+		if score >= opts.MinScore && xs[i] >= opts.MinValue {
+			raw = append(raw, Peak{Index: i, Value: xs[i], Score: score})
+		}
+	}
+	sort.Slice(raw, func(a, b int) bool { return raw[a].Score > raw[b].Score })
+	var kept []Peak
+	for _, p := range raw {
+		suppressed := false
+		for _, k := range kept {
+			if abs(p.Index-k.Index) < opts.Separation {
+				suppressed = true
+				break
+			}
+		}
+		if !suppressed {
+			kept = append(kept, p)
+		}
+	}
+	return kept
+}
+
+// TestDetectPeaksSlidingMatchesSorted: the sliding window finds the same
+// peaks as sorting every window afresh — indexes, values and scores bit for
+// bit — over random series salted with NaN, ±0, ±Inf and runs of
+// duplicates, at every window size the detector's callers could pick.
+func TestDetectPeaksSlidingMatchesSorted(t *testing.T) {
+	r := simrand.New(43, 43)
+	specials := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000123), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, 2, 40}
+	series := 3000
+	if testing.Short() {
+		series = 300
+	}
+	for n := 0; n < series; n++ {
+		xs := make([]float64, r.Intn(701))
+		salt := r.Float64() * 0.3
+		for i := range xs {
+			switch u := r.Float64(); {
+			case u < salt:
+				xs[i] = specials[r.Intn(len(specials))]
+			case u < 2*salt && i > 0:
+				xs[i] = xs[i-1-r.Intn(min(i, 5))]
+			default:
+				xs[i] = math.Round(r.Normal(10, 3)*4) / 4
+			}
+		}
+		opts := PeakOptions{Window: 1 + r.Intn(40), MinScore: []float64{0, 1, 4}[r.Intn(3)], MinValue: []float64{0, 5, 20}[r.Intn(3)], Separation: r.Intn(6)}
+		got, want := DetectPeaks(xs, opts), detectPeaksSorted(xs, opts)
+		if len(got) != len(want) {
+			t.Fatalf("series %d (len %d, %+v): %d peaks, want %d", n, len(xs), opts, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Index != w.Index || math.Float64bits(g.Value) != math.Float64bits(w.Value) || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("series %d (len %d, %+v): peak %d = %+v, want %+v", n, len(xs), opts, i, g, w)
+			}
+		}
 	}
 }
 

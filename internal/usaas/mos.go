@@ -4,7 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
@@ -365,4 +369,98 @@ func evaluateMOSPredictorRated(rated []telemetry.SessionRecord, totalSessions in
 	}
 	eval.PredictorCoverage = 1 // engagement exists for every session
 	return eval, nil
+}
+
+// ratedFits is a read path's memo of the latest rated subsequence's products
+// (ratings are sparse, so most reads reuse them). The key is the exact input:
+// as many parts, each the held one by identity (a node's rated view is
+// rebuilt copy-on-write only when a rating arrives) or else record by record
+// (a coordinator decodes its parts afresh). The session total is not keyed:
+// what divides by it does so after the lookup. A nil memo holds nothing.
+type ratedFits struct {
+	mu          sync.Mutex
+	parts       [][]telemetry.SessionRecord
+	set         *ratedSet
+	ridge, tree atomic.Uint64 // whole-set ridge fits and evaluations (CART fits): tests count work with them
+}
+
+// of returns the set bundles' rated parts merge into, and their total.
+func (m *ratedFits) of(bundles []*ShardPartials) (*ratedSet, int) {
+	parts := make([][]telemetry.SessionRecord, 0, len(bundles))
+	total := 0
+	for _, b := range bundles {
+		if b != nil {
+			total += b.Sessions
+			parts = append(parts, b.Rated)
+		}
+	}
+	if m == nil {
+		return newRatedSet(MergeRated(parts), new(ratedFits)), total
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.set == nil || !slices.EqualFunc(m.parts, parts, sameRated) {
+		m.set = newRatedSet(MergeRated(parts), m)
+	}
+	m.parts = parts // equal if held: the next lookup can decide by identity
+	return m.set, total
+}
+
+func sameRated(a, b []telemetry.SessionRecord) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.EqualFunc(a, b, sameRecord))
+}
+
+// sameRecord compares every field: floats by their bits, Start by Equal.
+func sameRecord(a, b telemetry.SessionRecord) bool {
+	x, y := a, b
+	x.Start, y.Start = time.Time{}, time.Time{}
+	return x == y && a.Start.Equal(b.Start) && floatBits(&a) == floatBits(&b)
+}
+
+func floatBits(r *telemetry.SessionRecord) (bits [16]uint64) {
+	n := &r.Net
+	for i, x := range [...]float64{r.DurationSec, r.PresencePct, r.CamOnPct, r.MicOnPct, n.LatencyMean, n.LatencyMedian,
+		n.LatencyP95, n.LossMean, n.LossMedian, n.LossP95, n.JitterMean, n.JitterMedian, n.JitterP95, n.BWMean, n.BWMedian, n.BWP95} {
+		bits[i] = math.Float64bits(x)
+	}
+	return bits
+}
+
+// ratedSet is a day-major rated subsequence and its products, each derived
+// once on first use (a concurrent asker waits); what they return is shared.
+type ratedSet struct {
+	rated     []telemetry.SessionRecord
+	predictor func() (*MOSPredictor, error) // ridge (λ = 1) on the whole set: the model TE and experience ship
+	evaluated func() (PredictorEval, error) // 70/30, λ = 1; SurveyCoverage 0: the total decides it
+	mu        sync.Mutex                    // guards the correlations, held for one bins value
+	corrBins  int
+	corr      func() ([]MOSCorrelation, error)
+}
+
+// newRatedSet is the set of rated, its fits counted by fits.
+func newRatedSet(rated []telemetry.SessionRecord, fits *ratedFits) *ratedSet {
+	return &ratedSet{
+		rated:     rated,
+		predictor: sync.OnceValues(func() (*MOSPredictor, error) { fits.ridge.Add(1); return TrainMOSPredictor(rated, 1.0) }),
+		evaluated: sync.OnceValues(func() (PredictorEval, error) { fits.tree.Add(1); return evaluateMOSPredictorRated(rated, 0, 0.7, 1.0) }),
+	}
+}
+
+// evaluation is the predictor evaluation covering total sessions.
+func (s *ratedSet) evaluation(total int) (PredictorEval, error) {
+	eval, err := s.evaluated()
+	if err == nil && total > 0 {
+		eval.SurveyCoverage = float64(len(s.rated)) / float64(total)
+	}
+	return eval, err
+}
+
+func (s *ratedSet) correlations(bins int) ([]MOSCorrelation, error) {
+	s.mu.Lock()
+	if s.corr == nil || s.corrBins != bins {
+		s.corrBins, s.corr = bins, sync.OnceValues(func() ([]MOSCorrelation, error) { return mosCorrelations(s.rated, bins) })
+	}
+	corr := s.corr
+	s.mu.Unlock()
+	return corr()
 }

@@ -8,6 +8,7 @@ import (
 	"usersignals/internal/nlp"
 	"usersignals/internal/social"
 	"usersignals/internal/stats"
+	"usersignals/internal/telemetry"
 	"usersignals/internal/timeline"
 )
 
@@ -16,7 +17,8 @@ import (
 // string-based nlp primitives, exactly as the production code did before the
 // fused sweep (sweep.go). They exist so the golden tests (sweep_test.go) can
 // assert the fused pipeline is byte-identical to them, and so the benchmarks
-// (sweep_bench_test.go) can measure the before/after gap.
+// (sweep_bench_test.go) can measure the before/after gap. The last function
+// is the per-row predicted-MOS walk the model fold (planning.go) replaced.
 
 func dailySentimentNaive(c *social.Corpus, an *nlp.Analyzer) []DaySentiment {
 	out := make([]DaySentiment, 0, c.Window.Len())
@@ -164,6 +166,36 @@ func outageGeographyNaive(c *social.Corpus, an *nlp.Analyzer, dict *nlp.Dictiona
 			continue
 		}
 		out[p.Country]++
+	}
+	return out
+}
+
+// predictedDayPartials folds per-day Welford accumulators of the shipped
+// model's predictions over the ISP's sessions (every session for ""), in
+// arrival order within a day, sorted ascending: the row walk the model fold's
+// experience answer replaced, kept as its oracle.
+func predictedDayPartials(p *MOSPredictor, rows Rows, isp string) []DayOnlinePartial {
+	days := map[timeline.Day]*stats.Online{}
+	rows.Each(0, rows.Len(), func(r *telemetry.SessionRecord) {
+		if isp != "" && r.ISP != isp {
+			return
+		}
+		d := timeline.DayOf(r.Start)
+		acc := days[d]
+		if acc == nil {
+			acc = &stats.Online{}
+			days[d] = acc
+		}
+		acc.Add(p.Predict(r))
+	})
+	keys := make([]timeline.Day, 0, len(days))
+	for d := range days {
+		keys = append(keys, d)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	out := make([]DayOnlinePartial, 0, len(keys))
+	for _, d := range keys {
+		out = append(out, DayOnlinePartial{Day: d, Acc: days[d].State()})
 	}
 	return out
 }

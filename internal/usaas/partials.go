@@ -741,35 +741,6 @@ func (s *Store) experiencePartial(isp string, after uint64) *ExperiencePartial {
 	return p
 }
 
-// predictedDayPartials folds per-day Welford accumulators of the shipped
-// model's predictions over the ISP's sessions (arrival order within a day),
-// sorted ascending.
-func predictedDayPartials(p *MOSPredictor, rows Rows, isp string) []DayOnlinePartial {
-	days := map[timeline.Day]*stats.Online{}
-	rows.Each(0, rows.Len(), func(r *telemetry.SessionRecord) {
-		if isp != "" && r.ISP != isp {
-			return
-		}
-		d := timeline.DayOf(r.Start)
-		acc := days[d]
-		if acc == nil {
-			acc = &stats.Online{}
-			days[d] = acc
-		}
-		acc.Add(p.Predict(r))
-	})
-	keys := make([]timeline.Day, 0, len(days))
-	for d := range days {
-		keys = append(keys, d)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]DayOnlinePartial, 0, len(keys))
-	for _, d := range keys {
-		out = append(out, DayOnlinePartial{Day: d, Acc: days[d].State()})
-	}
-	return out
-}
-
 // partialsRequest is a parsed /v1/partials query: the sections and the
 // parameters they take.
 type partialsRequest struct {
@@ -810,6 +781,8 @@ func parsePartials(q url.Values) (partialsRequest, error) {
 	return req, req.check(q)
 }
 
+const maxBins = 1000 // caps every bins parameter: each bin costs accumulators and series
+
 // parseDose reads one dose-response parameterization: metric, engagement,
 // binning (lo, hi, bins; 0, 300 and 10 when absent) and an optional isp.
 func parseDose(q url.Values) (*engViewKey, error) {
@@ -826,7 +799,7 @@ func parseDose(q url.Values) (*engViewKey, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	if hi <= lo || bins < 1 || bins > 1000 {
+	if hi <= lo || bins < 1 || bins > maxBins {
 		return nil, fmt.Errorf("invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
 	}
 	return &engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}, nil
@@ -946,9 +919,9 @@ func checkShippedModel(m *stats.LinearModel) error {
 }
 
 // CollectModelPartials builds the POST /v1/partials/model response: per-day
-// partials computed under the shipped model. The traffic-engineering section
-// comes from the store's TE fold, so a model shipped again folds only the
-// rows that arrived since it was last asked for.
+// partials computed under the shipped model. Both sections come from the
+// store's model fold, so a model shipped again folds only the rows that
+// arrived since it was last asked for.
 func (s *Server) CollectModelPartials(req ModelPartialsRequest) (*ModelPartials, error) {
 	return s.store.modelPartials(req)
 }
@@ -966,7 +939,7 @@ func (s *Store) modelPartials(req ModelPartialsRequest) (*ModelPartials, error) 
 		case ModelSectionTE:
 			out.TE, _ = s.te.partials(p, rows)
 		case ModelSectionExperience:
-			out.Predicted = predictedDayPartials(p, rows, req.ISP)
+			out.Predicted, _ = s.te.predicted(p, rows, req.ISP)
 		default:
 			return nil, fmt.Errorf("unknown model-partials section %q", section)
 		}
@@ -1264,20 +1237,6 @@ func MergeExperience(isp string, parts []*ExperiencePartial, predicted [][]DayOn
 	}
 	resp.OutageMentions = outage
 	return resp
-}
-
-// MOSFromRated computes the /v1/insights/mos answer from a day-major rated
-// subsequence and the total session count.
-func MOSFromRated(rated []telemetry.SessionRecord, total, bins int) (MOSResponse, error) {
-	correlations, err := mosCorrelations(rated, bins)
-	if err != nil {
-		return MOSResponse{}, err
-	}
-	resp := MOSResponse{Correlations: correlations}
-	if eval, err := evaluateMOSPredictorRated(rated, total, 0.7, 1.0); err == nil {
-		resp.Predictor = &eval
-	}
-	return resp, nil
 }
 
 // mosCorrelations is the wire form of the Fig. 4 correlations over a

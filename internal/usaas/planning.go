@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,15 +89,17 @@ type TEDayPartial struct {
 	Lift     []float64    `json:"lift"`
 }
 
-// teDay is one calendar day's traffic-engineering accumulation (the live
-// form of a TEDayPartial).
+// teDay is one calendar day's accumulation (the live form of a TEDayPartial,
+// and of the DayOnlinePartials of all rows and of each ISP's).
 type teDay struct {
 	sessions int
 	affected [teSlots]int
 	lift     [teSlots]float64
+	pred     stats.Online
+	isp      map[string]*stats.Online
 }
 
-// teFold is the traffic-engineering fold under one model: per-day
+// teFold is the model fold (TE and predicted MOS) under one model: per-day
 // accumulators over rows [0, folded), each day fed in arrival order. Rows
 // are append-only, so folding rows [folded, n) into their days continues
 // exactly the from-scratch fold (the doseView catch-up idiom) and a fold
@@ -104,15 +107,17 @@ type teDay struct {
 // exact bits of its coefficients; a different model resets the fold.
 //
 // The store keeps one (Store.te), shared by the model phase of every read
-// that needs one — /v1/report, the advice endpoint, /v1/partials/model — so
-// between rated arrivals (the only batches that retrain the model) each
-// read folds only the rows that arrived since the last one. The first asker
-// folds while holding mu; a concurrent asker waits instead of folding again.
+// that needs one — /v1/report, the advice and experience endpoints,
+// /v1/partials/model — so between rated arrivals (the only batches that
+// retrain the model) each read folds only the rows that arrived since the
+// last one. The first asker folds while holding mu; a concurrent asker waits
+// instead of folding again.
 type teFold struct {
 	mu      sync.Mutex
 	key     []uint64 // Float64bits of the model's Intercept, then Coef; nil before the first fold
 	days    map[timeline.Day]*teDay
-	lastDay timeline.Day // ingest is roughly chronological: most rows skip the map
+	order   []timeline.Day // the keys of days, ascending
+	lastDay timeline.Day   // ingest is roughly chronological: most rows skip the map
 	last    *teDay
 	folded  int // absolute row index the fold has reached
 	visited int // rows folded over the fold's life, resets included: tests count work with it
@@ -138,27 +143,36 @@ func (f *teFold) reset(m *stats.LinearModel) {
 	for _, c := range m.Coef {
 		f.key = append(f.key, math.Float64bits(c))
 	}
-	f.days = map[timeline.Day]*teDay{}
+	f.days, f.order = map[timeline.Day]*teDay{}, nil
 	f.last, f.folded = nil, 0
 }
 
-// foldOne absorbs the next row: per qualifying intervention, one affected
-// session and its predicted-MOS lift. Only the network aggregates are
-// copied, and the unmodified prediction is made once per row.
+// foldOne absorbs the next row: its predicted MOS, and per qualifying
+// intervention one affected session and its predicted-MOS lift. Only the
+// network aggregates are copied, and the unmodified prediction is made once.
 func (f *teFold) foldOne(p *MOSPredictor, ivs *[teSlots]teIntervention, rec *telemetry.SessionRecord) {
 	f.folded++
 	f.visited++
 	if d := timeline.DayOf(rec.Start); f.last == nil || d != f.lastDay {
 		dt := f.days[d]
 		if dt == nil {
-			dt = &teDay{}
+			dt = &teDay{isp: map[string]*stats.Online{}}
 			f.days[d] = dt
+			i, _ := slices.BinarySearch(f.order, d)
+			f.order = slices.Insert(f.order, i, d)
 		}
 		f.lastDay, f.last = d, dt
 	}
 	dt := f.last
 	dt.sessions++
 	before := p.Predict(rec)
+	dt.pred.Add(before)
+	acc := dt.isp[rec.ISP]
+	if acc == nil {
+		acc = new(stats.Online)
+		dt.isp[rec.ISP] = acc
+	}
+	acc.Add(before)
 	for k := range ivs {
 		if !ivs[k].qualifies(&rec.Net) {
 			continue
@@ -169,15 +183,10 @@ func (f *teFold) foldOne(p *MOSPredictor, ivs *[teSlots]teIntervention, rec *tel
 	}
 }
 
-// partials catches the fold up to rows under p's model — from row 0 when
-// the model differs from the one the fold holds — and returns a copy of its
-// day partials sorted ascending by day, with the number of rows they cover.
-// That count can exceed rows.Len(): a concurrent caller holding a newer
-// snapshot may have folded further first, and the answer covers those rows
-// too. The copy is the caller's to sort or encode while the fold moves on.
-func (f *teFold) partials(p *MOSPredictor, rows Rows) ([]TEDayPartial, int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// catchUp folds up to rows under p's model — from row 0 when the model
+// differs from the fold's — and returns the days ascending, which the caller
+// reads while holding mu.
+func (f *teFold) catchUp(p *MOSPredictor, rows Rows) []timeline.Day {
 	if !f.keyedBy(p.model) {
 		f.reset(p.model)
 	}
@@ -185,11 +194,18 @@ func (f *teFold) partials(p *MOSPredictor, rows Rows) ([]TEDayPartial, int) {
 	for f.folded < rows.Len() {
 		f.foldOne(p, &ivs, rows.At(f.folded))
 	}
-	keys := make([]timeline.Day, 0, len(f.days))
-	for d := range f.days {
-		keys = append(keys, d)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return f.order
+}
+
+// partials catches the fold up to rows under p's model and returns a copy of
+// its TE day partials sorted ascending by day, with the number of rows they
+// cover. That count can exceed rows.Len(): a concurrent caller holding a
+// newer snapshot may have folded further first, and the answer covers those
+// rows too. The copy is the caller's to sort or encode while the fold moves on.
+func (f *teFold) partials(p *MOSPredictor, rows Rows) ([]TEDayPartial, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := f.catchUp(p, rows)
 	out := make([]TEDayPartial, len(keys))
 	affected := make([]int, len(keys)*teSlots)
 	lift := make([]float64, len(keys)*teSlots)
@@ -199,6 +215,25 @@ func (f *teFold) partials(p *MOSPredictor, rows Rows) ([]TEDayPartial, int) {
 		copy(affected[lo:hi], dt.affected[:])
 		copy(lift[lo:hi], dt.lift[:])
 		out[i] = TEDayPartial{Day: d, Sessions: dt.sessions, Affected: affected[lo:hi:hi], Lift: lift[lo:hi:hi]}
+	}
+	return out, f.folded
+}
+
+// predicted is partials for the predicted-MOS accumulators of isp's rows (of
+// every row for ""), over the days that hold some.
+func (f *teFold) predicted(p *MOSPredictor, rows Rows, isp string) ([]DayOnlinePartial, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	keys := f.catchUp(p, rows)
+	out := make([]DayOnlinePartial, 0, len(keys))
+	for _, d := range keys {
+		acc := f.days[d].isp[isp]
+		if isp == "" {
+			acc = &f.days[d].pred
+		}
+		if acc != nil {
+			out = append(out, DayOnlinePartial{Day: d, Acc: acc.State()})
+		}
 	}
 	return out, f.folded
 }
@@ -241,20 +276,20 @@ func assembleTE(total int, parts []TEDayPartial) []TERecommendation {
 func AdviseTrafficEngineering(records []telemetry.SessionRecord) ([]TERecommendation, error) {
 	var rs rowStore
 	rs.append(records)
-	return adviseTE(ratedOnly(records), len(records), func(m stats.LinearModel) ([][]TEDayPartial, error) {
+	return adviseTE(newRatedSet(ratedOnly(records), new(ratedFits)), len(records), func(m stats.LinearModel) ([][]TEDayPartial, error) {
 		parts, _ := new(teFold).partials(NewMOSPredictorFromModel(&m), rs.snapshot())
 		return [][]TEDayPartial{parts}, nil
 	})
 }
 
 // adviseTE ranks the interventions over total sessions whose day-major rated
-// subsequence is rated: it trains the model on rated, runs the model phase
+// subsequence is rated: it takes the set's predictor, runs the model phase
 // under it and folds the per-day partials the parts return.
-func adviseTE(rated []telemetry.SessionRecord, total int, phase func(stats.LinearModel) ([][]TEDayPartial, error)) ([]TERecommendation, error) {
+func adviseTE(rated *ratedSet, total int, phase func(stats.LinearModel) ([][]TEDayPartial, error)) ([]TERecommendation, error) {
 	if total == 0 {
 		return nil, errors.New("usaas: no sessions to advise on")
 	}
-	p, err := TrainMOSPredictor(rated, 1.0)
+	p, err := rated.predictor()
 	if err != nil {
 		return nil, fmt.Errorf("usaas: traffic-engineering advisor: %w", err)
 	}
@@ -328,8 +363,8 @@ func AdviseDeployment(model *leo.Model, from, horizon timeline.Day, maxExtra, sa
 		// at the horizon.
 		expectation := scenario.MedianDownMbps(from)
 		var speed float64
-		for d := from; d <= horizon; d++ {
-			speed = scenario.MedianDownMbps(d)
+		for i := 0; i <= span; i++ { // counted, so a horizon at the end of the int range still ends
+			speed = scenario.MedianDownMbps(from + timeline.Day(i))
 			expectation = planEWMAAlpha*speed + (1-planEWMAAlpha)*expectation
 		}
 		tilt := planLevelWeight*(speed/planAnchorMbps-1) + planCondGain*(speed/math.Max(1, expectation)-1)

@@ -113,6 +113,27 @@ func teDiff(got, want []TEDayPartial) string {
 	return ""
 }
 
+// predictedDiff describes the first difference between two predicted-MOS
+// day-partial lists — days and accumulator states bit for bit — or returns "".
+func predictedDiff(got, want []DayOnlinePartial) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d predicted days, want %d", len(got), len(want))
+	}
+	bits := func(a stats.OnlineState) [5]uint64 {
+		return [5]uint64{math.Float64bits(a.Mean), math.Float64bits(a.M2), math.Float64bits(a.Min), math.Float64bits(a.Max), math.Float64bits(a.Sum)}
+	}
+	for i := range want {
+		if g, w := got[i], want[i]; g.Day != w.Day || g.Acc.N != w.Acc.N || bits(g.Acc) != bits(w.Acc) {
+			return fmt.Sprintf("predicted day %d = %+v, want %+v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// foldISPs are the experience query's ISPs the fold tests ask for: one with
+// rows, every row, and one with none.
+var foldISPs = []string{"starlink", "", "no-such-isp"}
+
 // TestModelFoldIncrementalEqualsFull: every answer of the store's TE fold —
 // caught up over ragged batches, reset by ratings that retrain the store's
 // own model and by two models shipped alternately to one shard, and rebuilt
@@ -147,12 +168,38 @@ func TestModelFoldIncrementalEqualsFull(t *testing.T) {
 		}
 		return mp.TE
 	}
+	shipExperience := func(srv *Server, p *MOSPredictor, isp string) []DayOnlinePartial {
+		t.Helper()
+		mp, err := srv.CollectModelPartials(ModelPartialsRequest{Model: *p.Model(), ISP: isp, Sections: []string{ModelSectionExperience}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mp.Predicted
+	}
 	check := func(step string, srv *Server) {
 		t.Helper()
 		rows := srv.store.Rows()
 		for i, p := range []*MOSPredictor{shippedA, shippedB, shippedA} {
 			if diff := teDiff(ship(srv, p), teDayPartials(p, rows)); diff != "" {
 				t.Fatalf("%s, shipped model %d: %s", step, i, diff)
+			}
+		}
+		// The experience section comes from the same fold: after the TE
+		// answer under a model, it folds nothing and equals the row walk.
+		for i, p := range []*MOSPredictor{shippedA, shippedB, shippedA} {
+			ship(srv, p)
+			before := srv.store.te.visited
+			for _, isp := range foldISPs {
+				want := predictedDayPartials(p, rows, isp)
+				if diff := predictedDiff(shipExperience(srv, p, isp), want); diff != "" {
+					t.Fatalf("%s, shipped model %d, isp %q: %s", step, i, isp, diff)
+				}
+				if isp == "" && len(want) == 0 || isp == "no-such-isp" && len(want) != 0 {
+					t.Fatalf("%s: %d predicted days for isp %q", step, len(want), isp)
+				}
+			}
+			if folded := srv.store.te.visited - before; folded != 0 {
+				t.Fatalf("%s, shipped model %d: experience reads folded %d rows after the TE answer, want 0", step, i, folded)
 			}
 		}
 		if got, want := servedAdvice(srv.Handler()), adviceAnswer(AdviseTrafficEngineering(rows.AppendTo(nil))); got != want {
@@ -196,6 +243,15 @@ func TestModelFoldIncrementalEqualsFull(t *testing.T) {
 	for i, b := range batches[recoverAt:] {
 		applyBatch(t, d2.Store, b)
 		before := d2.Store.te.visited
+		// An experience read first folds exactly the batch; the TE answer
+		// after it folds nothing more.
+		pred := shipExperience(srv2, shippedA, "starlink")
+		if folded := d2.Store.te.visited - before; folded != len(b.sessions) {
+			t.Errorf("tail batch %d: experience read folded %d rows, want the batch's %d", i, folded, len(b.sessions))
+		}
+		if diff := predictedDiff(pred, predictedDayPartials(shippedA, d2.Store.Rows(), "starlink")); diff != "" || len(pred) == 0 {
+			t.Fatalf("tail batch %d: %d predicted days: %s", i, len(pred), diff)
+		}
 		got := ship(srv2, shippedA)
 		if folded := d2.Store.te.visited - before; folded != len(b.sessions) {
 			t.Errorf("tail batch %d: shipped model folded %d rows, want the batch's %d", i, folded, len(b.sessions))
@@ -249,6 +305,18 @@ func TestTEFoldReadsDuringIngest(t *testing.T) {
 					parts[i].Affected[0], parts[i].Lift[0] = -1, math.NaN()
 				}
 				sort.Slice(parts, func(i, j int) bool { return parts[i].Day > parts[j].Day })
+				for _, isp := range foldISPs {
+					pred, n := store.te.predicted(shipped, store.Rows(), isp)
+					cur := store.Rows()
+					if diff := predictedDiff(pred, predictedDayPartials(shipped, Rows{blocks: cur.blocks, n: n}, isp)); diff != "" {
+						t.Errorf("experience answer for %q over %d rows: %s", isp, n, diff)
+						return
+					}
+					for i := range pred {
+						pred[i].Acc.N, pred[i].Acc.Mean = -1, math.NaN()
+					}
+					sort.Slice(pred, func(i, j int) bool { return pred[i].Day > pred[j].Day })
+				}
 			}
 		}(r%2 == 0)
 	}
@@ -390,6 +458,10 @@ func TestAdviseDeploymentValidation(t *testing.T) {
 	}
 	if _, err := AdviseDeployment(leo.NewModel(), 10, 10, 1, 50, 0.5); err == nil {
 		t.Fatal("degenerate horizon accepted")
+	}
+	// A horizon at the end of the int range: the day loop must still end.
+	if advice, err := AdviseDeployment(leo.NewModel(), math.MaxInt-10, math.MaxInt, 1, 50, 0.5); err != nil || len(advice.Scenarios) != 2 {
+		t.Fatalf("horizon at the int range's end: %+v, %v", advice, err)
 	}
 }
 

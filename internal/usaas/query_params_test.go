@@ -2,11 +2,15 @@ package usaas
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"usersignals/internal/timeline"
 )
 
 // TestMalformedQueryParamsRejected: a malformed numeric query parameter
@@ -31,6 +35,14 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 		{"/v1/advice/deployment?horizon=soon", "horizon"},
 		{"/v1/advice/deployment?sats=1e", "sats"},
 		{"/v1/advice/deployment?max=none", "max"},
+		// In range for the parser, out of range for the endpoint: each would
+		// allocate or compute in proportion to the value.
+		{"/v1/insights/mos?bins=0", "bins"},
+		{"/v1/insights/mos?bins=-3", "bins"},
+		{"/v1/insights/mos?bins=1001", "bins"},
+		{"/v1/advice/deployment?max=65", "max"},
+		{fmt.Sprintf("/v1/advice/deployment?horizon=%d", timeline.Date(2022, time.June, 1)+maxDeploymentDays+1), "horizon"},
+		{fmt.Sprintf("/v1/advice/deployment?from=100&horizon=%d", 100+maxDeploymentDays+1), "horizon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.path, func(t *testing.T) {

@@ -73,22 +73,8 @@ type Gathered struct {
 	// false when some part answered from another state than its bundle's.
 	ModelPhase func(ModelPartialsRequest) (parts []ModelPartials, consistent bool, err error)
 
-	unstorable bool // the answer is served but not stored: a model phase failed or saw another state
-}
-
-// rated merges the day-major rated subsequence and the session count out of
-// SectionSessions bundles.
-func (g *Gathered) rated() (rated []telemetry.SessionRecord, total int) { return ratedOf(g.Bundles) }
-
-func ratedOf(bundles []*ShardPartials) (rated []telemetry.SessionRecord, total int) {
-	parts := make([][]telemetry.SessionRecord, 0, len(bundles))
-	for _, b := range bundles {
-		if b != nil {
-			total += b.Sessions
-			parts = append(parts, b.Rated)
-		}
-	}
-	return MergeRated(parts), total
+	fits       *ratedFits // the read path's memo of the rated set SectionSessions bundles hold
+	unstorable bool       // the answer is served but not stored: a model phase failed or saw another state
 }
 
 // model runs the model phase. Any part's failure fails it: a partial answer
@@ -164,12 +150,13 @@ type ReadPath struct {
 	cache  *ResultCache // nil when off
 	news   *newswire.Index
 	model  *leo.Model
+	fits   *ratedFits
 	merges atomic.Uint64
 }
 
 // NewReadPath builds the read path over src; cache may be nil.
 func NewReadPath(src PartialsSource, cache *ResultCache, news *newswire.Index, model *leo.Model) *ReadPath {
-	return &ReadPath{src: src, cache: cache, news: news, model: model}
+	return &ReadPath{src: src, cache: cache, news: news, model: model, fits: new(ratedFits)}
 }
 
 // Merges counts renders from gathered partials: an answer replayed from the
@@ -243,13 +230,15 @@ func (rd *ReadPath) serve(planOf func(*ReadPath, http.ResponseWriter, *http.Requ
 	}
 }
 
-// gather asks the source for the plan's sections; a plan that needs none
-// asks nothing.
+// gather asks the source for the plan's sections, and hands the gather the
+// read path's rated-set memo; a plan that needs none asks nothing.
 func (rd *ReadPath) gather(ctx context.Context, q *plan) *Gathered {
 	if len(q.sections) == 0 {
 		return &Gathered{}
 	}
-	return rd.src.Gather(ctx, q.sections)
+	g := rd.src.Gather(ctx, q.sections)
+	g.fits = rd.fits
+	return g
 }
 
 // run refuses or renders, and reports whether the answer may be stored.
@@ -286,15 +275,20 @@ func (rd *ReadPath) engagement(w http.ResponseWriter, r *http.Request) *plan {
 func (rd *ReadPath) mos(w http.ResponseWriter, r *http.Request) *plan {
 	f := formOf(r)
 	bins := f.int("bins", 10)
+	f.bound("bins", bins >= 1 && bins <= maxBins, "%d bins, want 1 to %d", bins, maxBins)
 	if f.reject(w) {
 		return nil
 	}
 	return &plan{sections: []Section{{Name: SectionSessions}}, render: func(w http.ResponseWriter, g *Gathered) {
-		rated, total := g.rated()
-		resp, err := MOSFromRated(rated, total, bins)
+		rated, total := g.fits.of(g.Bundles)
+		correlations, err := rated.correlations(bins)
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 			return
+		}
+		resp := MOSResponse{Correlations: correlations}
+		if eval, err := rated.evaluation(total); err == nil {
+			resp.Predictor = &eval
 		}
 		WriteJSON(w, http.StatusOK, resp)
 	}}
@@ -372,8 +366,8 @@ func (rd *ReadPath) experience(w http.ResponseWriter, r *http.Request) *plan {
 		// subsequence of the whole population (engagement generalizes across
 		// access networks), applied to the ISP's sessions on every part.
 		var predicted [][]DayOnlinePartial
-		rated, _ := g.rated()
-		if p, err := TrainMOSPredictor(rated, 1.0); err == nil {
+		rated, _ := g.fits.of(g.Bundles)
+		if p, err := rated.predictor(); err == nil {
 			mps, err := g.model(ModelPartialsRequest{Model: *p.Model(), ISP: isp, Sections: []string{ModelSectionExperience}})
 			if err != nil {
 				WriteError(w, http.StatusServiceUnavailable, "%v", err)
@@ -406,7 +400,7 @@ func (rd *ReadPath) confounders(w http.ResponseWriter, r *http.Request) *plan {
 
 func (rd *ReadPath) teAdvice(http.ResponseWriter, *http.Request) *plan {
 	return &plan{sections: []Section{{Name: SectionSessions}}, render: func(w http.ResponseWriter, g *Gathered) {
-		rated, total := g.rated()
+		rated, total := g.fits.of(g.Bundles)
 		var phaseErr error
 		advice, err := adviseTE(rated, total, func(m stats.LinearModel) ([][]TEDayPartial, error) {
 			parts, err := g.tePartials(m)
@@ -424,6 +418,9 @@ func (rd *ReadPath) teAdvice(http.ResponseWriter, *http.Request) *plan {
 	}}
 }
 
+// The deployment advice costs launches² × days, so both are capped.
+const maxDeploymentExtra, maxDeploymentDays = 64, 3660
+
 // deployment consults only the constellation model: it needs no partials.
 func (rd *ReadPath) deployment(w http.ResponseWriter, r *http.Request) *plan {
 	f := formOf(r)
@@ -432,6 +429,9 @@ func (rd *ReadPath) deployment(w http.ResponseWriter, r *http.Request) *plan {
 	maxExtra := f.int("max", 8)
 	sats := f.int("sats", 50)
 	target := f.float("target", 0)
+	f.bound("max", maxExtra <= maxDeploymentExtra, "%d extra launches, want at most %d", maxExtra, maxDeploymentExtra)
+	f.bound("horizon", horizon <= from || (horizon-from > 0 && horizon-from <= maxDeploymentDays),
+		"%d days after from, want at most %d", horizon-from, maxDeploymentDays)
 	if f.reject(w) {
 		return nil
 	}
@@ -470,7 +470,7 @@ func reportFrom(g *Gathered, news *newswire.Index, model *leo.Model) OperatorRep
 		}
 	}
 	return AssembleClusterReport(ClusterReportInput{
-		Bundles: g.Bundles, Notes: notes, News: news, Model: model, TEPartials: g.tePartials,
+		Bundles: g.Bundles, Notes: notes, News: news, Model: model, TEPartials: g.tePartials, fits: g.fits,
 	})
 }
 

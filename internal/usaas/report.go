@@ -68,6 +68,7 @@ type ClusterReportInput struct {
 	Notes map[string][]string
 	News  *newswire.Index
 	Model *leo.Model
+	fits  *ratedFits // the read path's memo of rated-set fits; nil derives each afresh
 }
 
 // AssembleClusterReport folds gathered partials into the operator report,
@@ -95,7 +96,7 @@ func AssembleClusterReport(in ClusterReportInput) OperatorReport {
 		}
 	}
 
-	rated, total := ratedOf(in.Bundles)
+	rated, total := in.fits.of(in.Bundles)
 	rep.Sessions = total
 	if total == 0 {
 		rep.Errors = append(rep.Errors, "sessions: none ingested")
@@ -123,11 +124,11 @@ func AssembleClusterReport(in ClusterReportInput) OperatorReport {
 			return nil
 		})
 		guard("mos-correlations", func() (err error) {
-			rep.MOS, err = mosCorrelations(rated, 10)
+			rep.MOS, err = rated.correlations(10)
 			return err
 		})
 		guard("mos-predictor", func() error {
-			eval, err := evaluateMOSPredictorRated(rated, total, 0.7, 1.0)
+			eval, err := rated.evaluation(total)
 			if err != nil {
 				return err
 			}

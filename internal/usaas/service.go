@@ -729,6 +729,13 @@ func (f *queryForm) float(key string, def float64) float64 {
 	return x
 }
 
+// bound fails key with why unless ok, keeping an earlier parameter's error.
+func (f *queryForm) bound(key string, ok bool, why string, args ...any) {
+	if f.err == nil && !ok {
+		f.err = fmt.Errorf("query parameter %q: "+why, append([]any{key}, args...)...)
+	}
+}
+
 // reject answers 400 with the first parse error, reporting whether the
 // handler should stop.
 func (f *queryForm) reject(w http.ResponseWriter) bool {

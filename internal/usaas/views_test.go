@@ -165,12 +165,12 @@ func TestViewsByteIdenticalToRecompute(t *testing.T) {
 				t.Error("mosReportRated over view diverges from MOSReport")
 			}
 			wantEval, err1 := EvaluateMOSPredictor(recs, 0.7, 1.0)
-			gotEval, err2 := evaluateMOSPredictorRated(rated, total, 0.7, 1.0)
+			gotEval, err2 := newRatedSet(rated, new(ratedFits)).evaluation(total)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("predictor errors diverge: %v vs %v", err1, err2)
 			}
 			if marshal(t, gotEval) != marshal(t, wantEval) {
-				t.Error("evaluateMOSPredictorRated over view diverges")
+				t.Error("the rated set's evaluation over the view diverges")
 			}
 		})
 	}
