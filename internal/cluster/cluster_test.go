@@ -648,6 +648,24 @@ func TestCoordinatorErrorPaths(t *testing.T) {
 			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q)", p, cStatus, cBody, sStatus, sBody)
 		}
 	}
+	// Dose bounds strconv parses but no binning can use: the node's 400,
+	// refused before any shard is asked, so no shard registers a view.
+	for _, probe := range cl.probes {
+		probe.reset()
+	}
+	for _, bounds := range []string{"lo=NaN", "hi=NaN", "lo=-Inf&hi=Inf", "lo=0&hi=Inf", "lo=-1e308&hi=1e308"} {
+		p := "/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&" + bounds
+		cStatus, cBody := get(t, cl.coordTS.URL, p)
+		sStatus, sBody := get(t, cl.single.URL, p)
+		if cStatus != http.StatusBadRequest || cStatus != sStatus || cBody != sBody {
+			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q), want both 400", p, cStatus, cBody, sStatus, sBody)
+		}
+	}
+	for i, probe := range cl.probes {
+		if fetched, _, _ := probe.counts(); fetched[usaas.SectionDose] != 0 {
+			t.Errorf("shard %d answered %d dose sections for refused queries", i, fetched[usaas.SectionDose])
+		}
+	}
 	// A wrong method: the same 405, message and Allow header.
 	for _, m := range [][2]string{{http.MethodPost, "/v1/report"}, {http.MethodGet, "/v1/sessions"}} {
 		cStatus, cHeader, cBody := send(t, m[0], cl.coordTS.URL+m[1], nil)

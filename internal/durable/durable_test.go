@@ -110,6 +110,49 @@ func TestWALSegmentRotation(t *testing.T) {
 	w2.Close()
 }
 
+// TestReplayRecordsMayBeRetained pins Replay's retention contract: every
+// segment is read into a buffer of its own that Replay never reuses, so a
+// record handed to fn from the first segment still holds its bytes after
+// Replay has read the segments behind it. Recovery relies on this: it
+// decodes records on other goroutines while Replay reads on.
+func TestReplayRecordsMayBeRetained(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, 0, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		mustAppend(t, w, rec(i))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 || segs[1].firstSeq == 0 {
+		t.Fatalf("want records in at least two segments, got %d", len(segs))
+	}
+	var kept []Record // as fn saw them, payloads not copied
+	if _, err := Replay(dir, 0, func(seq uint64, r Record) error {
+		kept = append(kept, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) != n {
+		t.Fatalf("replayed %d records, want %d", len(kept), n)
+	}
+	for i, r := range kept {
+		want := rec(i)
+		if r.Type != want.Type || r.BatchID != want.BatchID || !bytes.Equal(r.Payload, want.Payload) {
+			t.Fatalf("record %d changed after Replay read the segments behind it", i)
+		}
+	}
+}
+
 func TestWALTornTailEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, 0, Options{})

@@ -23,8 +23,10 @@ type ReplayInfo struct {
 
 // Replay walks the log in sequence order, invoking fn for every record
 // with seq ≥ fromSeq (records a snapshot already covers are skipped
-// without decoding cost beyond the frame walk). Record slices passed to fn
-// alias the segment buffer and must not be retained.
+// without decoding cost beyond the frame walk). A record's Payload aliases
+// its segment's buffer, which Replay reads fresh for every segment and never
+// reuses or writes, so fn may retain a record after it returns — recovery
+// hands records to decoder goroutines that finish after Replay moved on.
 //
 // A CRC-invalid or incomplete frame at the end of the final segment is a
 // torn tail: replay stops cleanly there and reports it. The same damage in

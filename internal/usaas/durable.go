@@ -1,12 +1,12 @@
 package usaas
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -173,12 +173,7 @@ func OpenDurableStore(opts DurabilityOptions) (*DurableStore, error) {
 		d.Recovery.SnapshotPosts = m
 	}
 
-	info, err := durable.Replay(opts.Dir, snapSeq, func(seq uint64, rec durable.Record) error {
-		if err := applyRecord(store, rec); err != nil {
-			return fmt.Errorf("usaas: replaying log record %d: %w", seq, err)
-		}
-		return nil
-	})
+	info, err := replayTail(opts.Dir, snapSeq, store)
 	if err != nil {
 		return nil, err
 	}
@@ -217,32 +212,111 @@ func OpenDurableStore(opts DurabilityOptions) (*DurableStore, error) {
 	return d, nil
 }
 
-// applyRecord replays one logged batch through the normal ingest path.
-// The store's journal is not attached yet, so nothing is re-logged; the
-// dedup table restored from the snapshot still guards against replaying a
-// batch the snapshot already contains.
-func applyRecord(store *Store, rec durable.Record) error {
+// replayTail replays the log past fromSeq into the store. Parsing runs ahead
+// of applying: each record gets a decoder goroutine, at most 2×GOMAXPROCS
+// in flight, and this goroutine applies the decoded batches one at a time in
+// sequence order through the normal ingest path (applyDecoded). Apply order
+// is the log order, so views, the dedup table and generations come back
+// exactly as a serial replay leaves them. The store's journal is not
+// attached yet, so nothing is re-logged; the dedup table restored from the
+// snapshot still guards against replaying a batch the snapshot contains.
+//
+// The first record that fails, in sequence order, stops the replay: no
+// later record is applied, and the decoders still in flight are waited for
+// before it returns.
+func replayTail(dir string, fromSeq uint64, store *Store) (durable.ReplayInfo, error) {
+	type decoding struct {
+		seq  uint64
+		rec  durable.Record
+		b    decodedBatch
+		err  error
+		done chan struct{}
+	}
+	width := 2 * runtime.GOMAXPROCS(0)
+	var window []*decoding // in sequence order; the oldest applies next
+	applyOldest := func() error {
+		p := window[0]
+		window[0] = nil // the record pins its segment's buffer
+		window = window[1:]
+		<-p.done
+		err := p.err
+		if err == nil {
+			_, err = store.applyDecoded(p.rec, p.b)
+		}
+		if err != nil {
+			return fmt.Errorf("usaas: replaying log record %d: %w", p.seq, err)
+		}
+		return nil
+	}
+	var failed error
+	info, err := durable.Replay(dir, fromSeq, func(seq uint64, rec durable.Record) error {
+		if len(window) == width {
+			if failed = applyOldest(); failed != nil {
+				return failed
+			}
+		}
+		p := &decoding{seq: seq, rec: rec, done: make(chan struct{})}
+		go func() {
+			defer close(p.done)
+			p.b, p.err = decodeBatch(p.rec)
+		}()
+		window = append(window, p)
+		return nil
+	})
+	// Records still in the window precede any damage Replay stopped at, so
+	// they apply first and their errors take precedence.
+	for failed == nil && len(window) > 0 {
+		failed = applyOldest()
+	}
+	for _, p := range window {
+		<-p.done
+	}
+	if failed != nil {
+		return info, failed
+	}
+	return info, err
+}
+
+// errUnknownRecord marks a logged record of neither batch family.
+var errUnknownRecord = errors.New("unknown record type")
+
+// decodedBatch is one logged batch parsed back into the records it carried.
+type decodedBatch struct {
+	sessions []telemetry.SessionRecord
+	posts    []social.Post
+}
+
+// decodeBatch parses a logged batch's payload; recovery's decoders and a
+// follower's ApplyReplicated both read records through it. It touches no
+// store state, so any number may run at once.
+func decodeBatch(rec durable.Record) (decodedBatch, error) {
+	var b decodedBatch
 	switch rec.Type {
 	case recSessions:
-		var recs []telemetry.SessionRecord
-		if err := telemetry.ReadJSONL(bytes.NewReader(rec.Payload), func(r *telemetry.SessionRecord) error {
-			recs = append(recs, *r)
+		err := telemetry.ReadJSONL(bytes.NewReader(rec.Payload), func(r *telemetry.SessionRecord) error {
+			b.sessions = append(b.sessions, *r)
 			return nil
-		}); err != nil {
-			return err
-		}
-		_, _, err := store.AddSessionsBatch(rec.BatchID, recs)
-		return err
+		})
+		return b, err
 	case recPosts:
-		posts, err := social.CollectPostsJSONL(bytes.NewReader(rec.Payload))
-		if err != nil {
-			return err
-		}
-		_, _, err = store.AddPostsBatch(rec.BatchID, posts)
-		return err
+		var err error
+		b.posts, err = social.CollectPostsJSONL(bytes.NewReader(rec.Payload))
+		return b, err
 	default:
-		return fmt.Errorf("unknown record type %d", rec.Type)
+		return b, fmt.Errorf("%w %d", errUnknownRecord, rec.Type)
 	}
+}
+
+// applyDecoded applies a decoded batch through the synchronous ingest path.
+// The payload is the batch's wire form: a follower's journal logs it
+// verbatim, and during recovery no journal is attached to log it.
+func (s *Store) applyDecoded(rec durable.Record, b decodedBatch) (dup bool, err error) {
+	if rec.Type == recSessions {
+		_, dup, err = s.addSessionsBatch(rec.BatchID, b.sessions, rec.Payload)
+	} else {
+		_, dup, err = s.addPostsBatch(rec.BatchID, b.posts, rec.Payload)
+	}
+	return dup, err
 }
 
 // --- the journal (write side) ---
@@ -328,27 +402,18 @@ func (d *DurableStore) AppendSignal() <-chan struct{} {
 // this IS the ingest path. dup reports a batch the follower had already
 // applied (a retransmitted delivery); it is skipped without journaling.
 func (d *DurableStore) ApplyReplicated(rec durable.Record) (dup bool, err error) {
-	switch rec.Type {
-	case recSessions:
-		var recs []telemetry.SessionRecord
-		if err := telemetry.ReadJSONL(bytes.NewReader(rec.Payload), func(r *telemetry.SessionRecord) error {
-			recs = append(recs, *r)
-			return nil
-		}); err != nil {
-			return false, fmt.Errorf("usaas: decoding replicated session batch %q: %w", rec.BatchID, err)
-		}
-		_, dup, err = d.addSessionsBatch(rec.BatchID, recs, rec.Payload)
-		return dup, err
-	case recPosts:
-		posts, err := social.CollectPostsJSONL(bytes.NewReader(rec.Payload))
-		if err != nil {
-			return false, fmt.Errorf("usaas: decoding replicated post batch %q: %w", rec.BatchID, err)
-		}
-		_, dup, err = d.addPostsBatch(rec.BatchID, posts, rec.Payload)
-		return dup, err
-	default:
+	b, err := decodeBatch(rec)
+	if errors.Is(err, errUnknownRecord) {
 		return false, fmt.Errorf("usaas: replicated record has unknown type %d", rec.Type)
 	}
+	if err != nil {
+		kind := "session"
+		if rec.Type == recPosts {
+			kind = "post"
+		}
+		return false, fmt.Errorf("usaas: decoding replicated %s batch %q: %w", kind, rec.BatchID, err)
+	}
+	return d.applyDecoded(rec, b)
 }
 
 // WALSeq returns the log sequence the next accepted batch will get.
@@ -555,20 +620,11 @@ func encodeSnapshot(w io.Writer, seq uint64, st snapState) error {
 
 // decodeSnapshot parses a snapshot body and installs it into a fresh
 // store, re-folding the materialized views exactly as live ingest would.
+// The session and post sections parse on every core (parseSection); errors
+// read as a serial parse would report them.
 func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int, err error) {
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	next := func() ([]byte, error) {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return nil, err
-			}
-			return nil, io.ErrUnexpectedEOF
-		}
-		return sc.Bytes(), nil
-	}
-
-	line, err := next()
+	lines := snapLines(body)
+	line, err := lines.next()
 	if err != nil {
 		return 0, 0, fmt.Errorf("reading header: %w", err)
 	}
@@ -582,28 +638,23 @@ func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int,
 	if hdr.Seq != seq {
 		return 0, 0, fmt.Errorf("snapshot header claims seq %d, file named %d", hdr.Seq, seq)
 	}
-
-	recs := make([]telemetry.SessionRecord, hdr.Sessions)
-	for i := range recs {
-		if line, err = next(); err != nil {
-			return 0, 0, fmt.Errorf("reading session %d/%d: %w", i, hdr.Sessions, err)
-		}
-		if err := telemetry.ParseJSON(line, &recs[i]); err != nil {
-			return 0, 0, fmt.Errorf("parsing session %d: %w", i, err)
-		}
+	if hdr.Sessions < 0 || hdr.Posts < 0 || hdr.Batches < 0 {
+		return 0, 0, fmt.Errorf("snapshot header claims %d sessions, %d posts, %d batch acks", hdr.Sessions, hdr.Posts, hdr.Batches)
 	}
-	ps := make([]social.Post, hdr.Posts)
-	for i := range ps {
-		if line, err = next(); err != nil {
-			return 0, 0, fmt.Errorf("reading post %d/%d: %w", i, hdr.Posts, err)
-		}
-		if err := json.Unmarshal(line, &ps[i]); err != nil {
-			return 0, 0, fmt.Errorf("parsing post %d: %w", i, err)
-		}
+
+	recs, err := parseSection(&lines, hdr.Sessions, "session", telemetry.ParseJSON)
+	if err != nil {
+		return 0, 0, err
+	}
+	ps, err := parseSection(&lines, hdr.Posts, "post", func(line []byte, p *social.Post) error {
+		return json.Unmarshal(line, p)
+	})
+	if err != nil {
+		return 0, 0, err
 	}
 	batches := make(map[string]IngestResponse, hdr.Batches)
 	for i := 0; i < hdr.Batches; i++ {
-		if line, err = next(); err != nil {
+		if line, err = lines.next(); err != nil {
 			return 0, 0, fmt.Errorf("reading batch ack %d/%d: %w", i, hdr.Batches, err)
 		}
 		var b snapBatch
@@ -614,6 +665,66 @@ func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int,
 	}
 	store.restoreSnapshot(recs, ps, batches)
 	return hdr.Sessions, hdr.Posts, nil
+}
+
+// snapLines is the unread rest of a snapshot body. next cuts lines from it
+// as bufio.ScanLines would — a trailing '\r' dropped, a last line without a
+// newline kept — but returns them in place instead of copying each one.
+type snapLines []byte
+
+func (l *snapLines) next() ([]byte, error) {
+	if len(*l) == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	line := []byte(*l)
+	if i := bytes.IndexByte(line, '\n'); i >= 0 {
+		line, *l = line[:i], (*l)[i+1:]
+	} else {
+		*l = nil
+	}
+	return bytes.TrimSuffix(line, []byte{'\r'}), nil
+}
+
+// parseSection cuts the next n lines of a snapshot and parses them into n
+// records on GOMAXPROCS workers, each over a contiguous range of indexes and
+// writing only its own slots. It reports what a serial read would have hit
+// first: the lowest line that fails to parse, else a body that ends early.
+func parseSection[T any](lines *snapLines, n int, what string, parse func([]byte, *T) error) ([]T, error) {
+	cut := make([][]byte, 0, min(n, len(*lines)))
+	var short error
+	for len(cut) < n {
+		line, err := lines.next()
+		if err != nil {
+			short = fmt.Errorf("reading %s %d/%d: %w", what, len(cut), n, err)
+			break
+		}
+		cut = append(cut, line)
+	}
+	out := make([]T, len(cut))
+	workers := min(runtime.GOMAXPROCS(0), len(cut))
+	failed := make([]error, workers) // each worker's first failure
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := len(cut) * w / workers; i < len(cut)*(w+1)/workers; i++ {
+				if err := parse(cut[i], &out[i]); err != nil {
+					failed[w] = fmt.Errorf("parsing %s %d: %w", what, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// Ranges ascend with w, so the first worker that failed holds the lowest
+	// failing index.
+	for _, err := range failed {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, short
 }
 
 // restoreSnapshot installs decoded snapshot state into the store through

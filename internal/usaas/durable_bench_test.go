@@ -162,16 +162,19 @@ func BenchmarkIngestWAL(b *testing.B) {
 	})
 }
 
-// BenchmarkRecovery measures cold-start cost for a fixed corpus: full WAL
-// replay versus loading a snapshot that already covers the whole log. The
-// corpus is many small batches — the shape a live ingest feed leaves
-// behind — so replay pays per-batch parse/dedup/fold overhead that the
-// snapshot's single restore does not.
+// BenchmarkRecovery measures cold-start cost. "replay" and "snapshot" hold
+// one fixed corpus of many small batches — the shape a live ingest feed
+// leaves behind — recovered by full WAL replay or from a snapshot that
+// already covers the whole log, so replay pays per-batch parse/dedup/fold
+// overhead that the snapshot's single restore does not. "snapshot+tail" is
+// the shape a backfill leaves: 500-record batches, a snapshot over the first
+// half, and the second half replayed past it — the snapshot's sessions
+// parse on every core, and the tail's batches parse in the decode window
+// ahead of the in-order apply.
 func BenchmarkRecovery(b *testing.B) {
-	const batches, batch = 500, 10
-	recs := benchSessions(b, batch)
-
-	build := func(b *testing.B, snapshot bool) string {
+	// build journals batches copies of recs, each under its own batch ID,
+	// and cuts a snapshot after the first snapAt of them (none when 0).
+	build := func(b *testing.B, recs []telemetry.SessionRecord, batches, snapAt int) string {
 		dir := b.TempDir()
 		d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
 		if err != nil {
@@ -181,10 +184,10 @@ func BenchmarkRecovery(b *testing.B) {
 			if _, _, err := d.AddSessionsBatch(fmt.Sprintf("b%d", i), recs); err != nil {
 				b.Fatal(err)
 			}
-		}
-		if snapshot {
-			if err := d.snapshotNow(); err != nil {
-				b.Fatal(err)
+			if i+1 == snapAt {
+				if err := d.snapshotNow(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		if err := d.Close(); err != nil {
@@ -193,8 +196,9 @@ func BenchmarkRecovery(b *testing.B) {
 		return dir
 	}
 
-	run := func(b *testing.B, dir string, wantReplayed int) {
+	run := func(b *testing.B, dir string, wantReplayed, sessions int) {
 		b.ReportAllocs()
+		b.ResetTimer() // building dir is not recovery
 		for i := 0; i < b.N; i++ {
 			d, err := OpenDurableStore(DurabilityOptions{Dir: dir, Fsync: durable.FsyncOff})
 			if err != nil {
@@ -207,9 +211,17 @@ func BenchmarkRecovery(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(batches*batch), "sessions")
+		b.ReportMetric(float64(sessions), "sessions")
 	}
 
-	b.Run("replay", func(b *testing.B) { run(b, build(b, false), batches) })
-	b.Run("snapshot", func(b *testing.B) { run(b, build(b, true), 0) })
+	const batches, batch = 500, 10
+	small := benchSessions(b, batch)
+	b.Run("replay", func(b *testing.B) { run(b, build(b, small, batches, 0), batches, batches*batch) })
+	b.Run("snapshot", func(b *testing.B) { run(b, build(b, small, batches, batches), 0, batches*batch) })
+
+	const bulkBatches, bulk = 80, 500
+	b.Run("snapshot+tail", func(b *testing.B) {
+		dir := build(b, benchSessions(b, bulk), bulkBatches, bulkBatches/2)
+		run(b, dir, bulkBatches/2, bulkBatches*bulk)
+	})
 }

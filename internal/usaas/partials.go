@@ -796,6 +796,12 @@ func parseDose(q url.Values) (*engViewKey, error) {
 	}
 	f := queryForm{q: q}
 	lo, hi, bins := f.float("lo", 0), f.float("hi", 300), f.int("bins", 10)
+	// ParseFloat accepts "NaN" and "Inf": a NaN bound slips past hi <= lo,
+	// and an infinite bound or span leaves every bin empty or NaN-edged.
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	f.bound("lo", finite(lo), "%v is not a finite number", lo)
+	f.bound("hi", finite(hi), "%v is not a finite number", hi)
+	f.bound("hi", finite(hi-lo), "hi-lo = %v is not a finite number", hi-lo)
 	if f.err != nil {
 		return nil, f.err
 	}

@@ -13,6 +13,16 @@ import (
 	"usersignals/internal/timeline"
 )
 
+// nonFiniteDoseBounds are dose binnings strconv parses but no binning can
+// use, each with the parameter its refusal must name.
+var nonFiniteDoseBounds = [][2]string{
+	{"lo=NaN", "lo"},
+	{"hi=NaN", "hi"},
+	{"lo=-Inf&hi=Inf", "lo"},
+	{"lo=0&hi=Inf", "hi"},
+	{"lo=-1e308&hi=1e308", "hi"},
+}
+
 // TestMalformedQueryParamsRejected: a malformed numeric query parameter
 // must answer 400 naming the offending key, never silently fall back to
 // the default. Absent and empty parameters still default.
@@ -44,6 +54,16 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 		{fmt.Sprintf("/v1/advice/deployment?horizon=%d", timeline.Date(2022, time.June, 1)+maxDeploymentDays+1), "horizon"},
 		{fmt.Sprintf("/v1/advice/deployment?from=100&horizon=%d", 100+maxDeploymentDays+1), "horizon"},
 	}
+	// Parseable but not finite dose bounds, on the node's endpoint and on a
+	// shard's /v1/partials dose section (one parse serves both).
+	for _, bounds := range nonFiniteDoseBounds {
+		for _, path := range []string{"/v1/insights/engagement?", "/v1/partials?sections=dose&"} {
+			cases = append(cases, struct {
+				path string
+				key  string
+			}{path + "metric=latency-mean-ms&engagement=presence&" + bounds[0], bounds[1]})
+		}
+	}
 	for _, tc := range cases {
 		t.Run(tc.path, func(t *testing.T) {
 			resp, err := ts.Client().Get(ts.URL + tc.path)
@@ -65,6 +85,14 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 				t.Fatalf("error %q does not name parameter %q", e.Error, tc.key)
 			}
 		})
+	}
+
+	// A refused dose query registers no view.
+	store.sessMu.RLock()
+	views := len(store.views.eng)
+	store.sessMu.RUnlock()
+	if views != 0 {
+		t.Fatalf("refused queries registered %d dose views", views)
 	}
 
 	// Absent or empty parameters keep defaulting: these must not 400.
