@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -779,5 +781,41 @@ func TestSplitPreservesOrderAndCompleteness(t *testing.T) {
 	}
 	if total != len(recs) {
 		t.Fatalf("split lost records: %d != %d", total, len(recs))
+	}
+}
+
+// TestCoordinatorUnencodableShardAnswer: a shard whose section cannot be
+// encoded (a NaN a record fed through the Go API puts in a day's mean)
+// answers its partials with a 500 naming the failure, and the coordinator
+// refuses with an error naming the shard — never a 200 with an empty body.
+func TestCoordinatorUnencodableShardAnswer(t *testing.T) {
+	recs := append([]telemetry.SessionRecord(nil), sessionData(t, 5)[:300]...) // the dataset is shared
+	recs[3].PresencePct = math.NaN()
+	store := &usaas.Store{}
+	if _, _, err := store.AddSessionsBatch("nan", recs); err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(usaas.NewServer(store, usaas.ServerOptions{}).Handler())
+	t.Cleanup(shard.Close)
+	coord := coordinatorOver(t, 0, shard.URL)
+	const path = "/v1/insights/incidents?engagement=presence"
+	for _, c := range []struct {
+		base   string
+		status int
+		names  []string
+	}{
+		{shard.URL, http.StatusInternalServerError, []string{"encoding the answer", "NaN"}},
+		{coord.URL, http.StatusServiceUnavailable, []string{"shard s0", "encoding the answer", "NaN"}},
+	} {
+		status, body := get(t, c.base, path)
+		var e struct{ Error string }
+		if status != c.status || json.Unmarshal([]byte(body), &e) != nil {
+			t.Fatalf("%s%s: %d %q, want %d with a JSON error", c.base, path, status, body, c.status)
+		}
+		for _, name := range c.names {
+			if !strings.Contains(e.Error, name) {
+				t.Errorf("%s%s: error %q does not name %q", c.base, path, e.Error, name)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // WritePostsJSONL streams posts as JSON Lines. Ground-truth fields are
@@ -23,12 +24,22 @@ func WritePostsJSONL(w io.Writer, posts []Post) error {
 	return nil
 }
 
-// ReadPostsJSONL streams posts from r, invoking fn for each. The post is
+// scanBufs recycles ReadPostsJSONL's scanner windows, so concurrent ingest
+// requests and recovery's decoders don't each allocate a fresh 64 KiB one.
+var scanBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64*1024)
+	return &b
+}}
+
+// ReadPostsJSONL streams posts from r, invoking fn for each; lines up to
+// 8 MiB are accepted. Each line decodes as DecodePost does. The post is
 // reused between calls; copy it to retain. A non-nil error from fn aborts
 // the read and is returned.
 func ReadPostsJSONL(r io.Reader, fn func(*Post) error) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	bufp := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(bufp)
+	sc.Buffer(*bufp, 8*1024*1024)
 	var p Post
 	line := 0
 	for sc.Scan() {
@@ -36,8 +47,7 @@ func ReadPostsJSONL(r io.Reader, fn func(*Post) error) error {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		p = Post{}
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+		if err := DecodePost(sc.Bytes(), &p); err != nil {
 			return fmt.Errorf("social: JSONL line %d: %w", line, err)
 		}
 		if err := fn(&p); err != nil {

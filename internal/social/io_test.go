@@ -53,3 +53,23 @@ func TestReadPostsJSONLErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadPostsJSONLLineCap: lines up to 8 MiB decode, longer ones are an
+// error, not a silently truncated post.
+func TestReadPostsJSONLLineCap(t *testing.T) {
+	body := strings.Repeat("x", 7<<20)
+	n := 0
+	err := ReadPostsJSONL(strings.NewReader(`{"id":1,"body":"`+body+`"}`), func(p *Post) error {
+		if p.Body != body {
+			t.Fatalf("7 MiB body read back as %d bytes", len(p.Body))
+		}
+		n++
+		return nil
+	})
+	if err != nil || n != 1 {
+		t.Fatalf("7 MiB line: %d posts, %v", n, err)
+	}
+	if err := ReadPostsJSONL(strings.NewReader(`{"body":"`+strings.Repeat("x", 9<<20)+`"}`), func(*Post) error { return nil }); err == nil {
+		t.Fatal("9 MiB line accepted")
+	}
+}

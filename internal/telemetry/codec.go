@@ -7,9 +7,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
+
+	"usersignals/internal/jsonscan"
 )
 
 // This file is the hand-rolled SessionRecord codec for the ingest/upload hot
@@ -18,8 +18,8 @@ import (
 // strings — so mixed fleets of old and new readers/writers interoperate
 // byte for byte. AppendJSON avoids the reflection and interface boxing of
 // json.Marshal; ParseJSON replaces the scanner+reflect decode with a direct
-// recursive-descent parse that borrows number tokens from the input instead
-// of allocating them.
+// parse over the shared jsonscan reader, which borrows tokens from the
+// input instead of allocating them and reads floats on an exact fast path.
 
 const hexDigits = "0123456789abcdef"
 
@@ -210,124 +210,37 @@ func jsonSafe(b byte) bool {
 // ParseJSON decodes one JSON object into r, zeroing it first. It accepts
 // everything json.Unmarshal produces for a SessionRecord (unknown fields
 // are skipped, null leaves a field zero) and is slightly laxer on exotic
-// number spellings. Unlike json.Unmarshal it matches field names
-// case-sensitively, which is all the canonical encoder ever emits.
+// number spellings and the \' escape. Unlike json.Unmarshal it matches
+// field names case-sensitively, which is all the canonical encoder ever
+// emits.
 func ParseJSON(data []byte, r *SessionRecord) error {
-	// One string conversion up front lets every number token below be a
-	// free substring instead of a fresh allocation.
-	return parseRecordJSON(string(data), r, nil)
+	return parseRecordJSON(data, r, nil)
 }
 
 // parseRecordJSON is the shared decode core; intern, when non-nil,
-// deduplicates field strings (platform/country/isp) across records.
-func parseRecordJSON(data string, r *SessionRecord, intern map[string]string) error {
-	p := jsonParser{data: data, intern: intern}
+// deduplicates field strings (platform/country/isp) across records. It
+// reads data in place (jsonscan.New): r keeps only copies.
+func parseRecordJSON(data []byte, r *SessionRecord, intern map[string]string) error {
+	p := recordParser{Scanner: jsonscan.NewLenient(data), intern: intern}
 	*r = SessionRecord{}
-	p.skipSpace()
-	if err := p.expect('{'); err != nil {
+	p.SkipSpace()
+	if err := p.Object(func(key string) error { return p.recordField(r, key) }); err != nil {
 		return err
 	}
-	p.skipSpace()
-	if p.peekIs('}') {
-		p.pos++
-	} else {
-		for {
-			key, err := p.stringToken()
-			if err != nil {
-				return err
-			}
-			p.skipSpace()
-			if err := p.expect(':'); err != nil {
-				return err
-			}
-			p.skipSpace()
-			if err := p.recordField(r, key); err != nil {
-				return err
-			}
-			p.skipSpace()
-			c, err := p.next()
-			if err != nil {
-				return err
-			}
-			if c == '}' {
-				break
-			}
-			if c != ',' {
-				return p.syntaxErr("expected ',' or '}' in object")
-			}
-			p.skipSpace()
-		}
-	}
-	p.skipSpace()
-	if p.pos != len(p.data) {
-		return p.syntaxErr("trailing data after JSON value")
+	if !p.AtEnd() {
+		return p.SyntaxErr("trailing data after JSON value")
 	}
 	return nil
 }
 
-// jsonParser is a minimal recursive-descent JSON reader over a string.
-type jsonParser struct {
-	data   string
-	pos    int
+// recordParser types a SessionRecord's fields over the shared scanner.
+type recordParser struct {
+	jsonscan.Scanner
 	intern map[string]string
 }
 
-func (p *jsonParser) syntaxErr(msg string) error {
-	return fmt.Errorf("telemetry: invalid JSON at offset %d: %s", p.pos, msg)
-}
-
-func (p *jsonParser) skipSpace() {
-	for p.pos < len(p.data) {
-		switch p.data[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (p *jsonParser) peekIs(c byte) bool {
-	return p.pos < len(p.data) && p.data[p.pos] == c
-}
-
-func (p *jsonParser) next() (byte, error) {
-	if p.pos >= len(p.data) {
-		return 0, p.syntaxErr("unexpected end of input")
-	}
-	c := p.data[p.pos]
-	p.pos++
-	return c, nil
-}
-
-func (p *jsonParser) expect(c byte) error {
-	if !p.peekIs(c) {
-		return p.syntaxErr("expected " + strconv.QuoteRune(rune(c)))
-	}
-	p.pos++
-	return nil
-}
-
-func (p *jsonParser) expectLit(lit string) error {
-	if !strings.HasPrefix(p.data[p.pos:], lit) {
-		return p.syntaxErr("invalid literal")
-	}
-	p.pos += len(lit)
-	return nil
-}
-
-// tryNull consumes a null literal if present; callers leave the target
-// field zeroed, matching json.Unmarshal.
-func (p *jsonParser) tryNull() bool {
-	if strings.HasPrefix(p.data[p.pos:], "null") {
-		p.pos += 4
-		return true
-	}
-	return false
-}
-
 // recordField dispatches one top-level key to its field parser.
-func (p *jsonParser) recordField(r *SessionRecord, key string) error {
+func (p *recordParser) recordField(r *SessionRecord, key string) error {
 	switch key {
 	case "call_id":
 		return p.parseUint(&r.CallID)
@@ -342,7 +255,10 @@ func (p *jsonParser) recordField(r *SessionRecord, key string) error {
 	case "duration_sec":
 		return p.parseFloat(&r.DurationSec)
 	case "net":
-		return p.parseNet(&r.Net)
+		if p.TryNull() {
+			return nil
+		}
+		return p.Object(func(key string) error { return p.netField(&r.Net, key) })
 	case "presence_pct":
 		return p.parseFloat(&r.PresencePct)
 	case "cam_on_pct":
@@ -362,110 +278,47 @@ func (p *jsonParser) recordField(r *SessionRecord, key string) error {
 	case "isp":
 		return p.parseStringField(&r.ISP)
 	default:
-		return p.skipValue(0)
+		return p.SkipValue()
 	}
 }
 
-// parseNet decodes the nested aggregates object. The struct has no JSON
-// tags, so the canonical keys are the Go field names.
-func (p *jsonParser) parseNet(n *NetAggregates) error {
-	if p.tryNull() {
-		return nil
+// netField decodes one key of the nested aggregates object. The struct has
+// no JSON tags, so the canonical keys are the Go field names.
+func (p *recordParser) netField(n *NetAggregates, key string) error {
+	var dst *float64
+	switch key {
+	case "LatencyMean":
+		dst = &n.LatencyMean
+	case "LatencyMedian":
+		dst = &n.LatencyMedian
+	case "LatencyP95":
+		dst = &n.LatencyP95
+	case "LossMean":
+		dst = &n.LossMean
+	case "LossMedian":
+		dst = &n.LossMedian
+	case "LossP95":
+		dst = &n.LossP95
+	case "JitterMean":
+		dst = &n.JitterMean
+	case "JitterMedian":
+		dst = &n.JitterMedian
+	case "JitterP95":
+		dst = &n.JitterP95
+	case "BWMean":
+		dst = &n.BWMean
+	case "BWMedian":
+		dst = &n.BWMedian
+	case "BWP95":
+		dst = &n.BWP95
+	default:
+		return p.SkipValue()
 	}
-	if err := p.expect('{'); err != nil {
-		return err
-	}
-	p.skipSpace()
-	if p.peekIs('}') {
-		p.pos++
-		return nil
-	}
-	for {
-		key, err := p.stringToken()
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		if err := p.expect(':'); err != nil {
-			return err
-		}
-		p.skipSpace()
-		var dst *float64
-		switch key {
-		case "LatencyMean":
-			dst = &n.LatencyMean
-		case "LatencyMedian":
-			dst = &n.LatencyMedian
-		case "LatencyP95":
-			dst = &n.LatencyP95
-		case "LossMean":
-			dst = &n.LossMean
-		case "LossMedian":
-			dst = &n.LossMedian
-		case "LossP95":
-			dst = &n.LossP95
-		case "JitterMean":
-			dst = &n.JitterMean
-		case "JitterMedian":
-			dst = &n.JitterMedian
-		case "JitterP95":
-			dst = &n.JitterP95
-		case "BWMean":
-			dst = &n.BWMean
-		case "BWMedian":
-			dst = &n.BWMedian
-		case "BWP95":
-			dst = &n.BWP95
-		}
-		if dst != nil {
-			err = p.parseFloat(dst)
-		} else {
-			err = p.skipValue(0)
-		}
-		if err != nil {
-			return err
-		}
-		p.skipSpace()
-		c, err := p.next()
-		if err != nil {
-			return err
-		}
-		if c == '}' {
-			return nil
-		}
-		if c != ',' {
-			return p.syntaxErr("expected ',' or '}' in object")
-		}
-		p.skipSpace()
-	}
+	return p.parseFloat(dst)
 }
 
-// numberToken consumes a number (or null, returning "") and returns the
-// raw token as a substring of the input.
-func (p *jsonParser) numberToken() (string, error) {
-	if p.tryNull() {
-		return "", nil
-	}
-	start := p.pos
-	if p.peekIs('-') {
-		p.pos++
-	}
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		if (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-' {
-			p.pos++
-			continue
-		}
-		break
-	}
-	if p.pos == start {
-		return "", p.syntaxErr("expected number")
-	}
-	return p.data[start:p.pos], nil
-}
-
-func (p *jsonParser) parseUint(dst *uint64) error {
-	tok, err := p.numberToken()
+func (p *recordParser) parseUint(dst *uint64) error {
+	tok, err := p.NumberToken()
 	if err != nil || tok == "" {
 		return err
 	}
@@ -477,8 +330,8 @@ func (p *jsonParser) parseUint(dst *uint64) error {
 	return nil
 }
 
-func (p *jsonParser) parseInt(dst *int) error {
-	tok, err := p.numberToken()
+func (p *recordParser) parseInt(dst *int) error {
+	tok, err := p.NumberToken()
 	if err != nil || tok == "" {
 		return err
 	}
@@ -490,8 +343,15 @@ func (p *jsonParser) parseInt(dst *int) error {
 	return nil
 }
 
-func (p *jsonParser) parseFloat(dst *float64) error {
-	tok, err := p.numberToken()
+// parseFloat takes the scanner's exact fast path, and falls back to the
+// whole token through strconv for every spelling the fast path declines —
+// so what is accepted, and each value's bits, are strconv's.
+func (p *recordParser) parseFloat(dst *float64) error {
+	if v, ok := p.Float(); ok {
+		*dst = v
+		return nil
+	}
+	tok, err := p.NumberToken()
 	if err != nil || tok == "" {
 		return err
 	}
@@ -503,37 +363,31 @@ func (p *jsonParser) parseFloat(dst *float64) error {
 	return nil
 }
 
-func (p *jsonParser) parseBool(dst *bool) error {
-	switch {
-	case p.tryNull():
+func (p *recordParser) parseBool(dst *bool) error {
+	if p.TryNull() {
 		return nil
-	case p.peekIs('t'):
-		if err := p.expectLit("true"); err != nil {
-			return err
-		}
-		*dst = true
-		return nil
-	case p.peekIs('f'):
-		if err := p.expectLit("false"); err != nil {
-			return err
-		}
-		*dst = false
-		return nil
-	default:
-		return p.syntaxErr("expected boolean")
 	}
+	v, err := p.Bool()
+	if err == nil {
+		*dst = v
+	}
+	return err
 }
 
-func (p *jsonParser) parseTime(dst *time.Time) error {
-	if p.tryNull() {
+func (p *recordParser) parseTime(dst *time.Time) error {
+	if p.TryNull() {
 		return nil
 	}
-	s, err := p.stringToken()
+	s, err := p.String()
 	if err != nil {
 		return err
 	}
 	t, err := time.Parse(time.RFC3339, s)
 	if err != nil {
+		// The error keeps the text it failed on: give it a copy of s,
+		// which is a view of the input.
+		s = strings.Clone(s)
+		_, err = time.Parse(time.RFC3339, s)
 		return fmt.Errorf("telemetry: invalid timestamp %q: %w", s, err)
 	}
 	*dst = t
@@ -543,11 +397,11 @@ func (p *jsonParser) parseTime(dst *time.Time) error {
 // parseStringField decodes a string into dst, interning the result when the
 // parser has an intern table (ingest sees the same few platform/country/ISP
 // values millions of times).
-func (p *jsonParser) parseStringField(dst *string) error {
-	if p.tryNull() {
+func (p *recordParser) parseStringField(dst *string) error {
+	if p.TryNull() {
 		return nil
 	}
-	s, err := p.stringToken()
+	s, err := p.String()
 	if err != nil {
 		return err
 	}
@@ -564,205 +418,4 @@ func (p *jsonParser) parseStringField(dst *string) error {
 	}
 	*dst = v
 	return nil
-}
-
-// stringToken parses a JSON string. The result aliases the input when no
-// unescaping was needed.
-func (p *jsonParser) stringToken() (string, error) {
-	if !p.peekIs('"') {
-		return "", p.syntaxErr("expected string")
-	}
-	p.pos++
-	start := p.pos
-	simple := true
-	for p.pos < len(p.data) {
-		switch c := p.data[p.pos]; {
-		case c == '"':
-			seg := p.data[start:p.pos]
-			p.pos++
-			if simple {
-				return seg, nil
-			}
-			return unescapeJSONString(seg)
-		case c == '\\':
-			simple = false
-			p.pos++
-			if p.pos < len(p.data) {
-				p.pos++ // the escaped character is never a delimiter
-			}
-		case c < 0x20:
-			return "", p.syntaxErr("control character in string literal")
-		default:
-			if c >= utf8.RuneSelf {
-				simple = false // re-encode to well-formed UTF-8 below
-			}
-			p.pos++
-		}
-	}
-	return "", p.syntaxErr("unterminated string literal")
-}
-
-// unescapeJSONString resolves escapes and coerces the text to well-formed
-// UTF-8, exactly as encoding/json's unquote does (lone surrogates and
-// invalid bytes become U+FFFD).
-func unescapeJSONString(s string) (string, error) {
-	b := make([]byte, 0, len(s)+2*utf8.UTFMax)
-	for r := 0; r < len(s); {
-		switch c := s[r]; {
-		case c == '\\':
-			r++
-			if r >= len(s) {
-				return "", errors.New("telemetry: truncated escape in string")
-			}
-			switch s[r] {
-			case '"', '\\', '/', '\'':
-				b = append(b, s[r])
-				r++
-			case 'b':
-				b = append(b, '\b')
-				r++
-			case 'f':
-				b = append(b, '\f')
-				r++
-			case 'n':
-				b = append(b, '\n')
-				r++
-			case 'r':
-				b = append(b, '\r')
-				r++
-			case 't':
-				b = append(b, '\t')
-				r++
-			case 'u':
-				r--
-				rr := getu4(s[r:])
-				if rr < 0 {
-					return "", errors.New("telemetry: invalid \\u escape in string")
-				}
-				r += 6
-				if utf16.IsSurrogate(rr) {
-					rr1 := getu4(s[r:])
-					if dec := utf16.DecodeRune(rr, rr1); dec != unicode.ReplacementChar {
-						r += 6
-						b = utf8.AppendRune(b, dec)
-						break
-					}
-					rr = unicode.ReplacementChar
-				}
-				b = utf8.AppendRune(b, rr)
-			default:
-				return "", errors.New("telemetry: invalid escape character in string")
-			}
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			r++
-		default:
-			rr, size := utf8.DecodeRuneInString(s[r:])
-			r += size
-			b = utf8.AppendRune(b, rr)
-		}
-	}
-	return string(b), nil
-}
-
-// getu4 decodes the four hex digits of a \uXXXX escape, or -1.
-func getu4(s string) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for i := 2; i < 6; i++ {
-		c := s[i]
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c = c - 'a' + 10
-		case 'A' <= c && c <= 'F':
-			c = c - 'A' + 10
-		default:
-			return -1
-		}
-		r = r*16 + rune(c)
-	}
-	return r
-}
-
-// skipValue consumes any JSON value (for unknown fields).
-func (p *jsonParser) skipValue(depth int) error {
-	if depth > 1000 {
-		return p.syntaxErr("value nested too deeply")
-	}
-	p.skipSpace()
-	if p.pos >= len(p.data) {
-		return p.syntaxErr("unexpected end of input")
-	}
-	switch c := p.data[p.pos]; c {
-	case '"':
-		_, err := p.stringToken()
-		return err
-	case '{':
-		p.pos++
-		p.skipSpace()
-		if p.peekIs('}') {
-			p.pos++
-			return nil
-		}
-		for {
-			if _, err := p.stringToken(); err != nil {
-				return err
-			}
-			p.skipSpace()
-			if err := p.expect(':'); err != nil {
-				return err
-			}
-			if err := p.skipValue(depth + 1); err != nil {
-				return err
-			}
-			p.skipSpace()
-			c, err := p.next()
-			if err != nil {
-				return err
-			}
-			if c == '}' {
-				return nil
-			}
-			if c != ',' {
-				return p.syntaxErr("expected ',' or '}' in object")
-			}
-			p.skipSpace()
-		}
-	case '[':
-		p.pos++
-		p.skipSpace()
-		if p.peekIs(']') {
-			p.pos++
-			return nil
-		}
-		for {
-			if err := p.skipValue(depth + 1); err != nil {
-				return err
-			}
-			p.skipSpace()
-			c, err := p.next()
-			if err != nil {
-				return err
-			}
-			if c == ']' {
-				return nil
-			}
-			if c != ',' {
-				return p.syntaxErr("expected ',' or ']' in array")
-			}
-		}
-	case 't':
-		return p.expectLit("true")
-	case 'f':
-		return p.expectLit("false")
-	case 'n':
-		return p.expectLit("null")
-	default:
-		_, err := p.numberToken()
-		return err
-	}
 }

@@ -240,9 +240,68 @@ func TestReadJSONLInterning(t *testing.T) {
 	}
 }
 
+// objectKeys returns every object key in line, at any depth, unescaped as
+// encoding/json reads them.
+func objectKeys(line string) []string {
+	dec := json.NewDecoder(strings.NewReader(line))
+	var keys []string
+	var inObject []bool // per open container
+	expectKey := false
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return keys
+		}
+		switch v := tok.(type) {
+		case json.Delim:
+			switch v {
+			case '{', '[':
+				inObject = append(inObject, v == '{')
+				expectKey = v == '{'
+				continue
+			default:
+				inObject = inObject[:len(inObject)-1]
+			}
+		case string:
+			if expectKey {
+				keys = append(keys, v)
+				expectKey = false
+				continue
+			}
+		}
+		// A value ended: inside an object, a key comes next.
+		expectKey = len(inObject) > 0 && inObject[len(inObject)-1]
+	}
+}
+
+// foldsToField reports whether line has a key that is not a field name but
+// that encoding/json's case-insensitive match takes for one; the codec
+// matches names exactly, so it reads such a line differently by design.
+func foldsToField(line string) bool {
+	canonical := sampleRecord()
+	canonical.Rating = 1
+	enc, err := json.Marshal(&canonical)
+	if err != nil {
+		panic(err)
+	}
+	fields := objectKeys(string(enc))
+	for _, k := range objectKeys(line) {
+		for _, f := range fields {
+			if k != f && strings.EqualFold(k, f) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzSessionRecordCodec cross-checks the codec against encoding/json: any
 // object our parser accepts must re-encode to exactly the stdlib encoding
-// of the same record, and stdlib encodings must round-trip.
+// of the same record, stdlib encodings must round-trip, and any line
+// json.Unmarshal accepts (with field names as the encoder writes them)
+// must decode to json.Unmarshal's record. The last property is the one
+// that sees a float decoded one ulp off: such a value re-encodes and
+// re-decodes to itself.
 func FuzzSessionRecordCodec(f *testing.F) {
 	rng := simrand.Root(31).Derive("fuzz-seed").RNG()
 	for i := 0; i < 20; i++ {
@@ -254,16 +313,31 @@ func FuzzSessionRecordCodec(f *testing.F) {
 		f.Add(string(enc))
 	}
 	f.Add(`{}`)
-	f.Add(`{"platform":"\ud800"}`)            // lone high surrogate
-	f.Add(`{"platform":"\ud800\ud800"}`)      // invalid surrogate pair
-	f.Add(`{"platform":"\ud83d\ude00<&>"}`)   // valid pair + HTML chars
-	f.Add(`{"isp":"\u2028\u2029"}`)           // JS line separators
-	f.Add(`{"net":{"BWMean":1e-7}}`)          // exponent compression
-	f.Add(`{"rating":0}`)                     // omitempty boundary
+	f.Add(`{"platform":"\ud800"}`)          // lone high surrogate
+	f.Add(`{"platform":"\ud800\ud800"}`)    // invalid surrogate pair
+	f.Add(`{"platform":"\ud83d\ude00<&>"}`) // valid pair + HTML chars
+	f.Add(`{"isp":"\u2028\u2029"}`)         // JS line separators
+	f.Add(`{"net":{"BWMean":1e-7}}`)        // exponent compression
+	f.Add(`{"rating":0}`)                   // omitempty boundary
 	f.Add(`{"start":"2022-01-02T03:04:05.000000001+01:30"}`)
+	f.Add(`{"duration_sec":9007199254740993,"net":{"BWP95":2.2250738585072011e-308}}`) // halfway, subnormal
+	f.Add(`{"presence_pct":12345678901234567890.5e-3,"cam_on_pct":1e23}`)              // > 19 digits
+	f.Add(`{"mic_on_pct":01.5,"presence_pct":+1,"cam_on_pct":.5}`)                     // lax spellings
+	f.Add(`{"Rated":true,"NET":{"bwp95":1}}`)                                          // folded names
 	f.Fuzz(func(t *testing.T, line string) {
-		var rec SessionRecord
-		if err := ParseJSON([]byte(line), &rec); err != nil {
+		var rec, std SessionRecord
+		err := ParseJSON([]byte(line), &rec)
+		// Property 0: what encoding/json accepts, under the encoder's field
+		// names, the codec decodes to the same record.
+		if json.Unmarshal([]byte(line), &std) == nil && !foldsToField(line) {
+			if err != nil {
+				t.Fatalf("ParseJSON(%q) rejects what json.Unmarshal accepts: %v", line, err)
+			}
+			if !recordsEqual(&rec, &std) {
+				t.Fatalf("ParseJSON(%q):\n got %+v\nwant %+v", line, rec, std)
+			}
+		}
+		if err != nil {
 			return // rejected input: out of scope
 		}
 		// Property 1: re-encoding an accepted record must match stdlib
@@ -282,7 +356,8 @@ func FuzzSessionRecordCodec(f *testing.F) {
 		}
 		// Property 2: the canonical encoding round-trips through both
 		// decoders to the same record.
-		var again, std SessionRecord
+		var again SessionRecord
+		std = SessionRecord{}
 		if err := ParseJSON(got, &again); err != nil {
 			t.Fatalf("re-decode of %s: %v", got, err)
 		}

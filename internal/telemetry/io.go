@@ -228,7 +228,7 @@ func ReadJSONL(r io.Reader, fn func(*SessionRecord) error) error {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		if err := parseRecordJSON(string(sc.Bytes()), &rec, intern); err != nil {
+		if err := parseRecordJSON(sc.Bytes(), &rec, intern); err != nil {
 			return fmt.Errorf("telemetry: JSONL line %d: %w", line, err)
 		}
 		if err := fn(&rec); err != nil {

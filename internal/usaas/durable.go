@@ -646,9 +646,7 @@ func decodeSnapshot(body []byte, seq uint64, store *Store) (sessions, posts int,
 	if err != nil {
 		return 0, 0, err
 	}
-	ps, err := parseSection(&lines, hdr.Posts, "post", func(line []byte, p *social.Post) error {
-		return json.Unmarshal(line, p)
-	})
+	ps, err := parseSection(&lines, hdr.Posts, "post", social.DecodePost)
 	if err != nil {
 		return 0, 0, err
 	}

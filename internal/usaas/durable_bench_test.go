@@ -9,6 +9,7 @@ import (
 	"usersignals/internal/benchguard"
 	"usersignals/internal/conference"
 	"usersignals/internal/durable"
+	"usersignals/internal/social"
 	"usersignals/internal/telemetry"
 )
 
@@ -224,4 +225,44 @@ func BenchmarkRecovery(b *testing.B) {
 		dir := build(b, benchSessions(b, bulk), bulkBatches, bulkBatches/2)
 		run(b, dir, bulkBatches/2, bulkBatches*bulk)
 	})
+}
+
+// BenchmarkDecodeBatch times decodeBatch — the parse that recovery's decode
+// window, a follower's ApplyReplicated and nothing else runs on a logged
+// batch — on 500-record bulk batches of each family, encoded as the
+// journal holds them: sessions from conference seed 42, posts from the
+// seed-42 corpus.
+func BenchmarkDecodeBatch(b *testing.B) {
+	const bulk = 500
+	wire, err := telemetry.AppendNDJSON(nil, benchSessions(b, bulk))
+	if err != nil {
+		b.Fatal(err)
+	}
+	corpus, err := social.Generate(social.DefaultConfig(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var posts bytes.Buffer
+	if err := social.WritePostsJSONL(&posts, corpus.Posts[:bulk]); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rec  durable.Record
+	}{
+		{"sessions", durable.Record{Type: recSessions, Payload: wire}},
+		{"posts", durable.Record{Type: recPosts, Payload: posts.Bytes()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.rec.Payload)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := decodeBatch(c.rec)
+				if err != nil || len(d.sessions)+len(d.posts) != bulk {
+					b.Fatalf("decoded %d+%d records: %v", len(d.sessions), len(d.posts), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bulk)/1e3, "us/record")
+		})
+	}
 }

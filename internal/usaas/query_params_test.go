@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,5 +110,46 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 		if resp.StatusCode == http.StatusBadRequest {
 			t.Fatalf("%s answered 400; defaults must still apply", path)
 		}
+	}
+}
+
+// TestUnencodableAnswerIs500: an answer JSON cannot carry (here a NaN that
+// a record fed through the Go API puts in a day's mean) is a 500 naming the
+// encoding failure — never a 200 with an empty body, and never cached —
+// while every answer that encodes keeps json.Encoder's bytes.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	recs, _ := crashDataset(t, 5)
+	recs[3].PresencePct = math.NaN()
+	store := &Store{}
+	if _, _, err := store.AddSessionsBatch("nan", recs); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(store, ServerOptions{}).Handler())
+	defer ts.Close()
+	for _, path := range []string{"/v1/insights/incidents?engagement=presence", "/v1/partials?sections=daily", "/v1/report"} {
+		for try := 0; try < 2; try++ { // the second ask would hit a stored answer
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var e apiError
+			if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(body, &e) != nil ||
+				!strings.Contains(e.Error, "encoding the answer") || !strings.Contains(e.Error, "NaN") {
+				t.Fatalf("%s (ask %d): %d %q, want a 500 naming the NaN", path, try+1, resp.StatusCode, body)
+			}
+		}
+	}
+	// A body that encodes is json.Encoder's: the encoding and one newline.
+	rec := httptest.NewRecorder()
+	v := map[string]any{"html": "<&>", "f": 1e21, "s": []int{1}}
+	WriteJSON(rec, http.StatusOK, v)
+	var want strings.Builder
+	if err := json.NewEncoder(&want).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusOK || rec.Body.String() != want.String() {
+		t.Fatalf("WriteJSON wrote %d %q, json.Encoder %q", rec.Code, rec.Body.String(), want.String())
 	}
 }

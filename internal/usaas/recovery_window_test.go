@@ -10,16 +10,19 @@ import (
 	"time"
 
 	"usersignals/internal/durable"
+	"usersignals/internal/ocr"
 	"usersignals/internal/social"
 	"usersignals/internal/telemetry"
 )
 
 // windowFeed is the delivery the decode-window tests journal: ten-session
 // batches interleaved with post batches delivered out of day order (one of
-// them carries a post already delivered under another batch ID).
+// them carries a post already delivered under another batch ID). Beside
+// the generated posts ride a few whose text the encoder must escape.
 func windowFeed(t *testing.T) []ingestBatch {
 	t.Helper()
 	recs, posts := crashDataset(t, 23)
+	posts = append(posts, escapedPosts(posts)...)
 	postBatches := permuteBatches(arrivalBatches(posts, "p"), 3)
 	var feed []ingestBatch
 	for i, n := 0, 0; i < len(recs) || n < len(postBatches); n++ {
@@ -33,6 +36,28 @@ func windowFeed(t *testing.T) []ingestBatch {
 		}
 	}
 	return feed
+}
+
+// escapedPosts are posts with replies and a screenshot whose text is
+// non-ASCII or needs escapes on the wire (quotes, backslashes, HTML
+// characters, control characters, U+2028), which the generator never
+// writes. They take fresh IDs on a day in the middle of posts.
+func escapedPosts(posts []social.Post) []social.Post {
+	var maxID uint64
+	for i := range posts {
+		maxID = max(maxID, posts[i].ID)
+	}
+	texts := []string{`she said "slow" \ again`, "<b>R&D</b> > 50%", "line\nbreak\ttab\x01ctl", "sep\u2028ara\u2029tor", "naïve 日本 😀 ☎"}
+	out := make([]social.Post, len(texts))
+	for i, s := range texts {
+		out[i] = social.Post{
+			ID: maxID + uint64(i) + 1, Day: posts[len(posts)/2].Day,
+			Author: "u/" + s, Title: s, Body: s + " — starlink down again", Upvotes: i, Comments: 2, Country: "US",
+			Replies:    []social.Comment{{Author: "r", Text: s}, {Author: s, Text: "same here"}},
+			Screenshot: &ocr.Screenshot{Lines: []string{s, "Download 42.0 Mbps"}},
+		}
+	}
+	return out
 }
 
 // TestRecoveryDecodeWindowMatchesSerial: recovery parses the log tail in a

@@ -1,7 +1,6 @@
 package usaas
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/subtle"
@@ -664,11 +663,32 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON answers status with v as the JSON body.
+// WriteJSON answers status with v as the JSON body. json.Encoder marshals
+// the whole value before its one Write, and the status goes out with that
+// Write: an answer that cannot be encoded — a NaN in it, say — is a 500
+// naming the failure, never a 200 with an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // the status is sent; a failed write has no one left to tell
+	sw := &statusOnWrite{ResponseWriter: w, status: status}
+	if err := json.NewEncoder(sw).Encode(v); err != nil && !sw.sent {
+		WriteError(w, http.StatusInternalServerError, "encoding the answer: %v", err)
+	}
+	// A failed write after the status is sent has no one left to tell.
+}
+
+// statusOnWrite sends its status just before the first body bytes.
+type statusOnWrite struct {
+	http.ResponseWriter
+	status int
+	sent   bool
+}
+
+func (s *statusOnWrite) Write(b []byte) (int, error) {
+	if !s.sent {
+		s.sent = true
+		s.ResponseWriter.WriteHeader(s.status)
+	}
+	return s.ResponseWriter.Write(b)
 }
 
 // WriteError answers status with the formatted message as the JSON error
@@ -821,9 +841,6 @@ func DecodeSessions(r *http.Request, body io.Reader, dst []telemetry.SessionReco
 	return dst, nil
 }
 
-// scanBufs pools the bufio.Scanner work buffers of DecodePosts.
-var scanBufs = sync.Pool{New: func() any { return make([]byte, 64*1024) }}
-
 // DecodePosts reads a POST /v1/posts body the way DecodeSessions reads
 // sessions.
 func DecodePosts(r *http.Request, body io.Reader, dst []social.Post) ([]social.Post, error) {
@@ -833,24 +850,12 @@ func DecodePosts(r *http.Request, body io.Reader, dst []social.Post) ([]social.P
 		}
 		return dst, nil
 	}
-	sc := bufio.NewScanner(body)
-	scanBuf := scanBufs.Get().([]byte)
-	defer scanBufs.Put(scanBuf) //nolint:staticcheck // []byte header is fine to pool here
-	sc.Buffer(scanBuf[:0], 8*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var p social.Post
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			return dst, fmt.Errorf("decoding NDJSON posts line %d: %w", line, err)
-		}
-		dst = append(dst, p)
-	}
-	if err := sc.Err(); err != nil {
-		return dst, fmt.Errorf("reading NDJSON posts: %w", err)
+	err := social.ReadPostsJSONL(body, func(p *social.Post) error {
+		dst = append(dst, *p)
+		return nil
+	})
+	if err != nil {
+		return dst, fmt.Errorf("decoding NDJSON posts: %w", err)
 	}
 	return dst, nil
 }

@@ -381,6 +381,21 @@ func TestNDJSONIngest(t *testing.T) {
 	if raw2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("broken NDJSON status %d", raw2.StatusCode)
 	}
+	// A broken post line is a 400 naming the family and the line.
+	req3, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/posts", strings.NewReader("{\"id\":1}\n{broken\n"))
+	req3.Header.Set("Content-Type", "application/x-ndjson")
+	raw3, err := ts.Client().Do(req3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apiErr apiError
+	if err := json.NewDecoder(raw3.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	raw3.Body.Close()
+	if raw3.StatusCode != http.StatusBadRequest || !strings.HasPrefix(apiErr.Error, "decoding NDJSON posts: ") || !strings.Contains(apiErr.Error, "line 2") {
+		t.Fatalf("broken NDJSON posts: %d %q", raw3.StatusCode, apiErr.Error)
+	}
 }
 
 func TestServiceBodySizeCap(t *testing.T) {
