@@ -99,6 +99,7 @@ type shardProbe struct {
 	fetched     map[string]int // GET /v1/partials answered 200, per section
 	revalidated int            // GET /v1/partials answered 304
 	modelPhases map[string]int // POST /v1/partials/model answered 200, per model section
+	asked       int            // requests for partials of either phase, whatever the answer
 }
 
 type statusWriter struct {
@@ -130,6 +131,9 @@ func (p *shardProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.next.ServeHTTP(sw, r)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if strings.HasPrefix(r.URL.Path, "/v1/partials") {
+		p.asked++
+	}
 	switch {
 	case r.URL.Path == "/v1/partials" && sw.status == http.StatusNotModified:
 		p.revalidated++
@@ -148,7 +152,7 @@ func (p *shardProbe) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (p *shardProbe) reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.fetched, p.modelPhases, p.revalidated = map[string]int{}, map[string]int{}, 0
+	p.fetched, p.modelPhases, p.revalidated, p.asked = map[string]int{}, map[string]int{}, 0, 0
 }
 
 // counts snapshots the probe's counters.
@@ -650,23 +654,36 @@ func TestCoordinatorErrorPaths(t *testing.T) {
 			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q)", p, cStatus, cBody, sStatus, sBody)
 		}
 	}
-	// Dose bounds strconv parses but no binning can use: the node's 400,
-	// refused before any shard is asked, so no shard registers a view.
+	// Values strconv parses but no binning, threshold, launch plan or
+	// incident scan can use: the node's 400 naming the parameter, refused
+	// before any shard is asked — and a shard registers views only when
+	// asked for partials, so none registers one.
 	for _, probe := range cl.probes {
 		probe.reset()
 	}
-	for _, bounds := range []string{"lo=NaN", "hi=NaN", "lo=-Inf&hi=Inf", "lo=0&hi=Inf", "lo=-1e308&hi=1e308"} {
-		p := "/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&" + bounds
+	var refused [][2]string // path, the parameter its refusal names
+	for _, bounds := range [][2]string{{"lo=NaN", "lo"}, {"hi=NaN", "hi"}, {"lo=-Inf&hi=Inf", "lo"}, {"lo=0&hi=Inf", "hi"}, {"lo=-1e308&hi=1e308", "hi"}} {
+		refused = append(refused, [2]string{"/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&" + bounds[0], bounds[1]})
+	}
+	for _, p := range [][2]string{{"/v1/insights/incidents?engagement=presence&", "min_drop"}, {"/v1/advice/deployment?", "target"},
+		{"/v1/advice/deployment?", "sats"}, {"/v1/insights/outages?", "threshold"}, {"/v1/advice/deployment?", "max"}} {
+		for _, v := range []string{"NaN", "Inf", "-Inf", "-5"} {
+			refused = append(refused, [2]string{p[0] + p[1] + "=" + v, p[1]})
+		}
+	}
+	for _, r := range refused {
+		p, key := r[0], r[1]
 		cStatus, cBody := get(t, cl.coordTS.URL, p)
 		sStatus, sBody := get(t, cl.single.URL, p)
-		if cStatus != http.StatusBadRequest || cStatus != sStatus || cBody != sBody {
-			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q), want both 400", p, cStatus, cBody, sStatus, sBody)
+		if cStatus != http.StatusBadRequest || cStatus != sStatus || cBody != sBody || !strings.Contains(cBody, `\"`+key+`\"`) {
+			t.Errorf("%s: coordinator (%d, %q) vs single (%d, %q), want both 400 naming %q", p, cStatus, cBody, sStatus, sBody, key)
 		}
 	}
 	for i, probe := range cl.probes {
-		if fetched, _, _ := probe.counts(); fetched[usaas.SectionDose] != 0 {
-			t.Errorf("shard %d answered %d dose sections for refused queries", i, fetched[usaas.SectionDose])
+		if probe.mu.Lock(); probe.asked != 0 {
+			t.Errorf("shard %d was asked for partials %d times for refused queries", i, probe.asked)
 		}
+		probe.mu.Unlock()
 	}
 	// A wrong method: the same 405, message and Allow header.
 	for _, m := range [][2]string{{http.MethodPost, "/v1/report"}, {http.MethodGet, "/v1/sessions"}} {

@@ -268,12 +268,13 @@ func (c *Client) newGet(ctx context.Context, path string, query url.Values) (*ht
 	return req, nil
 }
 
-func (c *Client) get(ctx context.Context, path string, query url.Values, out any) error {
+// getJSON GETs path with query and decodes the answer as a T.
+func getJSON[T any](ctx context.Context, c *Client, path string, query url.Values) (out T, err error) {
 	req, err := c.newGet(ctx, path, query)
-	if err != nil {
-		return err
+	if err == nil {
+		err = c.do(req, &out, nil)
 	}
-	return c.do(req, out, nil)
+	return out, err
 }
 
 // Validation is what a tagged call learned about the state it read: the
@@ -679,9 +680,7 @@ func (c *Client) IngestPostsBatch(ctx context.Context, batchID string, posts []s
 
 // Stats fetches store counts.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	var out StatsResponse
-	err := c.get(ctx, "/v1/stats", nil, &out)
-	return out, err
+	return getJSON[StatsResponse](ctx, c, "/v1/stats", nil)
 }
 
 // EngagementQuery parameterizes Engagement.
@@ -695,130 +694,75 @@ type EngagementQuery struct {
 
 // Engagement fetches a dose-response curve.
 func (c *Client) Engagement(ctx context.Context, q EngagementQuery) (EngagementResponse, error) {
-	v := url.Values{}
-	v.Set("metric", q.Metric.String())
-	v.Set("engagement", q.Engagement.String())
-	v.Set("lo", fmt.Sprint(q.Lo))
-	v.Set("hi", fmt.Sprint(q.Hi))
+	a := readArgs{"metric": q.Metric, "engagement": q.Engagement, "lo": q.Lo, "hi": q.Hi, "isp": q.ISP}
 	if q.Bins > 0 {
-		v.Set("bins", fmt.Sprint(q.Bins))
+		a["bins"] = q.Bins
 	}
-	if q.ISP != "" {
-		v.Set("isp", q.ISP)
-	}
-	var out EngagementResponse
-	err := c.get(ctx, "/v1/insights/engagement", v, &out)
-	return out, err
+	return getJSON[EngagementResponse](ctx, c, "/v1/insights/engagement", a.query(doseParams))
 }
 
 // MOS fetches the Fig. 4 correlations and predictor evaluation.
 func (c *Client) MOS(ctx context.Context) (MOSResponse, error) {
-	var out MOSResponse
-	err := c.get(ctx, "/v1/insights/mos", nil, &out)
-	return out, err
+	return getJSON[MOSResponse](ctx, c, "/v1/insights/mos", nil)
 }
 
 // DailySentiment fetches the Fig. 5a series.
 func (c *Client) DailySentiment(ctx context.Context) ([]DaySentiment, error) {
-	var out []DaySentiment
-	err := c.get(ctx, "/v1/insights/sentiment", nil, &out)
-	return out, err
+	return getJSON[[]DaySentiment](ctx, c, "/v1/insights/sentiment", nil)
 }
 
 // Peaks fetches the top-k annotated sentiment peaks.
 func (c *Client) Peaks(ctx context.Context, k int) ([]AnnotatedPeak, error) {
-	v := url.Values{}
-	v.Set("k", fmt.Sprint(k))
-	var out []AnnotatedPeak
-	err := c.get(ctx, "/v1/insights/peaks", v, &out)
-	return out, err
-}
-
-// OutageSeries fetches the Fig. 6 keyword series.
-func (c *Client) OutageSeries(ctx context.Context) ([]DayKeywords, error) {
-	var out []DayKeywords
-	err := c.get(ctx, "/v1/insights/outages", nil, &out)
-	return out, err
+	return getJSON[[]AnnotatedPeak](ctx, c, "/v1/insights/peaks", readArgs{"k": k}.query([]string{"k"}))
 }
 
 // OutageAlerts fetches alert days above the threshold.
 func (c *Client) OutageAlerts(ctx context.Context, threshold int) ([]OutageAlert, error) {
-	v := url.Values{}
-	v.Set("threshold", fmt.Sprint(threshold))
-	var out []OutageAlert
-	err := c.get(ctx, "/v1/insights/outages", v, &out)
-	return out, err
+	return getJSON[[]OutageAlert](ctx, c, "/v1/insights/outages", readArgs{"threshold": threshold}.query([]string{"threshold"}))
 }
 
 // MonthlySpeeds fetches the Fig. 7 series.
 func (c *Client) MonthlySpeeds(ctx context.Context) ([]MonthSpeed, error) {
-	var out []MonthSpeed
-	err := c.get(ctx, "/v1/insights/speeds", nil, &out)
-	return out, err
+	return getJSON[[]MonthSpeed](ctx, c, "/v1/insights/speeds", nil)
 }
 
 // Trends fetches emerging discussion topics.
 func (c *Client) Trends(ctx context.Context) ([]Trend, error) {
-	var out []Trend
-	err := c.get(ctx, "/v1/insights/trends", nil, &out)
-	return out, err
+	return getJSON[[]Trend](ctx, c, "/v1/insights/trends", nil)
 }
 
 // Confounders fetches the §6 confounder-effect report for one engagement
 // metric.
 func (c *Client) Confounders(ctx context.Context, eng telemetry.Engagement) ([]ConfounderEffect, error) {
-	v := url.Values{}
-	v.Set("engagement", eng.String())
-	var out []ConfounderEffect
-	err := c.get(ctx, "/v1/insights/confounders", v, &out)
-	return out, err
+	return getJSON[[]ConfounderEffect](ctx, c, "/v1/insights/confounders", readArgs{"engagement": eng}.query(engagementParams))
 }
 
 // TrafficEngineeringAdvice fetches ranked network-improvement
 // recommendations.
 func (c *Client) TrafficEngineeringAdvice(ctx context.Context) ([]TERecommendation, error) {
-	var out []TERecommendation
-	err := c.get(ctx, "/v1/advice/traffic-engineering", nil, &out)
-	return out, err
+	return getJSON[[]TERecommendation](ctx, c, "/v1/advice/traffic-engineering", nil)
 }
 
 // DeploymentAdvice fetches constellation launch-plan scenarios.
 func (c *Client) DeploymentAdvice(ctx context.Context, from, horizon timeline.Day, maxExtra, satsPerLaunch int, posTarget float64) (DeploymentAdvice, error) {
-	v := url.Values{}
-	v.Set("from", fmt.Sprint(int(from)))
-	v.Set("horizon", fmt.Sprint(int(horizon)))
-	v.Set("max", fmt.Sprint(maxExtra))
-	v.Set("sats", fmt.Sprint(satsPerLaunch))
-	v.Set("target", fmt.Sprint(posTarget))
-	var out DeploymentAdvice
-	err := c.get(ctx, "/v1/advice/deployment", v, &out)
-	return out, err
+	a := readArgs{"from": int(from), "horizon": int(horizon), "max": maxExtra, "sats": satsPerLaunch, "target": posTarget}
+	return getJSON[DeploymentAdvice](ctx, c, "/v1/advice/deployment", a.query(deploymentParams))
 }
 
 // Incidents fetches the daily engagement series and detected incidents for
 // one engagement metric.
 func (c *Client) Incidents(ctx context.Context, eng telemetry.Engagement) (IncidentResponse, error) {
-	v := url.Values{}
-	v.Set("engagement", eng.String())
-	var out IncidentResponse
-	err := c.get(ctx, "/v1/insights/incidents", v, &out)
-	return out, err
+	return getJSON[IncidentResponse](ctx, c, "/v1/insights/incidents", readArgs{"engagement": eng}.query(engagementParams))
 }
 
 // Report fetches the composed operator report.
 func (c *Client) Report(ctx context.Context) (OperatorReport, error) {
-	var out OperatorReport
-	err := c.get(ctx, "/v1/report", nil, &out)
-	return out, err
+	return getJSON[OperatorReport](ctx, c, "/v1/report", nil)
 }
 
 // Experience runs the §5 cross-source query for an ISP.
 func (c *Client) Experience(ctx context.Context, isp string) (ExperienceResponse, error) {
-	v := url.Values{}
-	v.Set("isp", isp)
-	var out ExperienceResponse
-	err := c.get(ctx, "/v1/query/experience", v, &out)
-	return out, err
+	return getJSON[ExperienceResponse](ctx, c, "/v1/query/experience", readArgs{"isp": isp}.query(ispParams))
 }
 
 // Partials fetches a shard's mergeable accumulator state for the requested
@@ -867,6 +811,6 @@ func (c *Client) ModelPartials(ctx context.Context, mreq ModelPartialsRequest) (
 
 // Ready probes /v1/readyz; a nil error means the service reported ready.
 func (c *Client) Ready(ctx context.Context) error {
-	var out HealthResponse
-	return c.get(ctx, "/v1/readyz", nil, &out)
+	_, err := getJSON[HealthResponse](ctx, c, "/v1/readyz", nil)
+	return err
 }

@@ -126,6 +126,7 @@ type confView struct {
 	buckets    []SizeBucket
 	days       map[timeline.Day]*confDay
 	folded     int
+	viewUse
 }
 
 // confDay is one day's confounder accumulators.
@@ -145,6 +146,7 @@ func newConfView(eng telemetry.Engagement) *confView {
 }
 
 func (v *confView) rowsFolded() int { return v.folded }
+func (v *confView) empty() bool     { return len(v.days) == 0 }
 
 // foldOne absorbs one record: an in-band session joins its day's platform
 // and meeting-size strata.

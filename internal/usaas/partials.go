@@ -357,17 +357,14 @@ func replacedDays(base, delta []SocialDayPartial) []SocialDayPartial {
 // --- the section table ---
 
 // partialsSection declares one /v1/partials section: its name and family,
-// its parameters, how a store collects it, and how a receiver validates,
-// patches and takes it. check, parsePartials, Store.partials, Validate,
-// Patch and Take walk partialsSections: a section is one row and its field.
+// the parameter table's rows it reads (params.go), how a store collects it,
+// and how a receiver validates, patches and takes it. parseRequest,
+// Store.partials, Validate, Patch and Take walk partialsSections: a section
+// is one row and its field.
 type partialsSection struct {
-	name string
-	post bool // the post family, whose generation since= reads; else the session family
-	// parse reads the section's parameters into req; a request for which has
-	// is false lacks the ones needs names. Nil for a section that takes none.
-	parse func(q url.Values, req *partialsRequest) error
-	has   func(req *partialsRequest) bool
-	needs string
+	name   string
+	post   bool // the post family, whose generation since= reads; else the session family
+	params []string
 	// collect fills in the elements stamped after generation c.after (0: all).
 	collect  func(c *collection, p *ShardPartials)
 	validate func(p *ShardPartials) error
@@ -412,10 +409,8 @@ var partialsSections = []partialsSection{
 	keyed(partialsSection{name: SectionDaily,
 		collect: func(c *collection, p *ShardPartials) { p.Daily = c.s.dailySince(c.after) },
 	}, func(p *ShardPartials) *[]DayEngagement { return &p.Daily }, func(d *DayEngagement) timeline.Day { return d.Day }, false, nil),
-	keyed(partialsSection{name: SectionDose,
-		parse: func(q url.Values, req *partialsRequest) (err error) { req.dose, err = parseDose(q); return err },
-		has:   func(req *partialsRequest) bool { return req.dose != nil }, needs: "metric/engagement/bin parameters",
-		collect: func(c *collection, p *ShardPartials) { p.Dose = c.s.dosePartials(*c.dose, c.after) },
+	keyed(partialsSection{name: SectionDose, params: doseParams,
+		collect: func(c *collection, p *ShardPartials) { p.Dose = c.s.dosePartials(doseKeyOf(c.args), c.after) },
 	}, func(p *ShardPartials) *[]DoseDayPartial { return &p.Dose }, func(d *DoseDayPartial) timeline.Day { return d.Day }, false, nil),
 	{
 		name: SectionDrops,
@@ -441,12 +436,10 @@ var partialsSections = []partialsSection{
 		},
 		take: func(p, src *ShardPartials) { p.Drops = src.Drops },
 	},
-	keyed(partialsSection{name: SectionConfounders,
-		parse: func(q url.Values, req *partialsRequest) (err error) {
-			req.confEng, err = telemetry.ParseEngagement(q.Get("engagement"))
-			return err
+	keyed(partialsSection{name: SectionConfounders, params: engagementParams,
+		collect: func(c *collection, p *ShardPartials) {
+			p.Confounders = c.s.confounderPartials(arg[telemetry.Engagement](c.args, "engagement"), c.after)
 		},
-		collect: func(c *collection, p *ShardPartials) { p.Confounders = c.s.confounderPartials(c.confEng, c.after) },
 	}, func(p *ShardPartials) *[]ConfounderDayPartial { return &p.Confounders },
 		func(d *ConfounderDayPartial) timeline.Day { return d.Day }, false, nil),
 	keyed(partialsSection{name: SectionSocial, post: true,
@@ -475,10 +468,10 @@ var partialsSections = []partialsSection{
 			}
 			return nil
 		}),
-	keyed(partialsSection{name: SectionExperience,
-		parse: func(q url.Values, req *partialsRequest) error { req.isp = q.Get("isp"); return nil },
-		has:   func(req *partialsRequest) bool { return req.isp != "" }, needs: "the isp parameter",
-		collect: func(c *collection, p *ShardPartials) { p.Experience = c.s.experiencePartial(c.isp, c.after) },
+	keyed(partialsSection{name: SectionExperience, params: ispParams,
+		collect: func(c *collection, p *ShardPartials) {
+			p.Experience = c.s.experiencePartial(arg[string](c.args, "isp"), c.after)
+		},
 		present: func(p *ShardPartials) bool { return p.Experience != nil },
 		take:    func(p, src *ShardPartials) { p.Experience = src.Experience },
 	}, func(p *ShardPartials) *[]ExperienceDayPartial {
@@ -681,6 +674,7 @@ type expView struct {
 	sessions int
 	days     map[timeline.Day]*expDay
 	folded   int
+	viewUse
 }
 
 // expDay is one day's experience accumulators.
@@ -695,6 +689,7 @@ func newExpView(isp string) *expView {
 }
 
 func (v *expView) rowsFolded() int { return v.folded }
+func (v *expView) empty() bool     { return v.sessions == 0 }
 
 // foldOne absorbs one record of the view's ISP.
 func (v *expView) foldOne(r *telemetry.SessionRecord) {
@@ -741,94 +736,51 @@ func (s *Store) experiencePartial(isp string, after uint64) *ExperiencePartial {
 	return p
 }
 
-// partialsRequest is a parsed /v1/partials query: the sections and the
-// parameters they take.
+// partialsRequest is a parsed /v1/partials query: the sections and, for
+// each, the values of the rows it reads.
 type partialsRequest struct {
 	sections []string
-	dose     *engViewKey
-	confEng  telemetry.Engagement
-	isp      string
+	args     []readArgs
 }
 
-// check reads the sections' parameters from q, when given, and rejects
-// unknown sections and sections missing their parameters — version skew
-// between coordinator and shard must be loud, not silent.
-func (req *partialsRequest) check(q url.Values) error {
-	for _, name := range req.sections {
+// parseRequest reads each section's parameters from the query query gives
+// for it, and rejects unknown sections — version skew between coordinator
+// and shard must be loud, not silent.
+func parseRequest(sections []string, query func(sec *partialsSection) url.Values) (partialsRequest, error) {
+	req := partialsRequest{sections: sections, args: make([]readArgs, len(sections))}
+	for i, name := range sections {
 		sec := sectionOf(name)
 		if sec == nil {
-			return fmt.Errorf("unknown partials section %q", name)
+			return req, fmt.Errorf("unknown partials section %q", name)
 		}
-		if q != nil && sec.parse != nil {
-			if err := sec.parse(q, req); err != nil {
-				return err
-			}
-		}
-		if sec.has != nil && !sec.has(req) {
-			return fmt.Errorf("section %q requires %s", name, sec.needs)
+		var err error
+		if req.args[i], err = parseParams(query(sec), sec.params); err != nil {
+			return req, err
 		}
 	}
-	return nil
+	return req, nil
 }
 
 // parsePartials reads a /v1/partials query, or a plan's sections encoded by
 // PartialsQuery. The error is the message a shard answers 400 with.
 func parsePartials(q url.Values) (partialsRequest, error) {
-	req := partialsRequest{sections: ParseSections(q.Get("sections")), confEng: telemetry.Presence}
-	if len(req.sections) == 0 {
-		return req, errors.New("sections parameter required")
+	sections := ParseSections(q.Get("sections"))
+	if len(sections) == 0 {
+		return partialsRequest{}, errors.New("sections parameter required")
 	}
-	return req, req.check(q)
-}
-
-const maxBins = 1000 // caps every bins parameter: each bin costs accumulators and series
-
-// parseDose reads one dose-response parameterization: metric, engagement,
-// binning (lo, hi, bins; 0, 300 and 10 when absent) and an optional isp.
-func parseDose(q url.Values) (*engViewKey, error) {
-	metric, err := telemetry.ParseMetric(q.Get("metric"))
-	if err != nil {
-		return nil, err
-	}
-	eng, err := telemetry.ParseEngagement(q.Get("engagement"))
-	if err != nil {
-		return nil, err
-	}
-	f := queryForm{q: q}
-	lo, hi, bins := f.float("lo", 0), f.float("hi", 300), f.int("bins", 10)
-	// ParseFloat accepts "NaN" and "Inf": a NaN bound slips past hi <= lo,
-	// and an infinite bound or span leaves every bin empty or NaN-edged.
-	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-	f.bound("lo", finite(lo), "%v is not a finite number", lo)
-	f.bound("hi", finite(hi), "%v is not a finite number", hi)
-	f.bound("hi", finite(hi-lo), "hi-lo = %v is not a finite number", hi-lo)
-	if f.err != nil {
-		return nil, f.err
-	}
-	if hi <= lo || bins < 1 || bins > maxBins {
-		return nil, fmt.Errorf("invalid binning lo=%v hi=%v bins=%d", lo, hi, bins)
-	}
-	return &engViewKey{metric: metric, eng: eng, b: stats.NewBinner(lo, hi, bins), isp: q.Get("isp")}, nil
-}
-
-// params is the query parseDose reads k back from.
-func (k engViewKey) params() url.Values {
-	q := url.Values{
-		"metric": {k.metric.String()}, "engagement": {k.eng.String()},
-		"lo": {fmt.Sprint(k.b.Lo)}, "hi": {fmt.Sprint(k.b.Hi)}, "bins": {fmt.Sprint(k.b.NBins)},
-	}
-	if k.isp != "" {
-		q.Set("isp", k.isp)
-	}
-	return q
+	return parseRequest(sections, func(*partialsSection) url.Values { return q })
 }
 
 // CollectPartials builds the full GET /v1/partials response for the
 // requested sections. Returns an error for unknown sections or missing
 // parameters.
 func (s *Server) CollectPartials(sections []string, doseKey *engViewKey, confEng telemetry.Engagement, isp string) (*ShardPartials, error) {
-	req := partialsRequest{sections: sections, dose: doseKey, confEng: confEng, isp: isp}
-	if err := req.check(nil); err != nil {
+	given := map[string]readArgs{SectionConfounders: {"engagement": confEng}, SectionExperience: {"isp": isp}}
+	if doseKey != nil {
+		given[SectionDose] = doseKey.args()
+	}
+	req, err := parseRequest(sections, func(sec *partialsSection) url.Values { return given[sec.name].query(sec.params) })
+	if err != nil {
 		return nil, err
 	}
 	return s.store.partials(req, nil, false), nil
@@ -860,12 +812,12 @@ func (s *Server) parseSince(raw string) *sinceBase {
 	return &sinceBase{tag: raw, sessGen: sessGen, postGen: postGen}
 }
 
-// collection is one Store.partials walk: the store, the request, the
-// generation of the current section's family a delta lists elements after,
+// collection is one Store.partials walk: the store, the current section's
+// parameters and the generation of its family a delta lists elements after,
 // and the one post snapshot both post sections read.
 type collection struct {
-	*partialsRequest
 	s     *Store
+	args  readArgs
 	after uint64
 	view  *socialView
 	local bool
@@ -887,10 +839,10 @@ func (s *Store) partials(req partialsRequest, since *sinceBase, local bool) *Sha
 		}
 	}
 	_, out.Sessions = s.RatedSessions()
-	c := &collection{partialsRequest: &req, s: s, local: local}
-	for _, name := range req.sections {
+	c := &collection{s: s, local: local}
+	for i, name := range req.sections {
 		sec := sectionOf(name)
-		if c.after = afterSess; sec.post {
+		if c.args, c.after = req.args[i], afterSess; sec.post {
 			if c.view == nil {
 				c.view = s.social()
 			}

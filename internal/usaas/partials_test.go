@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -511,29 +512,23 @@ func TestPartialsSectionTable(t *testing.T) {
 		}
 	}
 
-	dose := &engViewKey{metric: telemetry.LossMean, eng: telemetry.MicOn, b: stats.NewBinner(0, 5, 6), isp: "ISP A"}
-	params := map[string]struct {
-		q    url.Values
-		want partialsRequest
-	}{
-		SectionDose:        {dose.params(), partialsRequest{dose: dose}},
-		SectionConfounders: {url.Values{"engagement": {"cam-on"}}, partialsRequest{confEng: telemetry.CamOn}},
-		SectionExperience:  {url.Values{"isp": {"ISP A"}}, partialsRequest{isp: "ISP A"}},
+	dose := engViewKey{metric: telemetry.LossMean, eng: telemetry.MicOn, b: stats.NewBinner(0, 5, 6), isp: "ISP A"}
+	samples := map[string]readArgs{
+		SectionDose:        dose.args(),
+		SectionConfounders: {"engagement": telemetry.CamOn},
+		SectionExperience:  {"isp": "ISP A"},
 	}
 	for _, sec := range partialsSections {
-		tc, ok := params[sec.name]
-		if sec.name != SectionConfounders {
-			tc.want.confEng = telemetry.Presence // the default
+		want := samples[sec.name]
+		if len(sec.params) != len(want) {
+			t.Errorf("row %q reads %v; this test has a sample of %v", sec.name, sec.params, want)
 		}
-		if sec.parse != nil && !ok {
-			t.Errorf("row %q parses parameters this test has no sample of", sec.name)
+		req, err := parsePartials(PartialsQuery([]Section{{sec.name, want.query(sec.params)}}))
+		if err != nil || !reflect.DeepEqual(req.sections, []string{sec.name}) || len(req.args[0]) != len(want) || len(want) > 0 && !reflect.DeepEqual(req.args[0], want) {
+			t.Errorf("row %q: parsed %+v, %v; want %v", sec.name, req, err, want)
 		}
-		tc.want.sections = []string{sec.name}
-		req, err := parsePartials(PartialsQuery([]Section{{sec.name, tc.q}}))
-		if err != nil || !reflect.DeepEqual(req, tc.want) {
-			t.Errorf("row %q: parsed %+v, %v; want %+v", sec.name, req, err, tc.want)
-		}
-		if _, err := parsePartials(PartialsQuery([]Section{{Name: sec.name}})); (err != nil) != (sec.parse != nil) {
+		required := slices.ContainsFunc(sec.params, func(use string) bool { return strings.HasSuffix(use, "!") })
+		if _, err := parsePartials(PartialsQuery([]Section{{Name: sec.name}})); (err != nil) != required {
 			t.Errorf("row %q without parameters: %v", sec.name, err)
 		}
 	}

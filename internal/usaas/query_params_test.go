@@ -24,13 +24,54 @@ var nonFiniteDoseBounds = [][2]string{
 	{"lo=-1e308&hi=1e308", "hi"},
 }
 
-// TestMalformedQueryParamsRejected: a malformed numeric query parameter
-// must answer 400 naming the offending key, never silently fall back to
-// the default. Absent and empty parameters still default.
+// outOfRangeParams are values strconv parses — or that parse as the
+// parameter's kind — but that lie outside the parameter's range: each would
+// otherwise answer 200 with a wrong answer on a loaded store (no incidents
+// for min_drop=NaN, the raw keyword series for threshold=-5, the default
+// launch size for sats=-5, an unreachable target for target=NaN).
+func outOfRangeParams() []string {
+	var out []string
+	for _, p := range []string{
+		"/v1/insights/incidents?engagement=presence&min_drop=",
+		"/v1/advice/deployment?target=",
+		"/v1/advice/deployment?sats=",
+		"/v1/insights/outages?threshold=",
+		"/v1/advice/deployment?max=",
+	} {
+		for _, v := range []string{"NaN", "Inf", "-Inf", "-5"} {
+			out = append(out, p+v)
+		}
+	}
+	return out
+}
+
+// TestMalformedQueryParamsRejected: a malformed or out-of-range query
+// parameter must answer 400 naming the offending key, never silently fall
+// back to the default or answer from the value. The store holds sessions
+// and posts, and the node a constellation model, so every endpoint would
+// otherwise render an answer. Absent and empty parameters still default.
 func TestMalformedQueryParamsRejected(t *testing.T) {
+	recs, posts := crashDataset(t, 5)
 	store := &Store{}
-	ts := httptest.NewServer(NewServer(store, ServerOptions{ResultCacheSize: -1}).Handler())
+	if _, _, err := store.AddSessionsBatch("s", recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.AddPostsBatch("p", posts); err != nil {
+		t.Fatal(err)
+	}
+	cfg, news := goldenSocialConfig()
+	ts := httptest.NewServer(NewServer(store, ServerOptions{ResultCacheSize: -1, Model: cfg.Model, News: news}).Handler())
 	defer ts.Close()
+	for _, path := range []string{"/v1/insights/incidents?engagement=presence", "/v1/advice/deployment", "/v1/insights/outages?threshold=2"} {
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s on the loaded store: %s, want 200", path, resp.Status)
+		}
+	}
 
 	cases := []struct {
 		path string
@@ -43,6 +84,9 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 		{"/v1/insights/mos?bins=many", "bins"},
 		{"/v1/insights/peaks?k=abc", "k"},
 		{"/v1/insights/outages?threshold=low", "threshold"},
+		{"/v1/insights/incidents?engagement=presence&min_drop=1.5", "min_drop"},
+		{"/v1/advice/deployment?target=2", "target"},
+		{"/v1/insights/peaks?k=51", "k"},
 		{"/v1/advice/deployment?horizon=soon", "horizon"},
 		{"/v1/advice/deployment?sats=1e", "sats"},
 		{"/v1/advice/deployment?max=none", "max"},
@@ -64,6 +108,13 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 				key  string
 			}{path + "metric=latency-mean-ms&engagement=presence&" + bounds[0], bounds[1]})
 		}
+	}
+	for _, path := range outOfRangeParams() {
+		key := path[strings.LastIndexAny(path, "?&")+1 : strings.LastIndex(path, "=")]
+		cases = append(cases, struct {
+			path string
+			key  string
+		}{path, key})
 	}
 	for _, tc := range cases {
 		t.Run(tc.path, func(t *testing.T) {
@@ -88,12 +139,12 @@ func TestMalformedQueryParamsRejected(t *testing.T) {
 		})
 	}
 
-	// A refused dose query registers no view.
+	// A refused query registers no view.
 	store.sessMu.RLock()
-	views := len(store.views.eng)
+	views := len(store.views.eng) + len(store.views.conf) + len(store.views.exp)
 	store.sessMu.RUnlock()
 	if views != 0 {
-		t.Fatalf("refused queries registered %d dose views", views)
+		t.Fatalf("refused queries registered %d views", views)
 	}
 
 	// Absent or empty parameters keep defaulting: these must not 400.

@@ -173,31 +173,32 @@ type plan struct {
 	render   func(w http.ResponseWriter, g *Gathered)
 }
 
-// readEndpoints is every read endpoint and its plan, which answers a 4xx
-// itself and returns nil.
+// readEndpoints is every read endpoint: its path, the parameter table's rows
+// its plan reads (params.go), and the plan of its parsed parameters.
 var readEndpoints = []struct {
-	path string
-	plan func(rd *ReadPath, w http.ResponseWriter, r *http.Request) *plan
+	path   string
+	params []string
+	plan   func(rd *ReadPath, a readArgs) *plan
 }{
-	{"/v1/insights/engagement", (*ReadPath).engagement},
-	{"/v1/insights/mos", (*ReadPath).mos},
-	{"/v1/insights/sentiment", (*ReadPath).sentiment},
-	{"/v1/insights/peaks", (*ReadPath).peaks},
-	{"/v1/insights/outages", (*ReadPath).outages},
-	{"/v1/insights/speeds", (*ReadPath).speeds},
-	{"/v1/insights/trends", (*ReadPath).trends},
-	{"/v1/query/experience", (*ReadPath).experience},
-	{"/v1/insights/confounders", (*ReadPath).confounders},
-	{"/v1/advice/traffic-engineering", (*ReadPath).teAdvice},
-	{"/v1/advice/deployment", (*ReadPath).deployment},
-	{"/v1/report", (*ReadPath).report},
-	{"/v1/insights/incidents", (*ReadPath).incidents},
+	{"/v1/insights/engagement", doseParams, (*ReadPath).engagement},
+	{"/v1/insights/mos", []string{"bins"}, (*ReadPath).mos},
+	{"/v1/insights/sentiment", nil, (*ReadPath).sentiment},
+	{"/v1/insights/peaks", []string{"k"}, (*ReadPath).peaks},
+	{"/v1/insights/outages", []string{"threshold"}, (*ReadPath).outages},
+	{"/v1/insights/speeds", nil, (*ReadPath).speeds},
+	{"/v1/insights/trends", nil, (*ReadPath).trends},
+	{"/v1/query/experience", ispParams, (*ReadPath).experience},
+	{"/v1/insights/confounders", engagementParams, (*ReadPath).confounders},
+	{"/v1/advice/traffic-engineering", nil, (*ReadPath).teAdvice},
+	{"/v1/advice/deployment", deploymentParams, (*ReadPath).deployment},
+	{"/v1/report", []string{"format"}, (*ReadPath).report},
+	{"/v1/insights/incidents", []string{"engagement!", "min_drop"}, (*ReadPath).incidents},
 }
 
 // Mount registers every read endpoint on mux.
 func (rd *ReadPath) Mount(mux *http.ServeMux) {
 	for _, e := range readEndpoints {
-		mux.HandleFunc(e.path, rd.serve(e.plan))
+		mux.HandleFunc(e.path, rd.serve(e.params, e.plan))
 	}
 }
 
@@ -205,19 +206,29 @@ func (rd *ReadPath) Mount(mux *http.ServeMux) {
 // (see the top of this file) parameters, gather and the result cache. A part
 // that could not be gathered is never answered from cache: its tag is
 // missing from the generation.
-func (rd *ReadPath) serve(planOf func(*ReadPath, http.ResponseWriter, *http.Request) *plan) http.HandlerFunc {
+func (rd *ReadPath) serve(params []string, planOf func(*ReadPath, readArgs) *plan) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !RequireMethod(w, r, http.MethodGet) {
 			return
 		}
+		// parse answers a 400 naming a parameter the table refuses, and
+		// returns nil.
+		parse := func(w http.ResponseWriter) *plan {
+			a, err := parseParams(r.URL.Query(), params)
+			if err != nil {
+				WriteError(w, http.StatusBadRequest, "%v", err)
+				return nil
+			}
+			return planOf(rd, a)
+		}
 		if tag := rd.src.Tag(); tag != "" {
 			rd.cache.serveTagged(w, r, tag, func(w http.ResponseWriter) bool {
-				q := planOf(rd, w, r)
+				q := parse(w)
 				return q == nil || rd.run(w, q, rd.gather(r.Context(), q))
 			})
 			return
 		}
-		q := planOf(rd, w, r)
+		q := parse(w)
 		if q == nil {
 			return
 		}
@@ -256,13 +267,9 @@ func (rd *ReadPath) run(w http.ResponseWriter, q *plan, g *Gathered) bool {
 
 // --- the plans ---
 
-func (rd *ReadPath) engagement(w http.ResponseWriter, r *http.Request) *plan {
-	key, err := parseDose(r.URL.Query())
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	return &plan{sections: []Section{{SectionDose, key.params()}}, render: func(w http.ResponseWriter, g *Gathered) {
+func (rd *ReadPath) engagement(a readArgs) *plan {
+	key := doseKeyOf(a)
+	return &plan{sections: []Section{{SectionDose, a.query(doseParams)}}, render: func(w http.ResponseWriter, g *Gathered) {
 		series, err := MergeDosePartials(key.b, each(g.Bundles, func(b *ShardPartials) []DoseDayPartial { return b.Dose }))
 		if err != nil {
 			WriteError(w, http.StatusBadGateway, "%v", err)
@@ -272,13 +279,8 @@ func (rd *ReadPath) engagement(w http.ResponseWriter, r *http.Request) *plan {
 	}}
 }
 
-func (rd *ReadPath) mos(w http.ResponseWriter, r *http.Request) *plan {
-	f := formOf(r)
-	bins := f.int("bins", 10)
-	f.bound("bins", bins >= 1 && bins <= maxBins, "%d bins, want 1 to %d", bins, maxBins)
-	if f.reject(w) {
-		return nil
-	}
+func (rd *ReadPath) mos(a readArgs) *plan {
+	bins := arg[int](a, "bins")
 	return &plan{sections: []Section{{Name: SectionSessions}}, render: func(w http.ResponseWriter, g *Gathered) {
 		rated, total := g.fits.of(g.Bundles)
 		correlations, err := rated.correlations(bins)
@@ -294,33 +296,21 @@ func (rd *ReadPath) mos(w http.ResponseWriter, r *http.Request) *plan {
 	}}
 }
 
-func (rd *ReadPath) sentiment(http.ResponseWriter, *http.Request) *plan {
+func (rd *ReadPath) sentiment(readArgs) *plan {
 	return socialPlan(SectionSocial, func(w http.ResponseWriter, p *socialParts) {
 		WriteJSON(w, http.StatusOK, p.sentiment())
 	})
 }
 
-func (rd *ReadPath) peaks(w http.ResponseWriter, r *http.Request) *plan {
-	f := formOf(r)
-	k := f.int("k", 3)
-	if f.reject(w) {
-		return nil
-	}
-	if k < 1 || k > 50 {
-		WriteError(w, http.StatusBadRequest, "k out of range")
-		return nil
-	}
+func (rd *ReadPath) peaks(a readArgs) *plan {
+	k := arg[int](a, "k")
 	return socialPlan(SectionSocial, func(w http.ResponseWriter, p *socialParts) {
 		WriteJSON(w, http.StatusOK, MergePeaks(p.sentiment(), p.clouds(), rd.news, k))
 	})
 }
 
-func (rd *ReadPath) outages(w http.ResponseWriter, r *http.Request) *plan {
-	f := formOf(r)
-	threshold := f.int("threshold", 0)
-	if f.reject(w) {
-		return nil
-	}
+func (rd *ReadPath) outages(a readArgs) *plan {
+	threshold := arg[int](a, "threshold")
 	return socialPlan(SectionSocial, func(w http.ResponseWriter, p *socialParts) {
 		series := p.keywords()
 		if threshold > 0 {
@@ -331,25 +321,21 @@ func (rd *ReadPath) outages(w http.ResponseWriter, r *http.Request) *plan {
 	})
 }
 
-func (rd *ReadPath) speeds(http.ResponseWriter, *http.Request) *plan {
+func (rd *ReadPath) speeds(readArgs) *plan {
 	return socialPlan(SectionSpeeds, func(w http.ResponseWriter, p *socialParts) {
 		WriteJSON(w, http.StatusOK, MergeSpeeds(p.window, p.speeds, rd.model, 1))
 	})
 }
 
-func (rd *ReadPath) trends(http.ResponseWriter, *http.Request) *plan {
+func (rd *ReadPath) trends(readArgs) *plan {
 	return socialPlan(SectionSocial, func(w http.ResponseWriter, p *socialParts) {
 		WriteJSON(w, http.StatusOK, p.trends(TrendOptions{}))
 	})
 }
 
-func (rd *ReadPath) experience(w http.ResponseWriter, r *http.Request) *plan {
-	isp := r.URL.Query().Get("isp")
-	if isp == "" {
-		WriteError(w, http.StatusBadRequest, "isp parameter required")
-		return nil
-	}
-	sections := []Section{{Name: SectionSessions}, {SectionExperience, url.Values{"isp": {isp}}}}
+func (rd *ReadPath) experience(a readArgs) *plan {
+	isp := arg[string](a, "isp")
+	sections := []Section{{Name: SectionSessions}, {SectionExperience, a.query(ispParams)}}
 	return &plan{sections: sections, render: func(w http.ResponseWriter, g *Gathered) {
 		parts := each(g.Bundles, func(b *ShardPartials) *ExperiencePartial { return b.Experience })
 		sessions := 0
@@ -373,22 +359,14 @@ func (rd *ReadPath) experience(w http.ResponseWriter, r *http.Request) *plan {
 				WriteError(w, http.StatusServiceUnavailable, "%v", err)
 				return
 			}
-			for _, mp := range mps {
-				predicted = append(predicted, mp.Predicted)
-			}
+			predicted = each(mps, func(mp ModelPartials) []DayOnlinePartial { return mp.Predicted })
 		}
 		WriteJSON(w, http.StatusOK, MergeExperience(isp, parts, predicted))
 	}}
 }
 
-func (rd *ReadPath) confounders(w http.ResponseWriter, r *http.Request) *plan {
-	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	sections := []Section{{SectionConfounders, url.Values{"engagement": {eng.String()}}}}
-	return &plan{sections: sections, render: func(w http.ResponseWriter, g *Gathered) {
+func (rd *ReadPath) confounders(a readArgs) *plan {
+	return &plan{sections: []Section{{SectionConfounders, a.query(engagementParams)}}, render: func(w http.ResponseWriter, g *Gathered) {
 		effects, err := MergeConfounders(each(g.Bundles, func(b *ShardPartials) []ConfounderDayPartial { return b.Confounders }))
 		if err != nil {
 			WriteError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -398,7 +376,7 @@ func (rd *ReadPath) confounders(w http.ResponseWriter, r *http.Request) *plan {
 	}}
 }
 
-func (rd *ReadPath) teAdvice(http.ResponseWriter, *http.Request) *plan {
+func (rd *ReadPath) teAdvice(readArgs) *plan {
 	return &plan{sections: []Section{{Name: SectionSessions}}, render: func(w http.ResponseWriter, g *Gathered) {
 		rated, total := g.fits.of(g.Bundles)
 		var phaseErr error
@@ -418,23 +396,10 @@ func (rd *ReadPath) teAdvice(http.ResponseWriter, *http.Request) *plan {
 	}}
 }
 
-// The deployment advice costs launches² × days, so both are capped.
-const maxDeploymentExtra, maxDeploymentDays = 64, 3660
-
 // deployment consults only the constellation model: it needs no partials.
-func (rd *ReadPath) deployment(w http.ResponseWriter, r *http.Request) *plan {
-	f := formOf(r)
-	from := timeline.Day(f.int("from", int(timeline.Date(2022, 6, 1))))
-	horizon := timeline.Day(f.int("horizon", int(timeline.Date(2022, 12, 1))))
-	maxExtra := f.int("max", 8)
-	sats := f.int("sats", 50)
-	target := f.float("target", 0)
-	f.bound("max", maxExtra <= maxDeploymentExtra, "%d extra launches, want at most %d", maxExtra, maxDeploymentExtra)
-	f.bound("horizon", horizon <= from || (horizon-from > 0 && horizon-from <= maxDeploymentDays),
-		"%d days after from, want at most %d", horizon-from, maxDeploymentDays)
-	if f.reject(w) {
-		return nil
-	}
+func (rd *ReadPath) deployment(a readArgs) *plan {
+	from, horizon := timeline.Day(arg[int](a, "from")), timeline.Day(arg[int](a, "horizon"))
+	maxExtra, sats, target := arg[int](a, "max"), arg[int](a, "sats"), arg[float64](a, "target")
 	return &plan{render: func(w http.ResponseWriter, _ *Gathered) {
 		if rd.model == nil {
 			WriteError(w, http.StatusNotFound, "no constellation model configured")
@@ -476,8 +441,8 @@ func reportFrom(g *Gathered, news *newswire.Index, model *leo.Model) OperatorRep
 
 // report degrades instead of refusing: a part that fails mid-gather becomes
 // notes naming it on every section, never silently missing days.
-func (rd *ReadPath) report(_ http.ResponseWriter, r *http.Request) *plan {
-	text := r.URL.Query().Get("format") == "text"
+func (rd *ReadPath) report(a readArgs) *plan {
+	text := arg[string](a, "format") == "text"
 	return &plan{sections: reportPartials, degrades: true, render: func(w http.ResponseWriter, g *Gathered) {
 		rep := reportFrom(g, rd.news, rd.model)
 		if text {
@@ -489,17 +454,8 @@ func (rd *ReadPath) report(_ http.ResponseWriter, r *http.Request) *plan {
 	}}
 }
 
-func (rd *ReadPath) incidents(w http.ResponseWriter, r *http.Request) *plan {
-	eng, err := telemetry.ParseEngagement(r.URL.Query().Get("engagement"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	f := formOf(r)
-	minDrop := f.float("min_drop", 0)
-	if f.reject(w) {
-		return nil
-	}
+func (rd *ReadPath) incidents(a readArgs) *plan {
+	eng, minDrop := arg[telemetry.Engagement](a, "engagement"), arg[float64](a, "min_drop")
 	return &plan{sections: []Section{{Name: SectionDaily}}, render: func(w http.ResponseWriter, g *Gathered) {
 		days := MergeDaily(each(g.Bundles, func(b *ShardPartials) []DayEngagement { return b.Daily }))
 		if len(days) == 0 {

@@ -9,8 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -706,64 +704,6 @@ func RequireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	w.Header().Set("Allow", method)
 	WriteError(w, http.StatusMethodNotAllowed, "method %s not allowed; use %s", r.Method, method)
 	return false
-}
-
-// queryForm parses typed query parameters, remembering the first
-// malformed value so handlers can answer 400 naming the offending key.
-// Only an absent or empty parameter falls back to the default —
-// "?bins=abc" is a client error, not a synonym for "?bins=".
-type queryForm struct {
-	q   url.Values
-	err error
-}
-
-func formOf(r *http.Request) *queryForm { return &queryForm{q: r.URL.Query()} }
-
-func (f *queryForm) int(key string, def int) int {
-	v := f.q.Get(key)
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		if f.err == nil {
-			f.err = fmt.Errorf("query parameter %q: invalid integer %q", key, v)
-		}
-		return def
-	}
-	return n
-}
-
-func (f *queryForm) float(key string, def float64) float64 {
-	v := f.q.Get(key)
-	if v == "" {
-		return def
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		if f.err == nil {
-			f.err = fmt.Errorf("query parameter %q: invalid number %q", key, v)
-		}
-		return def
-	}
-	return x
-}
-
-// bound fails key with why unless ok, keeping an earlier parameter's error.
-func (f *queryForm) bound(key string, ok bool, why string, args ...any) {
-	if f.err == nil && !ok {
-		f.err = fmt.Errorf("query parameter %q: "+why, append([]any{key}, args...)...)
-	}
-}
-
-// reject answers 400 with the first parse error, reporting whether the
-// handler should stop.
-func (f *queryForm) reject(w http.ResponseWriter) bool {
-	if f.err == nil {
-		return false
-	}
-	WriteError(w, http.StatusBadRequest, "%v", f.err)
-	return true
 }
 
 // --- ingestion ---

@@ -204,24 +204,6 @@ func (m *MonthSpeed) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SpeedSeries extracts the median column (aligned with the input).
-func SpeedSeries(ms []MonthSpeed) []float64 {
-	out := make([]float64, len(ms))
-	for i, m := range ms {
-		out[i] = m.MedianDownMbps
-	}
-	return out
-}
-
-// PosSeries extracts the Pos column.
-func PosSeries(ms []MonthSpeed) []float64 {
-	out := make([]float64, len(ms))
-	for i, m := range ms {
-		out[i] = m.Pos
-	}
-	return out
-}
-
 // ConditioningFinding captures Fig. 7's "wheel of time" evidence: months
 // where sentiment and absolute speed disagree because users are judging
 // against their conditioned expectation.

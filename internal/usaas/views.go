@@ -2,6 +2,7 @@ package usaas
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"usersignals/internal/stats"
 	"usersignals/internal/telemetry"
@@ -27,24 +28,44 @@ type engViewKey struct {
 	isp    string // empty = unfiltered
 }
 
+// doseKeyOf is the view a dose section's parameters select.
+func doseKeyOf(a readArgs) engViewKey {
+	b := stats.NewBinner(arg[float64](a, "lo"), arg[float64](a, "hi"), arg[int](a, "bins"))
+	return engViewKey{metric: arg[telemetry.Metric](a, "metric"), eng: arg[telemetry.Engagement](a, "engagement"), b: b, isp: arg[string](a, "isp")}
+}
+
+// args are the dose section's parameters that select k.
+func (k engViewKey) args() readArgs {
+	return readArgs{"metric": k.metric, "engagement": k.eng, "lo": k.b.Lo, "hi": k.b.Hi, "bins": k.b.NBins, "isp": k.isp}
+}
+
 // maxEngViews caps how many views of each kind (dose-response
-// parameterizations, confounder metrics, ISPs) the store materializes;
-// queries beyond the cap still work (they fold a fresh accumulator from the
-// snapshot) but are not retained.
+// parameterizations, confounder metrics, ISPs) the store keeps (viewOf).
 const maxEngViews = 64
 
 // sessionView is a per-day fold over sessions that the store keeps current
 // at ingest once a query has registered it (viewOf). Each record is absorbed
 // in arrival order; rowsFolded counts every session seen, filtered or not,
-// so a catch-up fold can resume at an absolute row index.
+// so a catch-up fold can resume at an absolute row index. A view that holds
+// no session is empty.
 type sessionView interface {
 	foldOne(r *telemetry.SessionRecord)
 	rowsFolded() int
+	empty() bool
+	use() *viewUse
 }
 
-// foldRows absorbs rows [lo, hi) of a snapshot in arrival order.
-func foldRows(v sessionView, rows Rows, lo, hi int) {
-	rows.Each(lo, hi, v.foldOne)
+// viewUse is a registered view's read history: the session generation it was
+// last read at, and in how many generations it was read.
+type viewUse struct{ last, gens atomic.Uint64 }
+
+func (u *viewUse) use() *viewUse { return u }
+
+// read notes a read at session generation gen.
+func (u *viewUse) read(gen uint64) {
+	if u.last.Swap(gen) != gen {
+		u.gens.Add(1)
+	}
 }
 
 // foldBatch absorbs an arrival-ordered batch into every view of one kind.
@@ -65,6 +86,7 @@ type engView struct {
 	ef     func(*telemetry.SessionRecord) float64
 	filter telemetry.Filter
 	days   dayBins
+	viewUse
 	// lastDay/lastAcc cache the most recent day's accumulator: ingest is
 	// roughly chronological, so most Adds skip the map lookup.
 	lastDay timeline.Day
@@ -86,6 +108,7 @@ func newEngView(key engViewKey) *engView {
 }
 
 func (v *engView) rowsFolded() int { return v.folded }
+func (v *engView) empty() bool     { return len(v.days) == 0 }
 
 // foldOne absorbs one record.
 func (v *engView) foldOne(r *telemetry.SessionRecord) {
@@ -130,6 +153,9 @@ type viewState struct {
 	eng  map[engViewKey]*engView
 	conf map[telemetry.Engagement]*confView
 	exp  map[string]*expView
+	// readFolded counts the rows views folded at read time, over the
+	// store's life: tests count work with it.
+	readFolded int
 }
 
 // foldSessions absorbs an accepted (non-duplicate) session batch, applied as
@@ -237,15 +263,17 @@ func (s *Store) dailySince(after uint64) []DayEngagement {
 }
 
 // viewOf runs read against the store's view of one kind for key, under
-// sessMu, registering it on first use. The catch-up fold runs outside any
-// lock over a row snapshot; the write lock only folds the (small) gap and
-// adopts or registers the result. Past maxEngViews keys of the kind, a view
-// is folded fresh for the one read and not kept. read may consult the
+// sessMu, registering it on first use unless it is empty. The catch-up fold
+// runs outside any lock over a row snapshot; the write lock only folds the
+// (small) gap and adopts or registers the result. A kind full at
+// maxEngViews registers a view only in place of one it displaces;
+// otherwise the view is folded for the one read. read may consult the
 // store's views (the day stamps) but must not write them.
 func viewOf[K comparable, V sessionView](s *Store, views *map[K]V, key K, fresh func() V, read func(V)) {
 	s.fenceSessions()
 	s.sessMu.RLock()
 	if v, ok := (*views)[key]; ok {
+		v.use().read(s.sessGen)
 		read(v)
 		s.sessMu.RUnlock()
 		return
@@ -254,13 +282,15 @@ func viewOf[K comparable, V sessionView](s *Store, views *map[K]V, key K, fresh 
 	s.sessMu.RUnlock()
 
 	nv := fresh()
-	foldRows(nv, rows, 0, rows.Len())
+	rows.Each(0, rows.Len(), nv.foldOne)
 
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
+	defer func() { s.views.readFolded += nv.rowsFolded() }()
 	if v, ok := (*views)[key]; ok {
 		// Another query registered this key first; it is at least as
 		// caught-up as ours.
+		v.use().read(s.sessGen)
 		read(v)
 		return
 	}
@@ -268,14 +298,37 @@ func viewOf[K comparable, V sessionView](s *Store, views *map[K]V, key K, fresh 
 	// folded are an absolute row index, so resuming there continues the same
 	// arrival-order fold.
 	cur := s.sessions.snapshot()
-	foldRows(nv, cur, nv.rowsFolded(), cur.Len())
-	if len(*views) < maxEngViews {
+	cur.Each(nv.rowsFolded(), cur.Len(), nv.foldOne)
+	nv.use().read(s.sessGen)
+	if !nv.empty() && (len(*views) < maxEngViews || displace(*views, s.sessGen)) {
 		if *views == nil {
 			*views = map[K]V{}
 		}
 		(*views)[key] = nv
 	}
 	read(nv)
+}
+
+// displace drops the view of least standing at session generation gen — the
+// generations it was read in less those since its last read — if that is
+// below a new view's (1), and reports whether it dropped one. So a view read
+// at gen stays, as does one read in two generations or more, the last the
+// one before: a dashboard that reads after every ingest outlives any number
+// of keys read once. Of equals any may go; a displaced key comes back with
+// the same fold.
+func displace[K comparable, V sessionView](views map[K]V, gen uint64) bool {
+	var victim K
+	least, found := int64(1), false
+	for k, v := range views {
+		u := v.use()
+		if s := int64(u.gens.Load()) - int64(gen-u.last.Load()); s < least {
+			victim, least, found = k, s, true
+		}
+	}
+	if found {
+		delete(views, victim)
+	}
+	return found
 }
 
 // doseView runs read against the materialized dose-response view for key

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"testing"
 	"time"
@@ -345,5 +346,110 @@ func TestServedResponsesIdenticalAcrossIngestShapes(t *testing.T) {
 			applyBatch(t, store, b)
 		}
 		assertSameBodies(t, fmt.Sprintf("arrival permutation %d", perm), endpointBodies(t, store, opts, isp), want, isp)
+	}
+}
+
+// TestViewRegistryOutlivesOneOffKeys: a dashboard refreshes after every
+// batch while another client asks 1,000 one-off dose parameterizations and
+// 1,000 one-off ISPs, starting before the dashboard and filling every kind's
+// registry. The dashboard's keys displace keys read once, and, read in
+// every generation, stay registered however many keys are read once after
+// them — even a burst of more than the registry holds, between a batch and
+// the dashboard's refresh, where plain LRU would drop them: after its first
+// refresh its reads fold no row at read time. No kind ever holds more than
+// maxEngViews views, and every answer is the bytes of a store that never saw
+// the one-off keys.
+func TestViewRegistryOutlivesOneOffKeys(t *testing.T) {
+	recs := slices.Clone(mixDataset(t))
+	for i := 1; i < len(recs); i += 2 { // 1,000 ISPs of a few sessions each
+		recs[i].ISP = fmt.Sprintf("one-off-%d", i/2%1000)
+	}
+	const cycles = 10
+	squatted := &Store{}
+	srv := NewServer(squatted, ServerOptions{ResultCacheSize: -1})
+	ref := NewServer(&Store{}, ServerOptions{ResultCacheSize: -1})
+	get := func(s *Server, path string) string {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	readFolded := func() int {
+		squatted.sessMu.RLock()
+		defer squatted.sessMu.RUnlock()
+		return squatted.views.readFolded
+	}
+	dashboard := []string{
+		"/v1/insights/engagement?metric=latency-mean-ms&engagement=mic-on",
+		"/v1/insights/engagement?metric=loss-mean-pct&engagement=presence&hi=5",
+		"/v1/insights/confounders?engagement=presence",
+		"/v1/query/experience?isp=" + url.QueryEscape(recs[0].ISP),
+		"/v1/report",
+	}
+	var oneOffs []string
+	for i := 0; i < 1000; i++ {
+		oneOffs = append(oneOffs,
+			fmt.Sprintf("/v1/insights/engagement?metric=latency-mean-ms&engagement=presence&hi=%d", 301+i),
+			fmt.Sprintf("/v1/query/experience?isp=one-off-%d", i))
+	}
+	share := func(c int) []string { // 200 before the dashboard starts, the rest spread over its refreshes
+		if c == 0 {
+			return oneOffs[:200]
+		}
+		return oneOffs[200+(c-1)*1800/(cycles-1) : 200+c*1800/(cycles-1)]
+	}
+	askOneOffs := func(c int) {
+		for _, path := range share(c) {
+			get(srv, path)
+		}
+	}
+	for c := 0; c < cycles; c++ {
+		half, rest := len(recs)/2, len(recs)-len(recs)/2
+		batch := recs[:half] // a preload, then cycles-1 batches
+		if c > 0 {
+			batch = recs[half+(c-1)*rest/(cycles-1) : half+c*rest/(cycles-1)]
+		}
+		for _, s := range []*Store{squatted, ref.store} {
+			if _, _, err := s.AddSessionsBatch(fmt.Sprint("b", c), batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// From its third refresh on the dashboard has been read in two
+		// generations; every other cycle the burst comes before it.
+		burstFirst := c >= 3 && c%2 == 1
+		if burstFirst {
+			askOneOffs(c)
+		}
+		before := readFolded()
+		for _, path := range dashboard[:min(c, 1)*len(dashboard)] {
+			if got, want := get(srv, path), get(ref, path); got != want {
+				t.Fatalf("cycle %d: %s differs from the reference store's", c, path)
+			}
+		}
+		if folded := readFolded() - before; c > 1 && folded != 0 {
+			t.Fatalf("cycle %d: the dashboard's reads folded %d rows at read time", c, folded)
+		}
+		if !burstFirst {
+			askOneOffs(c)
+		}
+		squatted.sessMu.RLock()
+		eng, conf, exp := len(squatted.views.eng), len(squatted.views.conf), len(squatted.views.exp)
+		squatted.sessMu.RUnlock()
+		if eng > maxEngViews || conf > maxEngViews || exp > maxEngViews {
+			t.Fatalf("cycle %d: %d dose, %d confounder and %d experience views, want at most %d each", c, eng, conf, exp, maxEngViews)
+		}
+	}
+	// A one-off key asked again, displaced or not, answers a fresh store's
+	// bytes.
+	fresh := NewServer(&Store{}, ServerOptions{ResultCacheSize: -1})
+	if _, _, err := fresh.store.AddSessionsBatch("all", recs); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(oneOffs); i += 97 {
+		if got, want := get(srv, oneOffs[i]), get(fresh, oneOffs[i]); got != want {
+			t.Fatalf("%s differs from a fresh store's", oneOffs[i])
+		}
 	}
 }
